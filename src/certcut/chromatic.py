@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CliqueFound, ImproperColoring, LabelSizeMismatch, TooFewVertices
 from .embedding import CutCertificate
 from .graphcore import Cut, Graph, cut_value
@@ -279,27 +281,21 @@ def max_t_cut(
         raise LabelSizeMismatch(f"base cut covers {len(base.side)} of {g.n} vertices")
     s, odd = divmod(t, 2)
     cert = t_cut_expected_value(g.m, base.value, t)
+    # first part of each vertex's own block: 0 on side 0, s on any other side
+    offset = s * (np.asarray(base.side, dtype=np.int64) != 0)
+    no_draws = np.zeros(0, dtype=np.int64)
     best_part, best_val = None, -1
     for _ in range(max(1, repeats)):
-        part = [0] * g.n
         if odd:
-            draws = rng.integers(0, t, size=g.n) if g.n else []
-            for v in range(g.n):
-                k = int(draws[v])
-                if k >= 2 * s:
-                    part[v] = 2 * s
-                elif base.side[v] == 0:
-                    part[v] = k // 2
-                else:
-                    part[v] = s + k // 2
+            draws = rng.integers(0, t, size=g.n) if g.n else no_draws
+            part = np.where(draws >= 2 * s, 2 * s, draws // 2 + offset)
         else:
-            draws = rng.integers(0, s, size=g.n) if g.n else []
-            for v in range(g.n):
-                part[v] = int(draws[v]) + (0 if base.side[v] == 0 else s)
-        val = t_partition_value(g, part)
+            draws = rng.integers(0, s, size=g.n) if g.n else no_draws
+            part = draws + offset
+        val = g.crossing_count(part)
         if val > best_val:
-            best_part, best_val = tuple(part), val
+            best_part, best_val = part, val
     return (
-        TPartition(best_part, best_val),
+        TPartition(tuple(best_part.tolist()), best_val),
         CutCertificate(cert, None, "tcut_headline", (t - 1) / t * g.m),
     )

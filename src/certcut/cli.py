@@ -20,7 +20,7 @@ from ._rng import derive_seed, make_rng
 from .chromatic import coloring_cut, kr_free_coloring, max_t_cut
 from .decompose import composite_cut, kr_cut, sampled_sdp_cut, SubSolver
 from .embedding import sdp_cut
-from .errors import BudgetExceeded, CertcutError, ParseError, PreconditionError
+from .errors import BudgetExceeded, CertcutError, InvalidEpsilon, ParseError, PreconditionError
 from .generators import (
     GenSpec,
     family,
@@ -58,19 +58,40 @@ def _resolve_eps(text: str) -> float | None:
     if text == "auto":
         return None
     try:
-        return float(text)
+        eps = float(text)
     except ValueError:
         raise PreconditionError(f"bad --epsilon value {text!r}") from None
+    if not math.isfinite(eps):
+        raise InvalidEpsilon(f"--epsilon must be finite, got {text!r}")
+    return eps
+
+
+def _check_params(algo: str, *, repeats: int, r: int, t: int, p: float | None,
+                  max_vertices: int | None) -> None:
+    # the library raises ValueError for these; the CLI maps them to exit 3
+    if repeats < 1:
+        raise PreconditionError(f"--repeats must be >= 1, got {repeats}")
+    if max_vertices is not None and max_vertices < 0:
+        raise PreconditionError(f"--max-vertices must be >= 0, got {max_vertices}")
+    if algo == "tcut" and t < 2:
+        raise PreconditionError(f"--t must be >= 2, got {t}")
+    if algo == "sampled" and p is not None and not 0.0 < p <= 1.0:
+        raise PreconditionError(f"--p must lie in (0, 1], got {p}")
+    if algo == "chromatic" and r < 2:
+        raise PreconditionError(f"--r must be >= 2 for chromatic, got {r}")
+    if algo == "kr" and r < 3:
+        raise PreconditionError(f"--r must be >= 3 for kr, got {r}")
 
 
 def run_cut_algorithm(g: Graph, algo: str, *, seed: int, epsilon: str, repeats: int,
                       r: int, t: int, p: float | None, max_vertices: int | None):
     """Dispatch one algorithm; returns (value, certificate, bound, params)."""
     eps = _resolve_eps(epsilon)
+    _check_params(algo, repeats=repeats, r=r, t=t, p=p, max_vertices=max_vertices)
     d = degeneracy_order(g).degeneracy
     auto = 1.0 / math.sqrt(d) if d else 1.0
     if algo == "exact":
-        budget = OracleBudget(max_vertices) if max_vertices else None
+        budget = OracleBudget(max_vertices) if max_vertices is not None else None
         cut = max_cut_exact(g, budget)
         return cut.value, float(cut.value), edwards_bound(g.m), "exhaustive"
     if algo == "sdp":

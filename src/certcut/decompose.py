@@ -226,6 +226,8 @@ def composite_cut(
     """
     sub = as_subsolver(sub)
     order = degeneracy_order(g)
+    if not math.isfinite(eps):
+        raise EpsilonTooLarge(f"eps = {eps} is not finite")
     if eps <= 0:
         raise EpsilonTooLarge("eps must be positive")
     if eps > _eps_cap(order) + _EPS_TOL:

@@ -7,12 +7,23 @@ V_i. Rounding by the sign of the dot product with a random direction cuts an
 edge with probability arccos(<v_i, v_j>)/pi, and summing those probabilities
 gives a deterministic lower bound on the maximum cut that dominates the
 closed-form plan bound; no SDP solver is involved anywhere.
+
+Rounding is one array pass per direction. Each embedding keeps its vectors as
+slot arrays ``cols``/``vals`` of shape (width, n), width = largest support
+size: slot 0 of column i is coordinate i itself, then V_i in the vector's own
+order, padded with (i, 0.0). The dot products accumulate slot by slot, which
+adds the terms in the same order as a per-vertex sum over the vector, so the
+sides are bit-identical to that sum; the padding adds +-0.0, which cannot
+change a sign test. Repeat k of ``sdp_cut`` draws its direction from the
+stream (seed, k).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -41,6 +52,8 @@ class EpsilonPlan:
             if not self.sets[i] <= g.adj_sets[i]:
                 raise InvalidEpsilon(f"V_{i} is not a subset of the neighbors of {i}")
             e = self.eps[i]
+            if not math.isfinite(e):
+                raise InvalidEpsilon(f"eps_{i} = {e} is not finite")
             if e < 0.0:
                 raise InvalidEpsilon(f"eps_{i} = {e} is negative")
             cap = 1.0 / math.sqrt(len(self.sets[i])) if self.sets[i] else 1.0
@@ -53,11 +66,14 @@ def back_neighbor_plan(g: Graph, eps: float, order: DegeneracyOrder | None = Non
 
     Vertices with no back-neighbors get eps_i = 0 (their vector is a plain
     basis vector either way). Requires 0 < eps <= 1/sqrt(degeneracy); the cap
-    is vacuous for edgeless graphs, where every set is empty.
+    is vacuous for edgeless graphs, where every set is empty, but eps must
+    still be finite.
     """
     if order is None:
         order = degeneracy_order(g)
     cap = 1.0 / math.sqrt(order.degeneracy) if order.degeneracy else math.inf
+    if not math.isfinite(eps):
+        raise EpsilonTooLarge(f"eps = {eps} is not finite")
     if eps <= 0.0:
         raise EpsilonTooLarge("eps must be positive")
     if eps > cap + _EPS_TOL:
@@ -91,6 +107,35 @@ class Embedding:
             for j, val in vec.items():
                 mat[i, j] = val
         return mat
+
+    @cached_property
+    def slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(cols, vals)`` of shape (width, n): column i lists ``vecs[i]``
+        in its own order, padded with (i, 0.0)."""
+        n = self.n
+        sizes = np.fromiter(map(len, self.vecs), np.intp, n)
+        width = int(sizes.max(initial=1))
+        owner = np.repeat(np.arange(n), sizes)
+        starts = np.cumsum(sizes) - sizes
+        slot = np.arange(len(owner)) - np.repeat(starts, sizes)
+        cols = np.tile(np.arange(n), (width, 1))
+        vals = np.zeros((width, n))
+        cols[slot, owner] = np.fromiter(chain.from_iterable(self.vecs), np.intp, len(owner))
+        vals[slot, owner] = np.fromiter(
+            chain.from_iterable(vec.values() for vec in self.vecs), float, len(owner)
+        )
+        return cols, vals
+
+    def round_sides(self, w: np.ndarray) -> np.ndarray:
+        """Boolean side of every vertex for direction ``w``: True (side 1)
+        where the dot product is negative, False where it is >= 0."""
+        cols, vals = self.slots
+        terms = vals * w[cols]
+        d = terms[0].copy()
+        for row in terms[1:]:
+            d += row
+        # ~(d >= 0) rather than d < 0, so that NaN lands on side 1
+        return ~(d >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -178,12 +223,7 @@ def edge_inner_bound(plan: EpsilonPlan, u: int, v: int) -> float:
 def hyperplane_round(emb: Embedding, rng) -> Cut:
     """Split by the sign of each vector's dot product with a standard normal
     direction; exact-zero dot products land on side 0."""
-    w = rng.standard_normal(emb.n)
-    side = []
-    for i in range(emb.n):
-        d = sum(val * w[j] for j, val in emb.vecs[i].items())
-        side.append(0 if d >= 0.0 else 1)
-    return cut_value(emb.graph, side)
+    return cut_value(emb.graph, emb.round_sides(rng.standard_normal(emb.n)))
 
 
 def sdp_cut(
@@ -205,9 +245,10 @@ def sdp_cut(
     plan = back_neighbor_plan(g, eps, order)
     emb = build_vectors(g, plan)
     cert = exact_expected_cut(g, emb)
-    best = None
+    best_side, best_value = None, -1
     for k in range(max(1, repeats)):
-        cut = hyperplane_round(emb, make_rng(seed, k))
-        if best is None or cut.value > best.value:
-            best = cut
-    return best, cert
+        side = emb.round_sides(make_rng(seed, k).standard_normal(g.n))
+        value = g.crossing_count(side)
+        if value > best_value:
+            best_side, best_value = side, value
+    return Cut(tuple(best_side.astype(int).tolist()), best_value), cert

@@ -11,6 +11,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -80,6 +83,18 @@ class Graph:
     @cached_property
     def adj_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(a) for a in self.adjacency)
+
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays ``(eu, ev)`` of ``edges``, in edge order."""
+        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * self.m)
+        pairs = flat.reshape(self.m, 2)
+        return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
+
+    def crossing_count(self, labels: np.ndarray) -> int:
+        """Number of edges whose endpoints carry different ``labels``."""
+        eu, ev = self.edge_index
+        return int(np.count_nonzero(labels[eu] != labels[ev]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj_sets[u]

@@ -8,6 +8,7 @@ to a dozen-ish vertices.
 from fractions import Fraction
 from itertools import combinations, product
 
+from certcut._rng import make_rng
 from certcut.graphcore import Graph
 
 
@@ -111,3 +112,52 @@ def tcut_split_expectation(g: Graph, base_side, t: int) -> Fraction:
             prob *= q
         total += prob * sum(1 for u, v in g.edges if part[u] != part[v])
     return total
+
+
+def reference_hyperplane_round(emb, rng) -> tuple[tuple[int, ...], int]:
+    """Per-vertex rounding straight from the definition: side 1 unless the
+    dot product, summed term by term in the vector's own order, is >= 0."""
+    w = rng.standard_normal(emb.n)
+    side = []
+    for i in range(emb.n):
+        d = sum(val * w[j] for j, val in emb.vecs[i].items())
+        side.append(0 if d >= 0.0 else 1)
+    value = sum(1 for u, v in emb.graph.edges if side[u] != side[v])
+    return tuple(side), value
+
+
+def reference_best_rounding(emb, repeats: int, seed: int) -> tuple[tuple[int, ...], int]:
+    """First strict maximum over repeats, repeat k rounding with stream (seed, k)."""
+    best = None
+    for k in range(max(1, repeats)):
+        side, value = reference_hyperplane_round(emb, make_rng(seed, k))
+        if best is None or value > best[1]:
+            best = (side, value)
+    return best
+
+
+def reference_max_t_cut(g: Graph, base_side, t: int, rng, repeats: int) -> tuple[tuple[int, ...], int]:
+    """Per-vertex t-way refinement: the same draws as ``max_t_cut``, mapped to
+    parts one vertex at a time; first strict maximum over repeats."""
+    s, odd = divmod(t, 2)
+    best_part, best_val = None, -1
+    for _ in range(max(1, repeats)):
+        part = [0] * g.n
+        if odd:
+            draws = rng.integers(0, t, size=g.n) if g.n else []
+            for v in range(g.n):
+                k = int(draws[v])
+                if k >= 2 * s:
+                    part[v] = 2 * s
+                elif base_side[v] == 0:
+                    part[v] = k // 2
+                else:
+                    part[v] = s + k // 2
+        else:
+            draws = rng.integers(0, s, size=g.n) if g.n else []
+            for v in range(g.n):
+                part[v] = int(draws[v]) + (0 if base_side[v] == 0 else s)
+        val = sum(1 for u, v in g.edges if part[u] != part[v])
+        if val > best_val:
+            best_part, best_val = tuple(part), val
+    return best_part, best_val

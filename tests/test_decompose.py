@@ -230,6 +230,14 @@ class TestCompositeCut:
         with pytest.raises(EpsilonTooLarge):
             composite_cut(complete(5), 0.9, exact_subsolver())
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon(self, eps):
+        with pytest.raises(EpsilonTooLarge):
+            composite_cut(complete(5), eps, exact_subsolver())
+        # no edges: the cap is infinite, so only the finiteness check applies
+        with pytest.raises(EpsilonTooLarge):
+            composite_cut(Graph.from_edges(4, []), eps, exact_subsolver())
+
     @pytest.mark.parametrize("seed", range(6))
     def test_half_floor_and_oracle_consistency(self, seed):
         rng = make_rng(seed + 60)

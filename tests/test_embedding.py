@@ -309,3 +309,22 @@ class TestSdpCut:
                 break
         _, cert = sdp_cut(g, eps, repeats=1, seed=0)
         assert cert.expected_value >= (0.5 + eps / 60) * g.m - TOL
+
+
+class TestNonFiniteEpsilon:
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_back_neighbor_plan_rejects(self, eps):
+        with pytest.raises(EpsilonTooLarge):
+            back_neighbor_plan(petersen(), eps)
+        with pytest.raises(EpsilonTooLarge):
+            back_neighbor_plan(Graph.from_edges(3, []), eps)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_plan_validate_rejects(self, eps):
+        plan = EpsilonPlan((frozenset(), frozenset({0})), (0.0, eps))
+        with pytest.raises(InvalidEpsilon):
+            plan.validate(complete(2))
+
+    def test_sdp_cut_rejects_nan(self):
+        with pytest.raises(EpsilonTooLarge):
+            sdp_cut(petersen(), math.nan, 2, 0)

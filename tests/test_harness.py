@@ -246,3 +246,66 @@ class TestCli:
         code, _, _ = run_cli(capsys, "gen", "--model", "turan", "--n", "6", "--classes", "2", "--out", str(target))
         assert code == 0
         assert parse_graph(target.read_text()).m == 9
+
+
+class TestCliRefusals:
+    """Bad parameters exit 3 (or 4 for a budget) with a message, never a traceback."""
+
+    @pytest.fixture
+    def petersen_file(self, tmp_path):
+        p = tmp_path / "pet.txt"
+        p.write_text(format_edge_list(petersen()))
+        return str(p)
+
+    @pytest.mark.parametrize("algo", ["sdp", "composite", "tcut", "sampled"])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_epsilon(self, capsys, petersen_file, algo, eps):
+        code, out, err = run_cli(capsys, "cut", "--algo", algo, f"--epsilon={eps}", "--in", petersen_file)
+        assert code == 3 and out == ""
+        assert "finite" in err and "Traceback" not in err
+
+    def test_infinite_epsilon_on_edgeless_graph(self, capsys, tmp_path):
+        # the cap is infinite without edges, so only the finiteness check stops it
+        p = tmp_path / "e.txt"
+        p.write_text("4 0\n")
+        code, _, _ = run_cli(capsys, "cut", "--algo", "sdp", "--epsilon", "inf", "--in", str(p))
+        assert code == 3
+
+    @pytest.mark.parametrize("args", [
+        ("--algo", "tcut", "--t", "1"),
+        ("--algo", "tcut", "--t", "-3"),
+        ("--algo", "sampled", "--p", "0"),
+        ("--algo", "sampled", "--p", "1.5"),
+        ("--algo", "sampled", "--p", "nan"),
+        ("--algo", "chromatic", "--r", "1"),
+        ("--algo", "kr", "--r", "2"),
+        ("--algo", "sdp", "--repeats", "0"),
+        ("--algo", "sdp", "--repeats", "-5"),
+        ("--algo", "tcut", "--repeats", "0"),
+        ("--algo", "exact", "--max-vertices", "-1"),
+    ])
+    def test_bad_parameter_exits_3(self, capsys, petersen_file, args):
+        code, out, err = run_cli(capsys, "cut", *args, "--in", petersen_file)
+        assert code == 3 and out == ""
+        assert err.startswith("precondition violated:") and "Traceback" not in err
+
+    def test_bench_checks_parameters_too(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "bench", "--family", "regular", "--nlist", "12", "--dlist", "3",
+            "--algo", "sdp", "--repeats", "0",
+        )
+        assert code == 3
+
+    def test_max_vertices_zero_is_a_cap_of_zero(self, capsys, tmp_path):
+        p = tmp_path / "k5.txt"
+        p.write_text(format_edge_list(complete(5)))
+        code, _, err = run_cli(capsys, "cut", "--algo", "exact", "--max-vertices", "0", "--in", str(p))
+        assert code == 4 and "cap 0" in err
+        code, out, _ = run_cli(capsys, "cut", "--algo", "exact", "--max-vertices", "5", "--in", str(p))
+        assert code == 0 and json.loads(out)["value"] == 6
+
+    def test_edge_parameters_still_run(self, capsys, petersen_file):
+        for args in (("--algo", "tcut", "--t", "2"), ("--algo", "sampled", "--p", "1"),
+                     ("--algo", "sdp", "--repeats", "1")):
+            code, out, _ = run_cli(capsys, "cut", *args, "--in", petersen_file)
+            assert code == 0 and json.loads(out)["value"] > 0
