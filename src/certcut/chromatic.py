@@ -11,7 +11,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CliqueFound, ImproperColoring, LabelSizeMismatch, TooFewVertices
+from .errors import (
+    CliqueFound,
+    ImproperColoring,
+    InvalidParameter,
+    LabelSizeMismatch,
+    TooFewVertices,
+)
 from .embedding import CutCertificate
 from .graphcore import Cut, Graph, cut_value
 
@@ -36,7 +42,7 @@ class TPartition:
 
 
 def t_partition_value(g: Graph, part) -> int:
-    return sum(1 for u, v in g.edges if part[u] != part[v])
+    return g.crossing_count(np.asarray(part))
 
 
 def _ramsey_bound(r: int, s: int) -> int:
@@ -122,7 +128,7 @@ def kr_free_coloring(g: Graph, r: int) -> Coloring:
     which uses at most that many classes and keeps the bound valid.
     """
     if r < 2:
-        raise ValueError("r must be >= 2")
+        raise InvalidParameter(f"r must be >= 2, got {r}")
     color = [-1] * g.n
     residual = list(range(g.n))
     next_class = 0
@@ -250,7 +256,7 @@ def t_cut_expected_value(m: int, base_value: int, t: int) -> float:
     odd t = 2s+1 gives m - (c + (4s+1) i) / t^2.
     """
     if t < 2:
-        raise ValueError("t must be >= 2")
+        raise InvalidParameter(f"t must be >= 2, got {t}")
     c = base_value
     i = m - c
     s, odd = divmod(t, 2)
@@ -276,7 +282,7 @@ def max_t_cut(
     is ((t-1)/t) m.
     """
     if t < 2:
-        raise ValueError("t must be >= 2")
+        raise InvalidParameter(f"t must be >= 2, got {t}")
     if len(base.side) != g.n:
         raise LabelSizeMismatch(f"base cut covers {len(base.side)} of {g.n} vertices")
     s, odd = divmod(t, 2)

@@ -66,28 +66,15 @@ def _resolve_eps(text: str) -> float | None:
     return eps
 
 
-def _check_params(algo: str, *, repeats: int, r: int, t: int, p: float | None,
-                  max_vertices: int | None) -> None:
-    # the library raises ValueError for these; the CLI maps them to exit 3
-    if repeats < 1:
-        raise PreconditionError(f"--repeats must be >= 1, got {repeats}")
-    if max_vertices is not None and max_vertices < 0:
-        raise PreconditionError(f"--max-vertices must be >= 0, got {max_vertices}")
-    if algo == "tcut" and t < 2:
-        raise PreconditionError(f"--t must be >= 2, got {t}")
-    if algo == "sampled" and p is not None and not 0.0 < p <= 1.0:
-        raise PreconditionError(f"--p must lie in (0, 1], got {p}")
-    if algo == "chromatic" and r < 2:
-        raise PreconditionError(f"--r must be >= 2 for chromatic, got {r}")
-    if algo == "kr" and r < 3:
-        raise PreconditionError(f"--r must be >= 3 for kr, got {r}")
-
-
 def run_cut_algorithm(g: Graph, algo: str, *, seed: int, epsilon: str, repeats: int,
                       r: int, t: int, p: float | None, max_vertices: int | None):
     """Dispatch one algorithm; returns (value, certificate, bound, params)."""
     eps = _resolve_eps(epsilon)
-    _check_params(algo, repeats=repeats, r=r, t=t, p=p, max_vertices=max_vertices)
+    # the library's own range checks (t, p, r) raise InvalidParameter, exit 3
+    if repeats < 1:
+        raise PreconditionError(f"--repeats must be >= 1, got {repeats}")
+    if max_vertices is not None and max_vertices < 0:
+        raise PreconditionError(f"--max-vertices must be >= 0, got {max_vertices}")
     d = degeneracy_order(g).degeneracy
     auto = 1.0 / math.sqrt(d) if d else 1.0
     if algo == "exact":

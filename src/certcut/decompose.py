@@ -16,6 +16,7 @@ from .chromatic import coloring_cut, kr_free_coloring
 from .embedding import CutCertificate, sdp_cut
 from .errors import (
     EpsilonTooLarge,
+    InvalidParameter,
     NotACutOfInducedSubgraph,
     NotAPartition,
     NotEnoughTriangles,
@@ -277,7 +278,7 @@ def kr_cut(
     c = min(1/360, 1/388); it always dominates m/2.
     """
     if r < 3:
-        raise ValueError("r must be >= 3")
+        raise InvalidParameter(f"r must be >= 3, got {r}")
     witness = find_clique(g, r, clique_budget)
     if witness is not None:
         raise NotKrFree(witness)
@@ -338,7 +339,7 @@ def sampled_sdp_cut(
     if p is None:
         p = 1.0 / (10.0 * kst_constant)
     if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
+        raise InvalidParameter(f"p must lie in (0, 1], got {p}")
     if rng is None:
         rng = make_rng(0)
     order = degeneracy_order(g)

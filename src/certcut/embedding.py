@@ -9,13 +9,14 @@ gives a deterministic lower bound on the maximum cut that dominates the
 closed-form plan bound; no SDP solver is involved anywhere.
 
 Rounding is one array pass per direction. Each embedding keeps its vectors as
-slot arrays ``cols``/``vals`` of shape (width, n), width = largest support
-size: slot 0 of column i is coordinate i itself, then V_i in the vector's own
-order, padded with (i, 0.0). The dot products accumulate slot by slot, which
-adds the terms in the same order as a per-vertex sum over the vector, so the
-sides are bit-identical to that sum; the padding adds +-0.0, which cannot
-change a sign test. Repeat k of ``sdp_cut`` draws its direction from the
-stream (seed, k).
+slot rows, with the vertices ordered by support size, largest first: row s
+holds entry s of every vector that has more than s entries, in the vector's
+own order (entry 0 is coordinate i itself, then V_i), so row s covers a
+prefix of that order and the rows together store each entry once. The dot
+products accumulate row by row from 0, which adds the terms in the same order
+as a per-vertex ``sum`` over the vector, so the sides are bit-identical to
+that sum. Repeat k of ``sdp_cut`` draws its direction from the stream
+(seed, k).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 
 from ._rng import make_rng
 from .errors import EpsilonTooLarge, InvalidEpsilon
-from .graphcore import Cut, DegeneracyOrder, Graph, cut_value, degeneracy_order
+from .graphcore import Cut, DegeneracyOrder, Graph, degeneracy_order
+from .graphcore import cut_value  # noqa: F401  (kept importable from this module)
 
 _EPS_TOL = 1e-12
 
@@ -109,33 +111,38 @@ class Embedding:
         return mat
 
     @cached_property
-    def slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(cols, vals)`` of shape (width, n): column i lists ``vecs[i]``
-        in its own order, padded with (i, 0.0)."""
+    def slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+        """``(order, cols, vals, starts)``: ``order`` lists the vertices by
+        support size, largest first. Row s is ``cols[starts[s]:starts[s + 1]]``
+        (``vals`` alike); its entry j is entry s of ``vecs[order[j]]``, for
+        every j whose vector has more than s entries."""
         n = self.n
         sizes = np.fromiter(map(len, self.vecs), np.intp, n)
-        width = int(sizes.max(initial=1))
-        owner = np.repeat(np.arange(n), sizes)
-        starts = np.cumsum(sizes) - sizes
-        slot = np.arange(len(owner)) - np.repeat(starts, sizes)
-        cols = np.tile(np.arange(n), (width, 1))
-        vals = np.zeros((width, n))
-        cols[slot, owner] = np.fromiter(chain.from_iterable(self.vecs), np.intp, len(owner))
-        vals[slot, owner] = np.fromiter(
-            chain.from_iterable(vec.values() for vec in self.vecs), float, len(owner)
-        )
-        return cols, vals
+        order = np.argsort(-sizes, kind="stable")
+        sizes = sizes[order]
+        vecs = [self.vecs[i] for i in order.tolist()]
+        total = int(sizes.sum())
+        cols = np.fromiter(chain.from_iterable(vecs), np.intp, total)
+        vals = np.fromiter(chain.from_iterable(vec.values() for vec in vecs), float, total)
+        # slot of every entry; a stable sort by slot keeps the vertex order
+        slot = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        by_slot = np.argsort(slot, kind="stable")
+        starts = (0, *np.cumsum(np.bincount(slot)).tolist())
+        return order, cols[by_slot], vals[by_slot], starts
 
     def round_sides(self, w: np.ndarray) -> np.ndarray:
         """Boolean side of every vertex for direction ``w``: True (side 1)
         where the dot product is negative, False where it is >= 0."""
-        cols, vals = self.slots
-        terms = vals * w[cols]
-        d = terms[0].copy()
-        for row in terms[1:]:
-            d += row
+        order, cols, vals, starts = self.slots
+        terms = w[cols]
+        terms *= vals
+        d = np.zeros(self.n)
+        for a, b in zip(starts, starts[1:]):
+            d[: b - a] += terms[a:b]
+        side = np.empty(self.n, dtype=bool)
         # ~(d >= 0) rather than d < 0, so that NaN lands on side 1
-        return ~(d >= 0.0)
+        side[order] = ~(d >= 0.0)
+        return side
 
 
 @dataclass(frozen=True)
@@ -223,7 +230,8 @@ def edge_inner_bound(plan: EpsilonPlan, u: int, v: int) -> float:
 def hyperplane_round(emb: Embedding, rng) -> Cut:
     """Split by the sign of each vector's dot product with a standard normal
     direction; exact-zero dot products land on side 0."""
-    return cut_value(emb.graph, emb.round_sides(rng.standard_normal(emb.n)))
+    side = emb.round_sides(rng.standard_normal(emb.n))
+    return Cut(tuple(side.view(np.uint8).tolist()), emb.graph.crossing_count(side))
 
 
 def sdp_cut(
@@ -245,10 +253,9 @@ def sdp_cut(
     plan = back_neighbor_plan(g, eps, order)
     emb = build_vectors(g, plan)
     cert = exact_expected_cut(g, emb)
-    best_side, best_value = None, -1
+    best = None
     for k in range(max(1, repeats)):
-        side = emb.round_sides(make_rng(seed, k).standard_normal(g.n))
-        value = g.crossing_count(side)
-        if value > best_value:
-            best_side, best_value = side, value
-    return Cut(tuple(best_side.astype(int).tolist()), best_value), cert
+        cut = hyperplane_round(emb, make_rng(seed, k))
+        if best is None or cut.value > best.value:
+            best = cut
+    return best, cert

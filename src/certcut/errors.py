@@ -53,6 +53,13 @@ class InvalidEpsilon(PreconditionError):
     pass
 
 
+class InvalidParameter(PreconditionError, ValueError):
+    """A numeric parameter lies outside its documented range.
+
+    Also a ``ValueError``, so callers of the library may catch either.
+    """
+
+
 class EpsilonTooLarge(PreconditionError):
     pass
 

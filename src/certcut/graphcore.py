@@ -269,8 +269,7 @@ def cut_value(g: Graph, side) -> Cut:
         raise LabelSizeMismatch(f"labeling covers {len(side)} of {g.n} vertices")
     if any(s not in (0, 1) for s in side):
         raise ValueError("labels must be 0 or 1")
-    value = sum(1 for u, v in g.edges if side[u] != side[v])
-    return Cut(side, value)
+    return Cut(side, g.crossing_count(np.asarray(side)))
 
 
 def edwards_bound(m: int) -> float:

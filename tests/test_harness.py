@@ -3,8 +3,19 @@ import re
 
 import pytest
 
+from certcut._rng import make_rng
+from certcut.chromatic import kr_free_coloring, max_t_cut
 from certcut.cli import main
-from certcut.errors import DuplicateEdge, ParseError, SelfLoop, VertexOutOfRange
+from certcut.decompose import kr_cut, sampled_sdp_cut
+from certcut.errors import (
+    DuplicateEdge,
+    InvalidParameter,
+    ParseError,
+    PreconditionError,
+    SelfLoop,
+    VertexOutOfRange,
+)
+from certcut.graphcore import cut_value
 from certcut.generators import complete, gnp, petersen
 from certcut.harness import CSV_HEADER, RunReport, format_edge_list, parse_graph
 
@@ -288,6 +299,22 @@ class TestCliRefusals:
         code, out, err = run_cli(capsys, "cut", *args, "--in", petersen_file)
         assert code == 3 and out == ""
         assert err.startswith("precondition violated:") and "Traceback" not in err
+
+    def test_library_range_errors_are_both_kinds(self):
+        # the CLI maps them to exit 3; library callers may still catch ValueError
+        g = petersen()
+        base = cut_value(g, [0] * g.n)
+        calls = (
+            lambda: max_t_cut(g, base, 1, make_rng(0)),
+            lambda: kr_free_coloring(g, 1),
+            lambda: kr_cut(g, 2),
+            lambda: sampled_sdp_cut(g, 0.0),
+        )
+        for call in calls:
+            with pytest.raises(InvalidParameter) as info:
+                call()
+            assert isinstance(info.value, PreconditionError)
+            assert isinstance(info.value, ValueError)
 
     def test_bench_checks_parameters_too(self, capsys):
         code, _, _ = run_cli(

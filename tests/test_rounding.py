@@ -115,13 +115,55 @@ def test_zero_and_nan_directions_land_as_before():
 def test_slots_follow_vector_order():
     g = CORPUS["gnp40_2"]
     emb = build_vectors(g, back_neighbor_plan(g, eps_cap(g)))
-    cols, vals = emb.slots
-    assert cols.shape == vals.shape == (max(len(v) for v in emb.vecs), g.n)
-    for i, vec in enumerate(emb.vecs):
-        k = len(vec)
-        assert cols[:k, i].tolist() == list(vec)
-        assert vals[:k, i].tolist() == list(vec.values())
-        assert (cols[k:, i] == i).all() and (vals[k:, i] == 0.0).all()
+    order, cols, vals, starts = emb.slots
+    sizes = [len(emb.vecs[i]) for i in order.tolist()]
+    assert sorted(order.tolist()) == list(range(g.n))
+    assert sizes == sorted(sizes, reverse=True)
+    # row s covers the prefix of order whose vectors have more than s entries
+    rows = [(cols[a:b], vals[a:b]) for a, b in zip(starts, starts[1:])]
+    assert [len(c) for c, _ in rows] == [sum(k > s for k in sizes) for s in range(max(sizes))]
+    assert len(cols) == len(vals) == starts[-1] == sum(sizes)
+    for j, i in enumerate(order.tolist()):
+        vec = emb.vecs[i]
+        assert [int(rows[s][0][j]) for s in range(len(vec))] == list(vec)
+        assert [float(rows[s][1][j]) for s in range(len(vec))] == list(vec.values())
+
+
+def skewed_graph() -> Graph:
+    """A dense core (K_25) joined to a long sparse periphery: supports range
+    from 1 to 25 entries, so most rows cover only a short prefix."""
+    core = list(complete(25).edges)
+    ring = random_regular(400, 3, seed=2)
+    edges = core + [(u + 25, v + 25) for u, v in ring.edges]
+    edges += [(v, 25 + 16 * v) for v in range(25)]
+    return Graph.from_edges(425, edges)
+
+
+def test_skewed_supports_match_reference():
+    g = skewed_graph()
+    cap = eps_cap(g)
+    assert cap == 1.0 / math.sqrt(24)
+    for eps in (cap, cap / 2.0):
+        emb = build_vectors(g, back_neighbor_plan(g, eps))
+        starts = emb.slots[3]
+        assert len(starts) == 26 and starts[-1] - starts[-2] < 25
+        for k in range(8):
+            cut = hyperplane_round(emb, make_rng(13, k))
+            assert (cut.side, cut.value) == reference_hyperplane_round(emb, make_rng(13, k))
+        cut, _ = sdp_cut(g, eps, 6, 4)
+        assert (cut.side, cut.value) == reference_best_rounding(emb, 6, 4)
+
+
+def test_empty_vectors_land_on_side_0():
+    # a hand-built embedding may hold an empty vector; its dot product is 0
+    g = cycle(5)
+    emb = build_vectors(g, back_neighbor_plan(g, eps_cap(g)))
+    vecs = tuple({} if i == 2 else vec for i, vec in enumerate(emb.vecs))
+    hollow = type(emb)(g, emb.plan, vecs, emb.norms)
+    w = np.array([-1.0, 0.5, -2.0, 0.25, -0.75])
+    cut = hyperplane_round(hollow, FixedDirection(w))
+    assert (cut.side, cut.value) == reference_hyperplane_round(hollow, FixedDirection(w))
+    assert cut.side[2] == 0
 
 
 def test_edge_index_and_crossing_count():
