@@ -19,19 +19,14 @@ import time
 from ._rng import derive_seed, make_rng
 from .chromatic import coloring_cut, kr_free_coloring, max_t_cut
 from .decompose import composite_cut, kr_cut, sampled_sdp_cut, SubSolver
-from .embedding import sdp_cut
+from .embedding import eps_cap, sdp_cut
 from .errors import BudgetExceeded, CertcutError, InvalidEpsilon, ParseError, PreconditionError
 from .generators import (
     GenSpec,
     family,
     make_cr_free,
 )
-from .graphcore import (
-    Graph,
-    count_triangles,
-    degeneracy_order,
-    edwards_bound,
-)
+from .graphcore import Graph, edwards_bound
 from .harness import CSV_HEADER, RunReport, format_edge_list, parse_graph
 from .oracle import OracleBudget, max_cut_exact
 from .verify import SUITES, run_suite
@@ -75,21 +70,19 @@ def run_cut_algorithm(g: Graph, algo: str, *, seed: int, epsilon: str, repeats: 
         raise PreconditionError(f"--repeats must be >= 1, got {repeats}")
     if max_vertices is not None and max_vertices < 0:
         raise PreconditionError(f"--max-vertices must be >= 0, got {max_vertices}")
-    d = degeneracy_order(g).degeneracy
-    auto = 1.0 / math.sqrt(d) if d else 1.0
+    if eps is None:
+        eps = min(1.0, eps_cap(g))
     if algo == "exact":
         budget = OracleBudget(max_vertices) if max_vertices is not None else None
         cut = max_cut_exact(g, budget)
         return cut.value, float(cut.value), edwards_bound(g.m), "exhaustive"
     if algo == "sdp":
         cut, cert = sdp_cut(g, eps, repeats, seed)
-        used = eps if eps is not None else auto
-        return cut.value, cert.expected_value, cert.bound_value, f"eps={used:.10g};repeats={repeats}"
+        return cut.value, cert.expected_value, cert.bound_value, f"eps={eps:.10g};repeats={repeats}"
     if algo == "composite":
-        used = eps if eps is not None else auto
         sub = SubSolver(lambda h: sdp_cut(h, None, repeats, derive_seed(seed, 9)), "sdp")
-        cut, cert = composite_cut(g, used, sub, repeats, seed)
-        return cut.value, cert.expected_value, cert.bound_value, f"eps={used:.10g};repeats={repeats}"
+        cut, cert = composite_cut(g, eps, sub, repeats, seed)
+        return cut.value, cert.expected_value, cert.bound_value, f"eps={eps:.10g};repeats={repeats}"
     if algo == "kr":
         cut, cert = kr_cut(g, r, repeats, seed)
         return cut.value, cert.expected_value, cert.bound_value, f"r={r};repeats={repeats}"
@@ -117,8 +110,8 @@ def make_report(g: Graph, label: str, algo: str, seed: int, **kwargs) -> RunRepo
         graph=label,
         n=g.n,
         m=g.m,
-        degeneracy=degeneracy_order(g).degeneracy,
-        triangles=count_triangles(g),
+        degeneracy=g.degeneracy_order.degeneracy,
+        triangles=g.triangles,
         algo=algo,
         params=params,
         seed=seed,

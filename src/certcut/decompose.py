@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable
 
 from ._rng import derive_seed, make_rng
 from .chromatic import coloring_cut, kr_free_coloring
-from .embedding import CutCertificate, sdp_cut
+from .embedding import CutCertificate, check_eps, eps_cap, sdp_cut
 from .errors import (
-    EpsilonTooLarge,
     InvalidParameter,
     NotACutOfInducedSubgraph,
     NotAPartition,
@@ -28,16 +28,12 @@ from .graphcore import (
     DegeneracyOrder,
     Graph,
     count_back_triangles,
-    count_triangles,
     cut_value,
-    degeneracy_order,
     find_clique,
     induced_subgraph,
 )
 
-_EPS_TOL = 1e-12
-
-KR_SURPLUS_CONSTANT = min(1.0 / 360.0, 1.0 / 388.0)
+KR_SURPLUS_CONSTANT = 1.0 / 388.0
 
 
 @dataclass(frozen=True)
@@ -102,12 +98,11 @@ def partition_triangle_sparse(g: Graph, eps: float) -> Decomposition:
     residual = list(range(g.n))
     while True:
         sub, vmap = induced_subgraph(g, residual)
-        t = count_triangles(sub)
+        t = sub.triangles
         if t == 0 or t * eps < sub.m:
             break
-        order = degeneracy_order(sub)
         try:
-            dense, w = find_dense_subset(sub, order, eps)
+            dense, w = find_dense_subset(sub, sub.degeneracy_order, eps)
         except NotEnoughTriangles:
             # float rounding at the eps boundary; residual counts as sparse
             break
@@ -205,10 +200,6 @@ def greedy_half_cut(g: Graph) -> tuple[Cut, CutCertificate]:
     return extend_cut(g, (), Cut((), 0))
 
 
-def _eps_cap(order: DegeneracyOrder) -> float:
-    return 1.0 / math.sqrt(order.degeneracy) if order.degeneracy else math.inf
-
-
 def composite_cut(
     g: Graph,
     eps: float,
@@ -226,15 +217,7 @@ def composite_cut(
     largest candidate certificate (each one is a valid max-cut lower bound).
     """
     sub = as_subsolver(sub)
-    order = degeneracy_order(g)
-    if not math.isfinite(eps):
-        raise EpsilonTooLarge(f"eps = {eps} is not finite")
-    if eps <= 0:
-        raise EpsilonTooLarge("eps must be positive")
-    if eps > _eps_cap(order) + _EPS_TOL:
-        raise EpsilonTooLarge(
-            f"eps = {eps} exceeds 1/sqrt(degeneracy) = {_eps_cap(order)}"
-        )
+    check_eps(g, eps)
     decomp = partition_triangle_sparse(g, 8 * eps)
 
     blocks = []
@@ -275,15 +258,14 @@ def kr_cut(
     Dense parts live inside a vertex neighborhood, hence are K_(r-1)-free and
     are solved by the coloring-cut pipeline. The certificate is measured
     against the closed-form surplus reference (1/2 + c*eps) m with
-    c = min(1/360, 1/388); it always dominates m/2.
+    c = 1/388; it always dominates m/2.
     """
     if r < 3:
         raise InvalidParameter(f"r must be >= 3, got {r}")
     witness = find_clique(g, r, clique_budget)
     if witness is not None:
         raise NotKrFree(witness)
-    order = degeneracy_order(g)
-    d = order.degeneracy
+    d = g.degeneracy_order.degeneracy
     if d == 0:
         empty = cut_value(g, [0] * g.n)
         return empty, CutCertificate(0.0, None, "kr_surplus", 0.0)
@@ -295,7 +277,7 @@ def kr_cut(
     if r == 4:
         # parts are triangle-free, so constant-eps rounding carries its full
         # closed-form surplus there; keep whichever cut turns out larger
-        part_counter = iter(range(10**9))
+        part_counter = count()
 
         def part_solver(h: Graph):
             colored = color_solver(h)
@@ -342,13 +324,9 @@ def sampled_sdp_cut(
         raise InvalidParameter(f"p must lie in (0, 1], got {p}")
     if rng is None:
         rng = make_rng(0)
-    order = degeneracy_order(g)
     if eps is None:
-        eps = min(1.0, _eps_cap(order))
-    if eps > _eps_cap(order) + _EPS_TOL:
-        raise EpsilonTooLarge(
-            f"eps = {eps} exceeds 1/sqrt(degeneracy) = {_eps_cap(order)}"
-        )
+        eps = min(1.0, eps_cap(g))
+    check_eps(g, eps)
     best_cut = None
     best_cert = -math.inf
     for _ in range(max(1, repeats)):

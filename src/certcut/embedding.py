@@ -30,7 +30,7 @@ import numpy as np
 
 from ._rng import make_rng
 from .errors import EpsilonTooLarge, InvalidEpsilon
-from .graphcore import Cut, DegeneracyOrder, Graph, degeneracy_order
+from .graphcore import Cut, Graph
 from .graphcore import cut_value  # noqa: F401  (kept importable from this module)
 
 _EPS_TOL = 1e-12
@@ -63,24 +63,33 @@ class EpsilonPlan:
                 raise InvalidEpsilon(f"eps_{i} = {e} exceeds 1/sqrt(|V_{i}|) = {cap}")
 
 
-def back_neighbor_plan(g: Graph, eps: float, order: DegeneracyOrder | None = None) -> EpsilonPlan:
-    """Constant-eps plan on the back-neighbor sets of a degeneracy order.
+def eps_cap(g: Graph) -> float:
+    """Largest constant eps a back-neighbor plan of ``g`` admits:
+    1/sqrt(degeneracy), or inf for an edgeless graph."""
+    d = g.degeneracy_order.degeneracy
+    return 1.0 / math.sqrt(d) if d else math.inf
 
-    Vertices with no back-neighbors get eps_i = 0 (their vector is a plain
-    basis vector either way). Requires 0 < eps <= 1/sqrt(degeneracy); the cap
-    is vacuous for edgeless graphs, where every set is empty, but eps must
-    still be finite.
-    """
-    if order is None:
-        order = degeneracy_order(g)
-    cap = 1.0 / math.sqrt(order.degeneracy) if order.degeneracy else math.inf
+
+def check_eps(g: Graph, eps: float) -> None:
+    """Refuse a constant eps that is not finite, not positive, or above
+    ``eps_cap(g)``; the cap is vacuous for edgeless graphs."""
     if not math.isfinite(eps):
         raise EpsilonTooLarge(f"eps = {eps} is not finite")
     if eps <= 0.0:
         raise EpsilonTooLarge("eps must be positive")
+    cap = eps_cap(g)
     if eps > cap + _EPS_TOL:
         raise EpsilonTooLarge(f"eps = {eps} exceeds 1/sqrt(degeneracy) = {cap}")
-    sets = order.back_neighbors
+
+
+def back_neighbor_plan(g: Graph, eps: float) -> EpsilonPlan:
+    """Constant-eps plan on the back-neighbor sets of ``g``'s degeneracy order.
+
+    Vertices with no back-neighbors get eps_i = 0 (their vector is a plain
+    basis vector either way). ``eps`` must pass :func:`check_eps`.
+    """
+    check_eps(g, eps)
+    sets = g.degeneracy_order.back_neighbors
     return EpsilonPlan(sets, tuple(eps if s else 0.0 for s in sets))
 
 
@@ -244,13 +253,12 @@ def sdp_cut(
 
     Returns the best sampled cut together with the exact-expectation
     certificate, which always dominates the closed-form plan bound. ``eps``
-    defaults to exactly 1/sqrt(degeneracy). Repeat k draws from the
-    independent sub-stream (seed, k).
+    defaults to min(1, eps_cap(g)). Repeat k draws from the independent
+    sub-stream (seed, k).
     """
-    order = degeneracy_order(g)
     if eps is None:
-        eps = 1.0 / math.sqrt(order.degeneracy) if order.degeneracy else 1.0
-    plan = back_neighbor_plan(g, eps, order)
+        eps = min(1.0, eps_cap(g))
+    plan = back_neighbor_plan(g, eps)
     emb = build_vectors(g, plan)
     cert = exact_expected_cut(g, emb)
     best = None

@@ -91,6 +91,16 @@ class Graph:
         pairs = flat.reshape(self.m, 2)
         return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
 
+    @cached_property
+    def degeneracy_order(self) -> DegeneracyOrder:
+        """Canonical degeneracy order, computed once per graph."""
+        return degeneracy_order(self)
+
+    @cached_property
+    def triangles(self) -> int:
+        """Number of 3-cliques, counted once per graph."""
+        return count_triangles(self)
+
     def crossing_count(self, labels: np.ndarray) -> int:
         """Number of edges whose endpoints carry different ``labels``."""
         eu, ev = self.edge_index
@@ -293,12 +303,16 @@ class VertexMap:
 def induced_subgraph(g: Graph, vs) -> tuple[Graph, VertexMap]:
     """Compact relabeled subgraph induced by ``vs`` plus the vertex map.
 
-    The relabeling is monotone: sorted parent ids map to 0..|vs|-1.
+    The relabeling is monotone: sorted parent ids map to 0..|vs|-1. When
+    ``vs`` covers every vertex that relabeling is the identity, and ``g``
+    itself is returned, so the facts cached on it carry over.
     """
     vs = sorted(set(int(v) for v in vs))
     if vs and not (0 <= vs[0] and vs[-1] < g.n):
         raise OutOfRangeVertex(f"vertex set not contained in [0, {g.n})")
     vmap = VertexMap(tuple(vs))
+    if len(vs) == g.n:
+        return g, vmap
     to_sub = vmap.to_sub
     edges = []
     for v in vs:

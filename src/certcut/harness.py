@@ -9,8 +9,12 @@ import io
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .errors import DuplicateEdge, ParseError, SelfLoop, VertexOutOfRange
+from .errors import BudgetExceeded, DuplicateEdge, ParseError, SelfLoop, VertexOutOfRange
 from .graphcore import Graph
+
+# largest vertex count a header may declare; the graph allocates one
+# adjacency list per declared vertex, edges or not
+MAX_HEADER_VERTICES = 10**6
 
 CSV_HEADER = (
     "graph,n,m,degeneracy,triangles,algo,params,seed,value,"
@@ -21,7 +25,9 @@ CSV_HEADER = (
 def parse_graph(data: bytes | str) -> Graph:
     """Parse an edge list (header "n m", 0-indexed pairs) or DIMACS
     ("p edge n m", "e u v" 1-indexed). The format is auto-detected from the
-    first token; validation errors carry the offending line number.
+    first token; validation errors carry the offending line number. A
+    header declaring more than ``MAX_HEADER_VERTICES`` vertices raises
+    BudgetExceeded.
     """
     text = data.decode() if isinstance(data, (bytes, bytearray)) else data
     lines = text.splitlines()
@@ -103,6 +109,8 @@ def _parse_dimacs(lines) -> Graph:
 
 
 def _assemble(n, entries, one_indexed) -> Graph:
+    if n > MAX_HEADER_VERTICES:
+        raise BudgetExceeded(f"header declares {n} vertices, above the cap {MAX_HEADER_VERTICES}")
     shift = 1 if one_indexed else 0
     seen = set()
     edges = []

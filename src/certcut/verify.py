@@ -20,6 +20,7 @@ from .decompose import partition_triangle_sparse
 from .embedding import (
     EpsilonPlan,
     build_vectors,
+    eps_cap,
     exact_expected_cut,
     plan_lower_bound,
     sdp_cut,
@@ -36,13 +37,7 @@ from .generators import (
     star,
     turan,
 )
-from .graphcore import (
-    Graph,
-    count_triangles,
-    cut_value,
-    degeneracy_order,
-    induced_subgraph,
-)
+from .graphcore import Graph, cut_value, induced_subgraph
 
 TOL = 1e-9
 
@@ -109,11 +104,10 @@ def check_triangle_sparse_constant(count=100, seed=0):
     done = 0
     while done < count:
         g = _random_graph(rng, 40)
-        d = degeneracy_order(g).degeneracy
-        if d == 0 or g.m == 0:
+        if g.m == 0:
             continue
-        eps = 1.0 / math.sqrt(d)
-        if count_triangles(g) * 8.0 * eps > g.m:
+        eps = eps_cap(g)
+        if g.triangles * 8.0 * eps > g.m:
             continue
         _, cert = sdp_cut(g, eps, repeats=1, seed=done)
         floor = (0.5 + eps / 60.0) * g.m
@@ -126,7 +120,7 @@ def check_triangle_sparse_constant(count=100, seed=0):
 def decomposition_invariants(g: Graph, decomp) -> str | None:
     """Return a violation message, or None if all partition invariants hold."""
     eps = decomp.eps_used
-    d = degeneracy_order(g).degeneracy
+    d = g.degeneracy_order.degeneracy
     claimed = set(decomp.remainder)
     total = len(decomp.remainder)
     for part in decomp.parts:
@@ -147,7 +141,7 @@ def decomposition_invariants(g: Graph, decomp) -> str | None:
         if sub.m * eps < len(part):
             return f"part has {sub.m} edges, needs {len(part)}/eps"
     rem, _ = induced_subgraph(g, decomp.remainder)
-    if count_triangles(rem) * eps > rem.m:
+    if rem.triangles * eps > rem.m:
         return "remainder is not triangle-sparse"
     return None
 

@@ -326,6 +326,17 @@ class TestSampledSdpCut:
             sampled_sdp_cut(cycle(4), p=0.0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, 0.0, 0.9])
+@pytest.mark.parametrize("solve", [
+    lambda g, eps: composite_cut(g, eps, exact_subsolver()),
+    lambda g, eps: sampled_sdp_cut(g, p=1.0, eps=eps, rng=make_rng(0), repeats=1),
+], ids=["composite", "sampled"])
+def test_constant_epsilon_is_checked_up_front(solve, eps):
+    # complete(5) has degeneracy 4, so the cap is 1/2
+    with pytest.raises(EpsilonTooLarge):
+        solve(complete(5), eps)
+
+
 class TestEpsilonHelper:
     def test_known_exponents(self):
         assert epsilon_for_surplus_exponent(1.0, 1.0, 16) == pytest.approx(0.25)

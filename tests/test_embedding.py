@@ -180,7 +180,7 @@ class TestInnerProductBound:
         if order.degeneracy == 0:
             pytest.skip("edgeless sample")
         eps = 1 / math.sqrt(order.degeneracy)
-        plan = back_neighbor_plan(g, eps, order)
+        plan = back_neighbor_plan(g, eps)
         emb = build_vectors(g, plan)
         for u, v in g.edges:
             literal = (

@@ -69,6 +69,12 @@ class TestDegeneracyOrder:
         assert order.back_neighbors[2] == frozenset()
         assert order.back_neighbors[3] == frozenset()
 
+    def test_graph_caches_its_order_and_triangles(self):
+        g = gnp(30, 0.3, 4)
+        assert g.degeneracy_order is g.degeneracy_order
+        assert g.degeneracy_order == degeneracy_order(g)
+        assert g.triangles == count_triangles(g)
+
     def test_canonical_k4_order(self):
         order = degeneracy_order(complete(4))
         assert order.order == (3, 2, 1, 0)
@@ -220,6 +226,12 @@ class TestInducedSubgraph:
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeVertex):
             induced_subgraph(cycle(5), {0, 7})
+
+    def test_full_vertex_set_returns_the_graph_itself(self):
+        g = petersen()
+        sub, vmap = induced_subgraph(g, range(g.n))
+        assert sub is g
+        assert vmap.to_parent == tuple(range(g.n))
 
     def test_maps_are_inverse(self):
         sub, vmap = induced_subgraph(petersen(), {1, 3, 5, 8})

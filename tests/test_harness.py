@@ -1,11 +1,13 @@
 import json
 import re
+from collections import Counter
 
 import pytest
 
+from certcut import graphcore
 from certcut._rng import make_rng
 from certcut.chromatic import kr_free_coloring, max_t_cut
-from certcut.cli import main
+from certcut.cli import main, make_report
 from certcut.decompose import kr_cut, sampled_sdp_cut
 from certcut.errors import (
     DuplicateEdge,
@@ -16,8 +18,8 @@ from certcut.errors import (
     VertexOutOfRange,
 )
 from certcut.graphcore import cut_value
-from certcut.generators import complete, gnp, petersen
-from certcut.harness import CSV_HEADER, RunReport, format_edge_list, parse_graph
+from certcut.generators import complete, gnp, petersen, random_regular
+from certcut.harness import CSV_HEADER, MAX_HEADER_VERTICES, RunReport, format_edge_list, parse_graph
 
 
 class TestParseGraph:
@@ -189,6 +191,14 @@ class TestCli:
         code, _, _ = run_cli(capsys, "cut", "--algo", "exact", "--in", str(p))
         assert code == 4
 
+    # one past the cap, so that a missing check costs seconds, not the machine
+    @pytest.mark.parametrize("header", [f"{MAX_HEADER_VERTICES + 1} 0", f"p edge {MAX_HEADER_VERTICES + 1} 0"])
+    def test_oversized_header_exit_code(self, capsys, tmp_path, header):
+        p = tmp_path / "huge.txt"
+        p.write_text(header + "\n")
+        code, out, err = run_cli(capsys, "cut", "--algo", "sdp", "--in", str(p))
+        assert code == 4 and out == "" and "above the cap" in err
+
     def test_gen_deterministic_bytes(self, capsys):
         args = ["gen", "--model", "gnp", "--n", "25", "--p", "0.2", "--seed", "9"]
         _, out1, _ = run_cli(capsys, *args)
@@ -336,3 +346,19 @@ class TestCliRefusals:
                      ("--algo", "sdp", "--repeats", "1")):
             code, out, _ = run_cli(capsys, "cut", *args, "--in", petersen_file)
             assert code == 0 and json.loads(out)["value"] > 0
+
+
+class TestPerGraphFacts:
+    @pytest.mark.parametrize("algo", ["sdp", "composite", "tcut"])
+    def test_make_report_computes_each_fact_once(self, monkeypatch, algo):
+        calls = Counter()
+        for name in ("degeneracy_order", "count_triangles"):
+            def counted(g, _fn=getattr(graphcore, name), _name=name):
+                calls[_name] += 1
+                return _fn(g)
+            monkeypatch.setattr(graphcore, name, counted)
+        g = random_regular(100, 3, 1)
+        make_report(g, "g", algo, 0, epsilon="auto", repeats=4, r=3, t=3, p=None, max_vertices=None)
+        assert calls == {"degeneracy_order": 1, "count_triangles": 1}
+        # triangle-poor, so composite's partition leaves the whole graph as remainder
+        assert g.triangles * 8 < g.m
