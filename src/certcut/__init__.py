@@ -70,6 +70,8 @@ from .graphcore import (
     find_clique,
     induced_subgraph,
     is_kr_free,
+    peel,
+    triangle_list,
 )
 from .harness import RunReport, format_edge_list, parse_graph
 from .oracle import OracleBudget, max_cut_exact, max_t_cut_exact, monte_carlo_cut_mean

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Callable
 
+import numpy as np
+
 from ._rng import derive_seed, make_rng
 from .chromatic import coloring_cut, kr_free_coloring
 from .embedding import CutCertificate, check_eps, eps_cap, sdp_cut
@@ -31,6 +33,7 @@ from .graphcore import (
     cut_value,
     find_clique,
     induced_subgraph,
+    peel,
 )
 
 KR_SURPLUS_CONSTANT = 1.0 / 388.0
@@ -68,15 +71,21 @@ def as_subsolver(sub) -> SubSolver:
     return SubSolver(sub, getattr(sub, "__name__", "callable"))
 
 
+def _check_partition_eps(eps: float):
+    if not eps > 0:
+        raise InvalidParameter(f"eps must be positive, got {eps}")
+
+
 def find_dense_subset(g: Graph, order: DegeneracyOrder, eps: float):
     """Back-neighbor set of the first vertex (in order) whose back-triangle
     count reaches back-degree/eps; that vertex is the common neighbor.
 
+    ``order`` may cover only some vertices (a :func:`peel` of a vertex
+    subset); the search then runs inside the graph those vertices induce.
     Returns (vertex set, witness). Requires a triangle-rich graph; raises
     NotEnoughTriangles when no vertex qualifies.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_partition_eps(eps)
     t_back = count_back_triangles(g, order)
     for v in order.order:
         dv = len(order.back_neighbors[v])
@@ -90,26 +99,35 @@ def find_dense_subset(g: Graph, order: DegeneracyOrder, eps: float):
 def partition_triangle_sparse(g: Graph, eps: float) -> Decomposition:
     """Iteratively strip dense common-neighborhood subsets until the residual
     induces at most m/eps triangles. Terminates because every extracted part
-    is nonempty."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    is nonempty.
+
+    The residual is an ``alive`` mask over ``g``'s own vertices: its edge and
+    triangle counts are masked counts over ``g.edge_index`` and
+    ``g.triangle_list``, and its canonical order is :func:`peel` on the mask,
+    so no round builds a subgraph.
+    """
+    _check_partition_eps(eps)
+    ta, tb, tc = g.triangle_list.T
+    eu, ev = g.edge_index
+    alive = np.ones(g.n, dtype=bool)
     parts: list[frozenset[int]] = []
     witnesses: list[int] = []
-    residual = list(range(g.n))
     while True:
-        sub, vmap = induced_subgraph(g, residual)
-        t = sub.triangles
-        if t == 0 or t * eps < sub.m:
+        t = int(np.count_nonzero(alive[ta] & alive[tb] & alive[tc]))
+        m = int(np.count_nonzero(alive[eu] & alive[ev]))
+        if t == 0 or t * eps < m:
             break
+        order = peel(g, alive) if parts else g.degeneracy_order
         try:
-            dense, w = find_dense_subset(sub, sub.degeneracy_order, eps)
+            dense, w = find_dense_subset(g, order, eps)
         except NotEnoughTriangles:
             # float rounding at the eps boundary; residual counts as sparse
             break
-        parts.append(frozenset(vmap.to_parent[v] for v in dense))
-        witnesses.append(vmap.to_parent[w])
-        residual = [vmap.to_parent[v] for v in range(sub.n) if v not in dense]
-    return Decomposition(tuple(parts), frozenset(residual), eps, tuple(witnesses))
+        parts.append(dense)
+        witnesses.append(w)
+        alive[list(dense)] = False
+    remainder = frozenset(np.flatnonzero(alive).tolist())
+    return Decomposition(tuple(parts), remainder, eps, tuple(witnesses))
 
 
 def _check_block_cut(g: Graph, vs, cut: Cut):

@@ -63,12 +63,8 @@ def _parse_edge_list(lines) -> Graph:
             raise ParseError("expected edge 'u v'", no) from None
     if header is None:
         raise ParseError("empty input", 1)
-    n, m = header
-    if n < 0 or m < 0:
-        raise ParseError("negative header counts", header_no)
-    if len(entries) != m:
-        raise ParseError(f"header declares {m} edges, found {len(entries)}", header_no)
-    return _assemble(n, entries, one_indexed=False)
+    _check_counts(header, header_no, len(entries), "header")
+    return _assemble(header[0], entries, one_indexed=False)
 
 
 def _parse_dimacs(lines) -> Graph:
@@ -102,10 +98,16 @@ def _parse_dimacs(lines) -> Graph:
             raise ParseError(f"unknown line type {parts[0]!r}", no)
     if header is None:
         raise ParseError("missing problem line", 1)
+    _check_counts(header, header_no, len(entries), "problem line")
+    return _assemble(header[0], entries, one_indexed=True)
+
+
+def _check_counts(header, header_no, found, what):
     n, m = header
-    if len(entries) != m:
-        raise ParseError(f"problem line declares {m} edges, found {len(entries)}", header_no)
-    return _assemble(n, entries, one_indexed=True)
+    if n < 0 or m < 0:
+        raise ParseError("negative header counts", header_no)
+    if found != m:
+        raise ParseError(f"{what} declares {m} edges, found {found}", header_no)
 
 
 def _assemble(n, entries, one_indexed) -> Graph:

@@ -5,11 +5,12 @@ itertools/Fraction implementations straight from the definitions, usable up
 to a dozen-ish vertices.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import combinations, product
 
 from certcut._rng import make_rng
-from certcut.graphcore import Graph
+from certcut.graphcore import DegeneracyOrder, Graph, induced_subgraph
 
 
 def brute_max_cut(g: Graph) -> int:
@@ -42,13 +43,17 @@ def brute_degeneracy(g: Graph) -> int:
     return worst
 
 
-def brute_triangles(g: Graph) -> int:
+def brute_triangle_list(g: Graph) -> list[tuple[int, int, int]]:
     adj = g.adj_sets
-    return sum(
-        1
+    return [
+        (a, b, c)
         for a, b, c in combinations(range(g.n), 3)
         if b in adj[a] and c in adj[a] and c in adj[b]
-    )
+    ]
+
+
+def brute_triangles(g: Graph) -> int:
+    return len(brute_triangle_list(g))
 
 
 def brute_cliques(g: Graph, r: int) -> int:
@@ -161,3 +166,85 @@ def reference_max_t_cut(g: Graph, base_side, t: int, rng, repeats: int) -> tuple
         if val > best_val:
             best_part, best_val = tuple(part), val
     return best_part, best_val
+
+
+def reference_degeneracy_order(g: Graph) -> DegeneracyOrder:
+    """Min-degree peel with one heap of (degree, id) pairs and lazy deletion:
+    lowest degree first, lowest id on ties, removal sequence reversed."""
+    n = g.n
+    deg = [g.degree(v) for v in range(n)]
+    removed = [False] * n
+    heap = [(deg[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    removal = []
+    degeneracy = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue
+        removed[v] = True
+        removal.append(v)
+        degeneracy = max(degeneracy, d)
+        for w in g.adjacency[v]:
+            if not removed[w]:
+                deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
+    order = tuple(reversed(removal))
+    pos = {v: i for i, v in enumerate(order)}
+    back = tuple(
+        frozenset(w for w in g.adjacency[v] if pos[w] < pos[v]) for v in range(n)
+    )
+    return DegeneracyOrder(order, back, degeneracy)
+
+
+def reference_count_triangles(g: Graph) -> int:
+    """Triangles by set intersection along every edge, each counted at its
+    largest vertex."""
+    adj = g.adj_sets
+    total = 0
+    for u, v in g.edges:
+        a, b = adj[u], adj[v]
+        if len(a) > len(b):
+            a, b = b, a
+        total += sum(1 for w in a if w > v and w in b)
+    return total
+
+
+def reference_back_triangles(g: Graph, order: DegeneracyOrder) -> tuple[int, ...]:
+    """Per-vertex triangles inside the back set, by set intersection."""
+    adj = g.adj_sets
+    out = []
+    for v in range(g.n):
+        back = order.back_neighbors[v]
+        twice = sum(len(adj[w] & back) for w in back)
+        out.append(twice // 2)
+    return tuple(out)
+
+
+def reference_partition(g: Graph, eps: float):
+    """Triangle-sparse partition rebuilding the residual subgraph every round:
+    recount its triangles, re-peel it, recount the back triangles, strip the
+    back set of the first vertex closing back-degree/eps of them. Returns
+    (parts, witnesses, remainder) in ``g``'s ids."""
+    parts, witnesses = [], []
+    residual = list(range(g.n))
+    while True:
+        sub, vmap = induced_subgraph(g, residual)
+        t = reference_count_triangles(sub)
+        if t == 0 or t * eps < sub.m:
+            break
+        order = reference_degeneracy_order(sub)
+        t_back = reference_back_triangles(sub, order)
+        hit = None
+        for v in order.order:
+            dv = len(order.back_neighbors[v])
+            if dv >= 1 and t_back[v] * eps >= dv:
+                hit = order.back_neighbors[v], v
+                break
+        if hit is None:
+            break
+        dense, w = hit
+        parts.append(frozenset(vmap.to_parent[v] for v in dense))
+        witnesses.append(vmap.to_parent[w])
+        residual = [vmap.to_parent[v] for v in range(sub.n) if v not in dense]
+    return tuple(parts), tuple(witnesses), frozenset(residual)

@@ -328,15 +328,23 @@ def test_cli_determinism(capsys, tmp_path):
     for argv in commands:
         assert run(argv) == run(argv), f"non-deterministic output for {argv}"
 
-    # also byte-identical across separate processes
+    # also byte-identical across separate processes, which import the same
+    # certcut package as this one
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import certcut
+
+    package_root = str(Path(certcut.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     argv = ["cut", "--algo", "sdp", "--in", str(graph_file), "--seed", "9"]
     outs = [
         subprocess.run(
             [sys.executable, "-m", "certcut.cli", *argv],
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True, check=True, env=env,
         ).stdout
         for _ in range(2)
     ]

@@ -18,6 +18,7 @@ from certcut.decompose import (
 from certcut.embedding import CutCertificate, sdp_cut
 from certcut.errors import (
     EpsilonTooLarge,
+    InvalidParameter,
     NotACutOfInducedSubgraph,
     NotAPartition,
     NotEnoughTriangles,
@@ -73,8 +74,22 @@ class TestFindDenseSubset:
         dense, witness = find_dense_subset(g, degeneracy_order(g), 2.0)
         assert dense == frozenset({6, 7}) and witness == 5
 
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
+    def test_refuses_eps_not_positive(self, eps):
+        g = complete(4)
+        with pytest.raises(InvalidParameter, match="eps must be positive"):
+            find_dense_subset(g, degeneracy_order(g), eps)
+
 
 class TestPartitionTriangleSparse:
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
+    def test_refuses_eps_not_positive(self, eps):
+        # a ValueError too, for callers that caught the old refusal
+        with pytest.raises(InvalidParameter, match="eps must be positive"):
+            partition_triangle_sparse(complete(4), eps)
+        with pytest.raises(ValueError):
+            partition_triangle_sparse(complete(4), eps)
+
     def test_triangle_free_keeps_everything(self):
         decomp = partition_triangle_sparse(petersen(), 1.0)
         assert decomp.parts == () and decomp.remainder == frozenset(range(10))

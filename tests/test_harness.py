@@ -60,6 +60,23 @@ class TestParseGraph:
         with pytest.raises(ParseError):
             parse_graph("3 2\n0 1\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["\n-3 0\n", "\n3 -1\n", "c comment\np edge -3 0\n", "c comment\np edge 3 -1\n"],
+    )
+    def test_negative_header_counts_report_header_line(self, text):
+        # both formats refuse them in the parser, at the header's line
+        with pytest.raises(ParseError, match="negative header counts") as err:
+            parse_graph(text)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("header", ["-3 0", "p edge -3 0"])
+    def test_negative_header_exit_code(self, capsys, tmp_path, header):
+        p = tmp_path / "neg.txt"
+        p.write_text(header + "\n")
+        assert main(["cut", "--algo", "sdp", "--in", str(p)]) == 2
+        assert "line 1" in capsys.readouterr().err
+
     def test_bytes_accepted(self):
         assert parse_graph(b"2 1\n0 1\n").m == 1
 

@@ -1,0 +1,178 @@
+"""The in-place partition layer against the rebuild-per-round reference.
+
+``degeneracy_order``/``peel``, ``triangle_list``, ``count_back_triangles``
+and ``partition_triangle_sparse`` must give exactly what the loops in
+``oracles`` give: the same order, back sets (down to their iteration
+order), triangles, parts, witnesses and remainder.
+"""
+
+import numpy as np
+import pytest
+
+from certcut import graphcore
+from certcut._rng import make_rng
+from certcut.decompose import partition_triangle_sparse
+from certcut.generators import complete, cycle, gnp, petersen, random_regular, star, turan
+from certcut.graphcore import (
+    Graph,
+    count_back_triangles,
+    count_triangles,
+    degeneracy_order,
+    induced_subgraph,
+    peel,
+    triangle_list,
+)
+from oracles import (
+    brute_triangle_list,
+    reference_back_triangles,
+    reference_count_triangles,
+    reference_degeneracy_order,
+    reference_partition,
+)
+
+
+def random_tripartite(n: int, p: float, seed: int) -> Graph:
+    """K_4-free: every edge joins two of three classes (v mod 3)."""
+    rng = make_rng(seed)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if u % 3 != v % 3 and rng.random() < p
+    ]
+    return Graph.from_edges(n, edges)
+
+
+def corpus():
+    graphs = {
+        "n0": Graph.from_edges(0, []),
+        "n1": Graph.from_edges(1, []),
+        "m0": Graph.from_edges(6, []),
+        "k7": complete(7),
+        "c9": cycle(9),
+        "star8": star(8),
+        "petersen": petersen(),
+        "isolated": Graph.from_edges(9, [(0, 3), (3, 5), (5, 0), (6, 8)]),
+        "regular3_80": random_regular(80, 3, seed=4),
+        "turan_40_3": turan(40, 3),
+        "turan_45_5": turan(45, 5),
+        "tripartite_90": random_tripartite(90, 0.4, 1),
+    }
+    for seed, (n, p) in enumerate([(12, 0.5), (40, 0.2), (90, 0.1), (120, 0.3), (200, 0.15)]):
+        graphs[f"gnp{n}_{seed}"] = gnp(n, p, seed=70 + seed)
+    return graphs
+
+
+CORPUS = corpus()
+
+
+def masks(g: Graph):
+    rng = make_rng(g.n, g.m)
+    yield np.zeros(g.n, dtype=bool)
+    yield np.ones(g.n, dtype=bool)
+    isolated = np.ones(g.n, dtype=bool)
+    for v in range(0, g.n, 3):
+        isolated[list(g.adjacency[v])] = False
+        isolated[v] = True  # keep v, drop its neighbors: v is isolated
+    yield isolated
+    for keep in (0.3, 0.7):
+        yield rng.random(g.n) < keep
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+class TestPeel:
+    def test_degeneracy_order_matches_heap_peel(self, name):
+        g = CORPUS[name]
+        got, want = degeneracy_order(g), reference_degeneracy_order(g)
+        assert got.order == want.order
+        assert got.degeneracy == want.degeneracy
+        assert got.back_neighbors == want.back_neighbors
+        # the iteration order fixes the embedding's slot order
+        assert [list(b) for b in got.back_neighbors] == [list(b) for b in want.back_neighbors]
+
+    def test_masked_peel_is_induced_subgraph_order(self, name):
+        g = CORPUS[name]
+        for alive in masks(g):
+            sub, vmap = induced_subgraph(g, np.flatnonzero(alive).tolist())
+            want = degeneracy_order(sub)
+            up = vmap.to_parent
+            back = [frozenset()] * g.n
+            for i, b in enumerate(want.back_neighbors):
+                back[up[i]] = frozenset(up[w] for w in b)
+            got = peel(g, alive)
+            assert got.order == tuple(up[v] for v in want.order)
+            assert got.degeneracy == want.degeneracy
+            assert got.back_neighbors == tuple(back)
+
+    def test_back_triangles_match_set_loop(self, name):
+        g = CORPUS[name]
+        order = degeneracy_order(g)
+        assert count_back_triangles(g, order) == reference_back_triangles(g, order)
+        for alive in masks(g):
+            partial = peel(g, alive)
+            want = reference_back_triangles(g, partial)
+            assert count_back_triangles(g, partial) == want
+            sub, _ = induced_subgraph(g, np.flatnonzero(alive).tolist())
+            assert sum(want) == reference_count_triangles(sub)
+
+
+def check_triangle_list(g: Graph):
+    tri = triangle_list(g)
+    assert tri.shape == (len(tri), 3)
+    rows = [tuple(sorted(int(v) for v in row)) for row in tri]
+    assert len(set(rows)) == len(rows)
+    assert all(g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c) for a, b, c in rows)
+    assert sorted(rows) == brute_triangle_list(g)
+
+
+class TestTriangleList:
+    @pytest.mark.parametrize("name", [k for k in sorted(CORPUS) if CORPUS[k].n <= 90])
+    def test_matches_brute_force(self, name):
+        check_triangle_list(CORPUS[name])
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("name", ["k7", "isolated", "gnp40_1", "turan_40_3", "tripartite_90"])
+    def test_chunk_boundaries_inside_a_vertex(self, monkeypatch, name, chunk):
+        monkeypatch.setattr(graphcore, "TRIANGLE_CHUNK", chunk)
+        check_triangle_list(CORPUS[name])
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_count_matches_set_loop_and_cache(self, name):
+        g = CORPUS[name]
+        assert count_triangles(g) == reference_count_triangles(g) == g.triangles
+        assert g.triangle_list is g.triangle_list
+
+
+def partition_cases():
+    for name in ("gnp120_3", "gnp200_4", "turan_40_3", "turan_45_5", "tripartite_90", "k7", "isolated"):
+        for eps in (0.25, 1.0, 4.0, 16.0):
+            yield name, eps
+
+
+@pytest.mark.parametrize("name,eps", list(partition_cases()))
+def test_partition_matches_rebuild_per_round(name, eps):
+    g = CORPUS[name]
+    got = partition_triangle_sparse(g, eps)
+    parts, witnesses, remainder = reference_partition(g, eps)
+    assert got.parts == parts
+    assert got.witnesses == witnesses
+    assert got.remainder == remainder
+    assert got.eps_used == eps
+
+
+def test_partition_reference_cases_strip_many_parts():
+    # the comparison above covers long runs of rounds, not only the first
+    stripped = {name: len(partition_triangle_sparse(CORPUS[name], 16.0).parts)
+                for name in ("gnp120_3", "gnp200_4", "turan_40_3", "tripartite_90")}
+    assert all(k >= 5 for k in stripped.values()), stripped
+    assert max(stripped.values()) >= 20, stripped
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_partition_matches_on_random_dense_graphs(seed):
+    rng = make_rng(seed, 5)
+    n = int(rng.integers(20, 90))
+    g = gnp(n, float(rng.uniform(0.1, 0.5)), seed=300 + seed)
+    eps = float(rng.choice([0.5, 2.0, 8.0, 32.0]))
+    got = partition_triangle_sparse(g, eps)
+    assert (got.parts, got.witnesses, got.remainder) == reference_partition(g, eps)
