@@ -18,7 +18,6 @@ from .chromatic import (
 )
 from .decompose import (
     Decomposition,
-    SubSolver,
     combine_subcuts,
     composite_cut,
     epsilon_for_surplus_exponent,

@@ -29,9 +29,6 @@ class Coloring:
     color: tuple[int, ...]
     classes: int
 
-    def class_members(self, c: int) -> tuple[int, ...]:
-        return tuple(v for v, col in enumerate(self.color) if col == c)
-
 
 @dataclass(frozen=True)
 class TPartition:
@@ -39,10 +36,6 @@ class TPartition:
 
     part: tuple[int, ...]
     value: int
-
-
-def t_partition_value(g: Graph, part) -> int:
-    return g.crossing_count(np.asarray(part))
 
 
 def _ramsey_bound(r: int, s: int) -> int:

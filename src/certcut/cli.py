@@ -18,7 +18,7 @@ import time
 
 from ._rng import derive_seed, make_rng
 from .chromatic import coloring_cut, kr_free_coloring, max_t_cut
-from .decompose import composite_cut, kr_cut, sampled_sdp_cut, SubSolver
+from .decompose import SAMPLE_P, composite_cut, kr_cut, sampled_sdp_cut
 from .embedding import eps_cap, sdp_cut
 from .errors import BudgetExceeded, CertcutError, InvalidEpsilon, ParseError, PreconditionError
 from .generators import (
@@ -80,8 +80,9 @@ def run_cut_algorithm(g: Graph, algo: str, *, seed: int, epsilon: str, repeats: 
         cut, cert = sdp_cut(g, eps, repeats, seed)
         return cut.value, cert.expected_value, cert.bound_value, f"eps={eps:.10g};repeats={repeats}"
     if algo == "composite":
-        sub = SubSolver(lambda h: sdp_cut(h, None, repeats, derive_seed(seed, 9)), "sdp")
-        cut, cert = composite_cut(g, eps, sub, repeats, seed)
+        cut, cert = composite_cut(
+            g, eps, lambda h: sdp_cut(h, None, repeats, derive_seed(seed, 9)), repeats, seed
+        )
         return cut.value, cert.expected_value, cert.bound_value, f"eps={eps:.10g};repeats={repeats}"
     if algo == "kr":
         cut, cert = kr_cut(g, r, repeats, seed)
@@ -97,7 +98,7 @@ def run_cut_algorithm(g: Graph, algo: str, *, seed: int, epsilon: str, repeats: 
         return part.value, cert.expected_value, cert.bound_value, f"t={t};base={base.value};repeats={repeats}"
     if algo == "sampled":
         cut, cert = sampled_sdp_cut(g, p, eps, make_rng(seed, 8), repeats)
-        used_p = p if p is not None else 0.1
+        used_p = p if p is not None else SAMPLE_P
         return cut.value, cert.expected_value, cert.bound_value, f"p={used_p:.10g};repeats={repeats}"
     raise PreconditionError(f"unknown algorithm {algo!r}")
 
@@ -161,15 +162,18 @@ def _cmd_cut(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str):
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parse_int_list(flag: str, text: str):
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise PreconditionError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
 def _cmd_bench(args) -> int:
     rows = [CSV_HEADER]
     index = 0
-    for n in _parse_int_list(args.nlist):
-        for d in _parse_int_list(args.dlist):
+    for n in _parse_int_list("--nlist", args.nlist):
+        for d in _parse_int_list("--dlist", args.dlist):
             for inst in range(args.instances):
                 inst_seed = derive_seed(args.seed, index)
                 if args.family == "regular":
@@ -200,6 +204,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise PreconditionError(f"--trials must be >= 1, got {args.trials}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:

@@ -38,6 +38,10 @@ from .graphcore import (
 
 KR_SURPLUS_CONSTANT = 1.0 / 388.0
 
+# default vertex-keep probability of sampled_sdp_cut: 1/(10 c) with c = 1,
+# a constant with no canonical value
+SAMPLE_P = 0.1
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -52,23 +56,6 @@ class Decomposition:
     remainder: frozenset[int]
     eps_used: float
     witnesses: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SubSolver:
-    """Callable (Graph) -> (Cut, CutCertificate) with a descriptor string."""
-
-    fn: Callable[[Graph], tuple[Cut, CutCertificate]]
-    descriptor: str
-
-    def __call__(self, g: Graph) -> tuple[Cut, CutCertificate]:
-        return self.fn(g)
-
-
-def as_subsolver(sub) -> SubSolver:
-    if isinstance(sub, SubSolver):
-        return sub
-    return SubSolver(sub, getattr(sub, "__name__", "callable"))
 
 
 def _check_partition_eps(eps: float):
@@ -221,7 +208,7 @@ def greedy_half_cut(g: Graph) -> tuple[Cut, CutCertificate]:
 def composite_cut(
     g: Graph,
     eps: float,
-    sub,
+    sub: Callable[[Graph], tuple[Cut, CutCertificate]],
     repeats: int = 32,
     seed: int = 0,
 ) -> tuple[Cut, CutCertificate]:
@@ -234,7 +221,6 @@ def composite_cut(
     unconditionally. Returns the best cut by value; the certificate is the
     largest candidate certificate (each one is a valid max-cut lower bound).
     """
-    sub = as_subsolver(sub)
     check_eps(g, eps)
     decomp = partition_triangle_sparse(g, 8 * eps)
 
@@ -302,9 +288,9 @@ def kr_cut(
             rounded = sdp_cut(h, None, repeats, derive_seed(seed, 3, next(part_counter)))
             return rounded if rounded[0].value > colored[0].value else colored
 
-        sub = SubSolver(part_solver, "max(coloring_cut, sdp_cut)[triangle-free]")
+        sub = part_solver
     else:
-        sub = SubSolver(color_solver, f"coloring_cut[K_{r - 1}-free]")
+        sub = color_solver
     cut, cert = composite_cut(g, eps, sub, repeats, seed)
     bound = (0.5 + KR_SURPLUS_CONSTANT * eps) * g.m
     return cut, CutCertificate(cert.expected_value, None, "kr_surplus", bound)
@@ -325,19 +311,17 @@ def sampled_sdp_cut(
     eps: float | None = None,
     rng=None,
     repeats: int = 32,
-    kst_constant: float = 1.0,
-    rounding_repeats: int = 32,
 ) -> tuple[Cut, CutCertificate]:
     """Round on a random vertex sample, then greedily extend to the graph.
 
     Each repeat keeps every vertex independently with probability ``p``
-    (default 1/(10 * kst_constant); the constant is a configuration knob with
-    no canonical value), rounds the induced subgraph, and extends. The
-    returned cut is the best sample; the certificate is the best repeat's
-    m/2 + (subgraph certificate - m(V')/2), a valid max-cut lower bound.
+    (default ``SAMPLE_P``), rounds the induced subgraph 32 times, and
+    extends. The returned cut is the best sample; the certificate is the
+    best repeat's m/2 + (subgraph certificate - m(V')/2), a valid max-cut
+    lower bound.
     """
     if p is None:
-        p = 1.0 / (10.0 * kst_constant)
+        p = SAMPLE_P
     if not 0.0 < p <= 1.0:
         raise InvalidParameter(f"p must lie in (0, 1], got {p}")
     if rng is None:
@@ -352,7 +336,7 @@ def sampled_sdp_cut(
         vs = [v for v in range(g.n) if keep[v]]
         sample_graph, _ = induced_subgraph(g, vs)
         inner_seed = int(rng.integers(0, 2**63))
-        sample_cut, sample_cert = sdp_cut(sample_graph, eps, rounding_repeats, inner_seed)
+        sample_cut, sample_cert = sdp_cut(sample_graph, eps, 32, inner_seed)
         extended, _ = extend_cut(g, vs, sample_cut)
         cert = g.m / 2 + (sample_cert.expected_value - sample_graph.m / 2)
         if best_cut is None or extended.value > best_cut.value:

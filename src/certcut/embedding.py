@@ -8,15 +8,17 @@ edge with probability arccos(<v_i, v_j>)/pi, and summing those probabilities
 gives a deterministic lower bound on the maximum cut that dominates the
 closed-form plan bound; no SDP solver is involved anywhere.
 
-Rounding is one array pass per direction. Each embedding keeps its vectors as
-slot rows, with the vertices ordered by support size, largest first: row s
-holds entry s of every vector that has more than s entries, in the vector's
-own order (entry 0 is coordinate i itself, then V_i), so row s covers a
-prefix of that order and the rows together store each entry once. The dot
-products accumulate row by row from 0, which adds the terms in the same order
-as a per-vertex ``sum`` over the vector, so the sides are bit-identical to
-that sum. Repeat k of ``sdp_cut`` draws its direction from the stream
-(seed, k).
+An embedding stores only its graph and its plan, no per-vertex vector:
+``Embedding.entries`` defines vector i once. In its own order, vector i is
+1/norm_i at coordinate i, then -eps_i/norm_i at each j of V_i in set order.
+
+Rounding is one array pass per direction. The slot rows order the vertices
+by support size, largest first: row s holds entry s of every vector that has
+more than s entries, in the vector's own order, so row s covers a prefix of
+that order and the rows together store each entry once. The dot products
+accumulate row by row from 0, which adds the terms in the same order as a
+per-vertex ``sum`` over the vector, so the sides are bit-identical to that
+sum. Repeat k of ``sdp_cut`` draws its direction from the stream (seed, k).
 """
 
 from __future__ import annotations
@@ -95,46 +97,72 @@ def back_neighbor_plan(g: Graph, eps: float) -> EpsilonPlan:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Per-vertex unit vectors stored sparsely (support = {i} union V_i)."""
+    """The unit vectors of ``plan``'s explicit SDP point on ``graph``, derived
+    from the plan (support {i} union V_i, entries from :attr:`entries`); no
+    per-vertex dict is stored."""
 
     graph: Graph
     plan: EpsilonPlan
-    vecs: tuple[dict, ...]
-    norms: tuple[float, ...]
 
     @property
     def n(self) -> int:
         return self.graph.n
 
+    @cached_property
+    def norms(self) -> tuple[float, ...]:
+        """Pre-normalization norms sqrt(1 + eps_i^2 |V_i|)."""
+        return tuple(math.sqrt(1.0 + e * e * len(s)) for s, e in zip(self.plan.sets, self.plan.eps))
+
+    @cached_property
+    def entries(self) -> tuple[list[float], list[float]]:
+        """``(own, off)``: vector i is ``own[i]`` at coordinate i, then
+        ``off[i]`` at each j of V_i, in the set's iteration order."""
+        own = [1.0 / norm for norm in self.norms]
+        off = [-e / norm for e, norm in zip(self.plan.eps, self.norms)]
+        return own, off
+
     def inner(self, i: int, j: int) -> float:
-        a, b = self.vecs[i], self.vecs[j]
-        if len(a) > len(b):
-            a, b = b, a
-        return sum(val * b[k] for k, val in a.items() if k in b)
+        """<v_i, v_j>, summed over the smaller support (i's on a tie) in its
+        vector's order: the own coordinate first, then V_i."""
+        sets = self.plan.sets
+        vi, vj = sets[i], sets[j]
+        if len(vi) > len(vj):
+            i, j, vi, vj = j, i, vj, vi
+        own, off = self.entries
+        fi, oj, fj = off[i], own[j], off[j]
+        terms = [own[i] * oj] if i == j else [own[i] * fj] if i in vj else []
+        for k in vi:
+            if k == j:
+                terms.append(fi * oj)
+            elif k in vj:
+                terms.append(fi * fj)
+        return sum(terms)
 
     def dense_matrix(self) -> np.ndarray:
-        mat = np.zeros((self.n, self.n))
-        for i, vec in enumerate(self.vecs):
-            for j, val in vec.items():
-                mat[i, j] = val
+        own, off = self.entries
+        mat = np.diag(own)
+        for i, s in enumerate(self.plan.sets):
+            mat[i, list(s)] = off[i]
         return mat
 
     @cached_property
     def slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
         """``(order, cols, vals, starts)``: ``order`` lists the vertices by
         support size, largest first. Row s is ``cols[starts[s]:starts[s + 1]]``
-        (``vals`` alike); its entry j is entry s of ``vecs[order[j]]``, for
+        (``vals`` alike); its entry j is entry s of vector ``order[j]``, for
         every j whose vector has more than s entries."""
-        n = self.n
-        sizes = np.fromiter(map(len, self.vecs), np.intp, n)
+        sets = self.plan.sets
+        own, off = self.entries
+        sizes = np.fromiter((len(s) + 1 for s in sets), np.intp, self.n)
         order = np.argsort(-sizes, kind="stable")
         sizes = sizes[order]
-        vecs = [self.vecs[i] for i in order.tolist()]
         total = int(sizes.sum())
-        cols = np.fromiter(chain.from_iterable(vecs), np.intp, total)
-        vals = np.fromiter(chain.from_iterable(vec.values() for vec in vecs), float, total)
+        cols = np.fromiter(chain.from_iterable((i, *sets[i]) for i in order.tolist()), np.intp, total)
+        heads = np.cumsum(sizes) - sizes
+        vals = np.repeat(np.array(off)[order], sizes)
+        vals[heads] = np.array(own)[order]
         # slot of every entry; a stable sort by slot keeps the vertex order
-        slot = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        slot = np.arange(total) - np.repeat(heads, sizes)
         by_slot = np.argsort(slot, kind="stable")
         starts = (0, *np.cumsum(np.bincount(slot)).tolist())
         return order, cols[by_slot], vals[by_slot], starts
@@ -178,16 +206,7 @@ def build_vectors(g: Graph, plan: EpsilonPlan) -> Embedding:
     which always lies in [1, 2].
     """
     plan.validate(g)
-    vecs, norms = [], []
-    for i in range(g.n):
-        e = plan.eps[i]
-        norm = math.sqrt(1.0 + e * e * len(plan.sets[i]))
-        vec = {i: 1.0 / norm}
-        for j in plan.sets[i]:
-            vec[j] = -e / norm
-        vecs.append(vec)
-        norms.append(norm)
-    return Embedding(g, plan, tuple(vecs), tuple(norms))
+    return Embedding(g, plan)
 
 
 def _check_same_graph(g: Graph, emb: Embedding) -> None:

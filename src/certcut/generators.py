@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._rng import make_rng
-from .errors import BudgetExceeded, InfeasibleDegree, InfeasibleSpec, RetryLimitExceeded
+from .errors import BudgetExceeded, InfeasibleDegree, InfeasibleSpec, InvalidParameter, RetryLimitExceeded
 from .graphcore import Graph
 
 
@@ -91,7 +91,7 @@ def make_cr_free(g: Graph, r: int, budget: int = 10**8) -> Graph:
     cycle, so the output is deterministic; the final rescan certifies it.
     """
     if r < 3:
-        raise ValueError("cycle length r must be >= 3")
+        raise InvalidParameter(f"cycle length r must be >= 3, got {r}")
     adj = {v: set(g.adjacency[v]) for v in range(g.n)}
     steps = [0]
     while True:

@@ -129,9 +129,6 @@ class Cut:
         return Cut(tuple(1 - s for s in self.side), self.value)
 
 
-EMPTY_CUT = Cut((), 0)
-
-
 @dataclass(frozen=True)
 class DegeneracyOrder:
     """A vertex order in which every vertex has few earlier neighbors.

@@ -6,6 +6,7 @@ to a dozen-ish vertices.
 """
 
 import heapq
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -119,13 +120,43 @@ def tcut_split_expectation(g: Graph, base_side, t: int) -> Fraction:
     return total
 
 
+def reference_vector(emb, i: int) -> dict[int, float]:
+    """Vector i of ``emb`` straight from its plan, as a dict in the vector's
+    own order: 1 at coordinate i, then -eps_i at each j of V_i (in the set's
+    iteration order), all divided by sqrt(1 + eps_i^2 |V_i|)."""
+    e, vi = emb.plan.eps[i], emb.plan.sets[i]
+    norm = math.sqrt(1.0 + e * e * len(vi))
+    vec = {i: 1.0 / norm}
+    for j in vi:
+        vec[j] = -e / norm
+    return vec
+
+
+def reference_inner(a: dict[int, float], b: dict[int, float]) -> float:
+    """Dict inner product over the smaller support (``a``'s on a tie), in
+    that vector's order."""
+    if len(a) > len(b):
+        a, b = b, a
+    return sum(val * b[k] for k, val in a.items() if k in b)
+
+
+def reference_edge_terms(emb) -> tuple[float, ...]:
+    """Per-edge arccos(<v_u, v_v>)/pi from the reference vectors, the inner
+    product clamped to [-1, 1]."""
+    terms = []
+    for u, v in emb.graph.edges:
+        x = reference_inner(reference_vector(emb, u), reference_vector(emb, v))
+        terms.append(math.acos(min(1.0, max(-1.0, x))) / math.pi)
+    return tuple(terms)
+
+
 def reference_hyperplane_round(emb, rng) -> tuple[tuple[int, ...], int]:
     """Per-vertex rounding straight from the definition: side 1 unless the
     dot product, summed term by term in the vector's own order, is >= 0."""
     w = rng.standard_normal(emb.n)
     side = []
     for i in range(emb.n):
-        d = sum(val * w[j] for j, val in emb.vecs[i].items())
+        d = sum(val * w[j] for j, val in reference_vector(emb, i).items())
         side.append(0 if d >= 0.0 else 1)
     value = sum(1 for u, v in emb.graph.edges if side[u] != side[v])
     return tuple(side), value

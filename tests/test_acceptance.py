@@ -15,7 +15,6 @@ from certcut.chromatic import (
 )
 from certcut.cli import main as cli_main
 from certcut.decompose import (
-    SubSolver,
     composite_cut,
     greedy_half_cut,
     kr_cut,
@@ -211,8 +210,7 @@ def test_oracle_consistency(small_graphs):
         runs["sdp"] = sdp_cut(g, repeats=8, seed=1)
         d = degeneracy_order(g).degeneracy
         eps = 0.5 / math.sqrt(d) if d else 0.5
-        sub = SubSolver(lambda h: sdp_cut(h, None, 4, 2), "sdp")
-        runs["composite"] = composite_cut(g, eps, sub, repeats=8, seed=1)
+        runs["composite"] = composite_cut(g, eps, lambda h: sdp_cut(h, None, 4, 2), repeats=8, seed=1)
         runs["sampled"] = sampled_sdp_cut(g, p=0.5, rng=make_rng(3), repeats=8)
         r = max(_clique_number(g) + 1, 3)
         runs["kr"] = kr_cut(g, r, repeats=8, seed=1)

@@ -4,7 +4,6 @@ import pytest
 
 from certcut._rng import make_rng
 from certcut.decompose import (
-    SubSolver,
     combine_subcuts,
     composite_cut,
     epsilon_for_surplus_exponent,
@@ -48,11 +47,11 @@ from oracles import brute_max_cut
 
 
 def exact_subsolver():
-    return SubSolver(lambda h: (max_cut_exact(h), CutCertificate(0.0)), "exact")
+    return lambda h: (max_cut_exact(h), CutCertificate(0.0))
 
 
 def sdp_subsolver(seed=0):
-    return SubSolver(lambda h: sdp_cut(h, None, 8, seed), "sdp")
+    return lambda h: sdp_cut(h, None, 8, seed)
 
 
 class TestFindDenseSubset:

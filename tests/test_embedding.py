@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from certcut.generators import (
     random_regular,
 )
 from certcut.graphcore import Graph, count_triangles, degeneracy_order
+from oracles import reference_edge_terms, reference_inner, reference_vector
 
 TOL = 1e-9
 
@@ -36,6 +38,11 @@ TOL = 1e-9
 def k2_plan():
     # vertex 1 points at vertex 0 with full weight
     return EpsilonPlan((frozenset(), frozenset({0})), (1.0, 1.0))
+
+
+def antipodal_plan():
+    # on K2, v_0 = (e_0 - e_1)/sqrt(2) and v_1 = -v_0
+    return EpsilonPlan((frozenset({1}), frozenset({0})), (1.0, 1.0))
 
 
 def identity_plan(g):
@@ -87,7 +94,33 @@ class TestEpsilonPlan:
             back_neighbor_plan(complete(5), 0.0)
 
 
+def seeded_plans(seed):
+    """Plans on one seeded G(n, p): random sets with random eps below each
+    set's cap, the same sets with eps 0, and the back-neighbor plan at its cap."""
+    rng = make_rng(seed, 31)
+    g = gnp(int(rng.integers(2, 24)), float(rng.random()) * 0.6 + 0.1, seed)
+    plan = random_plan(g, rng)
+    plans = [plan, EpsilonPlan(plan.sets, (0.0,) * g.n)]
+    if g.m:
+        plans.append(back_neighbor_plan(g, 1 / math.sqrt(degeneracy_order(g).degeneracy)))
+    return g, plans
+
+
 class TestBuildVectors:
+    def test_fields_are_graph_and_plan(self):
+        assert [f.name for f in dataclasses.fields(Embedding)] == ["graph", "plan"]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_inner_matches_reference_vectors(self, seed):
+        g, plans = seeded_plans(seed)
+        for plan in plans:
+            emb = build_vectors(g, plan)
+            vecs = [reference_vector(emb, i) for i in range(g.n)]
+            for i in range(g.n):
+                for j in range(g.n):
+                    # repr tells 0 from 0.0 and -0.0, and round-trips every float
+                    assert repr(emb.inner(i, j)) == repr(reference_inner(vecs[i], vecs[j])), (i, j)
+
     def test_k2_inner_product(self):
         g = complete(2)
         emb = build_vectors(g, k2_plan())
@@ -113,9 +146,10 @@ class TestBuildVectors:
         plan = random_plan(g, make_rng(seed))
         emb = build_vectors(g, plan)
         for v in range(g.n):
-            norm_sq = sum(x * x for x in emb.vecs[v].values())
+            vec = reference_vector(emb, v)
+            norm_sq = sum(x * x for x in vec.values())
             assert abs(norm_sq - 1.0) <= 1e-12
-            assert set(emb.vecs[v]) == {v} | set(plan.sets[v])
+            assert set(vec) == {v} | set(plan.sets[v])
             assert 1.0 <= emb.norms[v] ** 2 <= 2.0 + 1e-12
 
 
@@ -133,8 +167,15 @@ class TestExactExpectedCut:
 
     def test_antipodal_probability_one(self):
         g = complete(2)
-        emb = Embedding(g, identity_plan(g), ({0: 1.0}, {0: -1.0}), (1.0, 1.0))
+        emb = build_vectors(g, antipodal_plan())
         assert exact_expected_cut(g, emb).expected_value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_terms_match_reference_vectors(self, seed):
+        g, plans = seeded_plans(seed)
+        for plan in plans:
+            emb = build_vectors(g, plan)
+            assert exact_expected_cut(g, emb).per_edge_terms == reference_edge_terms(emb)
 
     def test_terms_sum_to_expected_value(self):
         g = gnp(10, 0.5, 2)
@@ -230,7 +271,7 @@ class TestHyperplaneRound:
 
     def test_antipodal_always_cut(self):
         g = complete(2)
-        emb = Embedding(g, identity_plan(g), ({0: 1.0}, {0: -1.0}), (1.0, 1.0))
+        emb = build_vectors(g, antipodal_plan())
         assert all(hyperplane_round(emb, make_rng(1, k)).value == 1 for k in range(50))
 
     def test_k33_monte_carlo_within_four_root_m(self):

@@ -22,7 +22,7 @@ import pytest
 from certcut._rng import derive_seed, make_rng
 from certcut.chromatic import coloring_cut, kr_free_coloring, max_t_cut
 from certcut.cli import _resolve_eps, make_report
-from certcut.decompose import SubSolver, composite_cut, kr_cut, partition_triangle_sparse, sampled_sdp_cut
+from certcut.decompose import composite_cut, kr_cut, partition_triangle_sparse, sampled_sdp_cut
 from certcut.embedding import sdp_cut
 from certcut.errors import CertcutError
 from certcut.generators import GenSpec, family, make_cr_free
@@ -59,8 +59,10 @@ def run_library(g, algo, seed, *, epsilon, repeats, r, t, p, max_vertices):
     if algo == "sdp":
         return sdp_cut(g, eps, repeats, seed)
     if algo == "composite":
-        sub = SubSolver(lambda h: sdp_cut(h, None, repeats, derive_seed(seed, 9)), "sdp")
-        return composite_cut(g, eps if eps is not None else auto_eps(g), sub, repeats, seed)
+        return composite_cut(
+            g, eps if eps is not None else auto_eps(g),
+            lambda h: sdp_cut(h, None, repeats, derive_seed(seed, 9)), repeats, seed,
+        )
     if algo == "kr":
         return kr_cut(g, r, repeats, seed)
     if algo == "chromatic":

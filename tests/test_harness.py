@@ -350,6 +350,22 @@ class TestCliRefusals:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("argv, needle", [
+        (("gen", "--model", "gnp", "--n", "10", "--p", "0.5", "--cr-free", "2"), "cycle length"),
+        (("gen", "--model", "gnp", "--n", "10", "--p", "0.5", "--cr-free", "1"), "cycle length"),
+        (("gen", "--model", "gnp", "--n", "10", "--p", "0.5", "--cr-free", "-4"), "cycle length"),
+        (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3", "--cr-free", "2"), "cycle length"),
+        (("bench", "--family", "regular", "--nlist", "10,x", "--dlist", "3"), "--nlist"),
+        (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3,1.5"), "--dlist"),
+        (("verify", "--suite", "plan-dominance", "--trials", "0"), "--trials"),
+        (("verify", "--suite", "decomposition", "--trials", "-1"), "--trials"),
+        (("verify", "--suite", "tcut-expectation", "--trials", "0"), "--trials"),
+    ])
+    def test_bad_gen_bench_verify_input_exits_3(self, capsys, argv, needle):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("precondition violated:") and needle in err and "Traceback" not in err
+
     def test_max_vertices_zero_is_a_cap_of_zero(self, capsys, tmp_path):
         p = tmp_path / "k5.txt"
         p.write_text(format_edge_list(complete(5)))

@@ -1,7 +1,7 @@
 import pytest
 
 from certcut._rng import make_rng
-from certcut.embedding import Embedding, EpsilonPlan, back_neighbor_plan, build_vectors, exact_expected_cut
+from certcut.embedding import EpsilonPlan, back_neighbor_plan, build_vectors, exact_expected_cut
 from certcut.errors import BudgetExceeded
 from certcut.generators import complete, complete_bipartite, cycle, gnp, petersen
 from certcut.graphcore import Graph, edwards_bound
@@ -82,12 +82,7 @@ class TestMaxTCutExact:
 class TestMonteCarlo:
     def test_antipodal_pair_always_cut(self):
         g = Graph.from_edges(2, [(0, 1)])
-        emb = Embedding(
-            g,
-            EpsilonPlan((frozenset(), frozenset()), (0.0, 0.0)),
-            ({0: 1.0}, {0: -1.0}),
-            (1.0, 1.0),
-        )
+        emb = build_vectors(g, EpsilonPlan((frozenset({1}), frozenset({0})), (1.0, 1.0)))
         mean, stderr = monte_carlo_cut_mean(emb, 200, make_rng(0))
         assert mean == 1.0 and stderr == 0.0
 

@@ -21,7 +21,12 @@ from certcut.embedding import (
 )
 from certcut.generators import complete, cycle, gnp, petersen, random_regular, star
 from certcut.graphcore import Cut, Graph, cut_value, degeneracy_order
-from oracles import reference_best_rounding, reference_hyperplane_round, reference_max_t_cut
+from oracles import (
+    reference_best_rounding,
+    reference_hyperplane_round,
+    reference_max_t_cut,
+    reference_vector,
+)
 
 
 def corpus():
@@ -116,7 +121,8 @@ def test_slots_follow_vector_order():
     g = CORPUS["gnp40_2"]
     emb = build_vectors(g, back_neighbor_plan(g, eps_cap(g)))
     order, cols, vals, starts = emb.slots
-    sizes = [len(emb.vecs[i]) for i in order.tolist()]
+    vecs = [reference_vector(emb, i) for i in range(g.n)]
+    sizes = [len(vecs[i]) for i in order.tolist()]
     assert sorted(order.tolist()) == list(range(g.n))
     assert sizes == sorted(sizes, reverse=True)
     # row s covers the prefix of order whose vectors have more than s entries
@@ -124,7 +130,7 @@ def test_slots_follow_vector_order():
     assert [len(c) for c, _ in rows] == [sum(k > s for k in sizes) for s in range(max(sizes))]
     assert len(cols) == len(vals) == starts[-1] == sum(sizes)
     for j, i in enumerate(order.tolist()):
-        vec = emb.vecs[i]
+        vec = vecs[i]
         assert [int(rows[s][0][j]) for s in range(len(vec))] == list(vec)
         assert [float(rows[s][1][j]) for s in range(len(vec))] == list(vec.values())
 
@@ -152,18 +158,6 @@ def test_skewed_supports_match_reference():
             assert (cut.side, cut.value) == reference_hyperplane_round(emb, make_rng(13, k))
         cut, _ = sdp_cut(g, eps, 6, 4)
         assert (cut.side, cut.value) == reference_best_rounding(emb, 6, 4)
-
-
-def test_empty_vectors_land_on_side_0():
-    # a hand-built embedding may hold an empty vector; its dot product is 0
-    g = cycle(5)
-    emb = build_vectors(g, back_neighbor_plan(g, eps_cap(g)))
-    vecs = tuple({} if i == 2 else vec for i, vec in enumerate(emb.vecs))
-    hollow = type(emb)(g, emb.plan, vecs, emb.norms)
-    w = np.array([-1.0, 0.5, -2.0, 0.25, -0.75])
-    cut = hyperplane_round(hollow, FixedDirection(w))
-    assert (cut.side, cut.value) == reference_hyperplane_round(hollow, FixedDirection(w))
-    assert cut.side[2] == 0
 
 
 def test_edge_index_and_crossing_count():
