@@ -170,6 +170,8 @@ def _parse_int_list(flag: str, text: str):
 
 
 def _cmd_bench(args) -> int:
+    if args.instances < 1:
+        raise PreconditionError(f"--instances must be >= 1, got {args.instances}")
     rows = [CSV_HEADER]
     index = 0
     for n in _parse_int_list("--nlist", args.nlist):

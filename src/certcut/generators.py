@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ._rng import make_rng
 from .errors import BudgetExceeded, InfeasibleDegree, InfeasibleSpec, InvalidParameter, RetryLimitExceeded
 from .graphcore import Graph
@@ -44,22 +46,44 @@ def random_regular(n: int, d: int, seed: int = 0, max_restarts: int = 1000) -> G
     raise RetryLimitExceeded(f"no simple pairing found in {max_restarts} restarts")
 
 
+PAIR_CHUNK = 1 << 16
+
+
+def _kept_pairs(rng, total: int, p: float) -> np.ndarray:
+    """Flat pair indices k < ``total`` whose uniform draw falls below p.
+
+    The draws are made ``PAIR_CHUNK`` at a time; a numpy ``Generator`` yields
+    the same doubles in chunks as in one call, so the kept set depends only
+    on the seed, and memory is O(chunk + kept).
+    """
+    kept = [
+        start + np.flatnonzero(rng.random(min(PAIR_CHUNK, total - start)) < p)
+        for start in range(0, total, PAIR_CHUNK)
+    ]
+    return np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+
+
 def gnp(n: int, p: float, seed: int = 0) -> Graph:
-    """Erdos-Renyi graph: each pair appears independently with probability p."""
+    """Erdos-Renyi graph: each pair appears independently with probability p.
+
+    Pair (u, v), u < v, is draw number u*n - u(u+1)/2 + (v - u - 1), the
+    row-major order of the upper triangle.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = make_rng(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if not pairs:
-        return Graph.from_edges(n, [])
-    keep = rng.random(len(pairs)) < p
-    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    k = _kept_pairs(make_rng(seed), n * (n - 1) // 2 if n > 1 else 0, p)
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * n - rows * (rows + 1) // 2
+    u = np.searchsorted(row_start, k, side="right") - 1
+    v = k - row_start[u] + u + 1
+    return Graph.from_edges(n, zip(u.tolist(), v.tolist()))
 
 
-def _find_cycle(adj: dict, n: int, r: int, steps: list, budget: int):
-    # first r-cycle in lexicographic path order: the start vertex is the
-    # cycle's minimum, interior vertices are explored in increasing id order
-    for start in range(n):
+def _find_cycle(adj: dict, n: int, r: int, steps: list, budget: int, first: int):
+    # first r-cycle in lexicographic path order among start vertices >= first:
+    # the start vertex is the cycle's minimum, interior vertices are explored
+    # in increasing id order
+    for start in range(first, n):
         path = [start]
         on_path = {start}
 
@@ -89,15 +113,23 @@ def make_cr_free(g: Graph, r: int, budget: int = 10**8) -> Graph:
     """Delete one edge per detected r-cycle until none of length exactly r
     remains. The deleted edge is the lexicographically smallest of the found
     cycle, so the output is deterministic; the final rescan certifies it.
+
+    The search for the next cycle resumes at the start (minimum) vertex of
+    the one just found, not at vertex 0. That finds the same cycle as a scan
+    from 0: deleting edges never creates a cycle, so a start vertex that
+    closed no r-cycle before a deletion closes none after it. ``budget``
+    caps the DFS steps of these resumed searches, summed over all of them.
     """
     if r < 3:
         raise InvalidParameter(f"cycle length r must be >= 3, got {r}")
     adj = {v: set(g.adjacency[v]) for v in range(g.n)}
     steps = [0]
+    first = 0
     while True:
-        cycle = _find_cycle(adj, g.n, r, steps, budget)
+        cycle = _find_cycle(adj, g.n, r, steps, budget, first)
         if cycle is None:
             break
+        first = cycle[0]
         cycle_edges = [
             tuple(sorted((cycle[i], cycle[(i + 1) % r]))) for i in range(r)
         ]
@@ -140,14 +172,12 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 def random_bipartite(a: int, b: int, p: float, seed: int = 0) -> Graph:
+    """Each of the a*b pairs (u, a + v) appears independently with
+    probability p; pair (u, a + v) is draw number u*b + v."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = make_rng(seed)
-    pairs = [(u, a + v) for u in range(a) for v in range(b)]
-    if not pairs:
-        return Graph.from_edges(a + b, [])
-    keep = rng.random(len(pairs)) < p
-    return Graph.from_edges(a + b, [e for e, k in zip(pairs, keep) if k])
+    k = _kept_pairs(make_rng(seed), a * b, p)
+    return Graph.from_edges(a + b, zip((k // b).tolist(), (a + k % b).tolist()))
 
 
 def turan(n: int, classes: int) -> Graph:

@@ -78,26 +78,6 @@ def check_plan_dominance(trials=1000, max_n=60, seed=0):
     return True, f"{trials} plans, worst margin {worst:.3e}"
 
 
-def _triangle_sparse_pool(count, seed):
-    rng = make_rng(seed, 102)
-    pool = []
-    while len(pool) < count:
-        kind = len(pool) % 3
-        s = int(rng.integers(0, 2**63))
-        if kind == 0:
-            g = random_bipartite(int(rng.integers(3, 12)), int(rng.integers(3, 12)), 0.7, s)
-        elif kind == 1:
-            n = int(rng.integers(10, 40))
-            g = gnp(n, 3.0 / n, s)
-        else:
-            n = 2 * int(rng.integers(6, 20))
-            g = make_cr_free(random_regular(n, 3, s), 3)
-        if g.m == 0:
-            continue
-        pool.append(g)
-    return pool
-
-
 def check_triangle_sparse_constant(count=100, seed=0):
     """Certificate reaches (1/2 + eps/60) m whenever triangles <= m/(8 eps)."""
     rng = make_rng(seed, 103)
@@ -260,16 +240,17 @@ def _tcut_cases(seed):
     return cases
 
 
-def check_tcut_expectation(seed=0):
-    """Closed-form t-cut certificate equals the exhaustive expectation."""
+def check_tcut_expectation(seed=0, count=None):
+    """Closed-form t-cut certificate equals the exhaustive expectation, on
+    the first ``count`` (graph, base, t) cases, or on all of them."""
+    cases = [(g, base, t) for g, base in _tcut_cases(seed) for t in (2, 3, 4)]
     checked = 0
-    for g, base in _tcut_cases(seed):
-        for t in (2, 3, 4):
-            closed = t_cut_expected_value(g.m, base.value, t)
-            exact = float(tcut_expectation_oracle(g, base.side, t))
-            if abs(closed - exact) > TOL:
-                return False, f"n={g.n}, t={t}: closed {closed} vs exact {exact}"
-            checked += 1
+    for g, base, t in cases[:count]:
+        closed = t_cut_expected_value(g.m, base.value, t)
+        exact = float(tcut_expectation_oracle(g, base.side, t))
+        if abs(closed - exact) > TOL:
+            return False, f"n={g.n}, t={t}: closed {closed} vs exact {exact}"
+        checked += 1
     return True, f"{checked} (graph, base, t) cases"
 
 
@@ -286,7 +267,7 @@ SUITES = {
 def run_suite(name: str, seed: int = 0, trials: int | None = None):
     fn = SUITES[name]
     kwargs = {"seed": seed}
-    if trials is not None and name != "tcut-expectation":
+    if trials is not None:
         key = "trials" if name == "plan-dominance" else "count"
         kwargs[key] = trials
     return fn(**kwargs)

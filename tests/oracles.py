@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from certcut._rng import make_rng
+from certcut.errors import BudgetExceeded
 from certcut.graphcore import DegeneracyOrder, Graph, induced_subgraph
 
 
@@ -96,6 +97,72 @@ def count_r_cycles(g: Graph, r: int) -> int:
     for start in range(g.n):
         walk([start])
     return total
+
+
+def reference_gnp(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) from one draw over every pair, materialised as tuples in
+    row-major order of the upper triangle."""
+    rng = make_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return Graph.from_edges(n, [])
+    keep = rng.random(len(pairs)) < p
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def reference_random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
+    """Random bipartite graph from one draw over all a*b pairs (u, a + v)."""
+    rng = make_rng(seed)
+    pairs = [(u, a + v) for u in range(a) for v in range(b)]
+    if not pairs:
+        return Graph.from_edges(a + b, [])
+    keep = rng.random(len(pairs)) < p
+    return Graph.from_edges(a + b, [e for e, k in zip(pairs, keep) if k])
+
+
+def reference_find_cycle(adj: dict, n: int, r: int, steps: list, budget: int):
+    """First r-cycle in lexicographic path order, scanning start vertices
+    from 0: the start is the cycle's minimum, interior vertices ascend."""
+    for start in range(n):
+        path = [start]
+        on_path = {start}
+
+        def dfs():
+            steps[0] += 1
+            if steps[0] > budget:
+                raise BudgetExceeded(f"cycle search exceeded {budget} steps")
+            v = path[-1]
+            if len(path) == r:
+                return start in adj[v]
+            for w in sorted(adj[v]):
+                if w > start and w not in on_path:
+                    path.append(w)
+                    on_path.add(w)
+                    if dfs():
+                        return True
+                    path.pop()
+                    on_path.remove(w)
+            return False
+
+        if len(adj[start]) >= 2 and dfs():
+            return path
+    return None
+
+
+def reference_make_cr_free(g: Graph, r: int, budget: int = 10**8) -> Graph:
+    """Delete the smallest edge of the first r-cycle found, rescanning from
+    vertex 0 after every deletion, until no r-cycle remains."""
+    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    steps = [0]
+    while True:
+        cycle = reference_find_cycle(adj, g.n, r, steps, budget)
+        if cycle is None:
+            break
+        u, v = min(tuple(sorted((cycle[i], cycle[(i + 1) % r]))) for i in range(r))
+        adj[u].discard(v)
+        adj[v].discard(u)
+    edges = sorted((u, v) for u in adj for v in adj[u] if u < v)
+    return Graph.from_edges(g.n, edges)
 
 
 def tcut_split_expectation(g: Graph, base_side, t: int) -> Fraction:

@@ -1,8 +1,11 @@
+import bisect
 import math
+import tracemalloc
 
 import pytest
 
-from certcut.errors import InfeasibleDegree, InfeasibleSpec
+from certcut import generators
+from certcut.errors import BudgetExceeded, InfeasibleDegree, InfeasibleSpec, VertexOutOfRange
 from certcut.generators import (
     GenSpec,
     blowup,
@@ -20,7 +23,12 @@ from certcut.generators import (
     turan,
 )
 from certcut.graphcore import count_cliques, count_triangles
-from oracles import count_r_cycles
+from oracles import (
+    count_r_cycles,
+    reference_gnp,
+    reference_make_cr_free,
+    reference_random_bipartite,
+)
 
 
 class TestRandomRegular:
@@ -70,6 +78,60 @@ class TestGnp:
             gnp(5, 1.5, 0)
 
 
+class TestChunkedPairDraws:
+    """Chunked draws give the same graph as one draw over every pair."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 37])
+    def test_gnp_matches_reference(self, monkeypatch, chunk):
+        monkeypatch.setattr(generators, "PAIR_CHUNK", chunk)
+        for n in (0, 1, 2, 3, 5, 8, 13, 21, 34):
+            for p in (0.0, 0.05, 0.3, 1.0):
+                for seed in range(3):
+                    assert gnp(n, p, seed).edges == reference_gnp(n, p, seed).edges, (n, p, seed)
+
+    def test_gnp_matches_reference_across_many_chunks(self, monkeypatch):
+        monkeypatch.setattr(generators, "PAIR_CHUNK", 37)
+        assert gnp(300, 0.02, 5).edges == reference_gnp(300, 0.02, 5).edges
+        monkeypatch.undo()
+        assert gnp(1500, 0.003, 6).edges == reference_gnp(1500, 0.003, 6).edges
+
+    @pytest.mark.parametrize("chunk", [1, 7, 37])
+    def test_random_bipartite_matches_reference(self, monkeypatch, chunk):
+        monkeypatch.setattr(generators, "PAIR_CHUNK", chunk)
+        for a in (0, 1, 4, 9):
+            for b in (0, 1, 6, 11):
+                for p in (0.0, 0.3, 1.0):
+                    seed = 16 * a + b
+                    got = random_bipartite(a, b, p, seed)
+                    assert got.edges == reference_random_bipartite(a, b, p, seed).edges, (a, b, p)
+                    assert got.n == a + b
+
+    @pytest.mark.parametrize("n", [-1, -3, -4])
+    def test_negative_vertex_count_refused_as_before(self, n):
+        for make in (gnp, reference_gnp):
+            with pytest.raises(VertexOutOfRange, match="negative"):
+                make(n, 0.5, 1)
+
+    def test_gnp_memory_is_not_quadratic(self):
+        # 4.5 million pairs; as tuples they would take hundreds of MB
+        tracemalloc.start()
+        try:
+            g = gnp(3000, 4 / 2999, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == 3000 and g.m > 0
+        assert peak < 20 * 2**20, peak
+
+
+def _cr_free_within(g, r, budget):
+    try:
+        make_cr_free(g, r, budget=budget)
+    except BudgetExceeded:
+        return False
+    return True
+
+
 class TestMakeCrFree:
     def test_c5_becomes_a_path(self):
         g = make_cr_free(cycle(5), 5)
@@ -105,6 +167,34 @@ class TestMakeCrFree:
     def test_deterministic(self):
         g0 = gnp(12, 0.4, 3)
         assert make_cr_free(g0, 4).edges == make_cr_free(g0, 4).edges
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_resumed_search_matches_rescan_from_zero(self, r, seed):
+        for g0 in (gnp(14 + 3 * seed, 0.3, seed), random_regular(18, 3, seed)):
+            g = make_cr_free(g0, r)
+            assert g.edges == reference_make_cr_free(g0, r).edges
+            assert count_r_cycles(g, r) == 0
+
+    def test_triangle_path_matches_on_a_larger_sparse_graph(self):
+        g0 = gnp(400, 8 / 399, 1)
+        g = make_cr_free(g0, 3)
+        assert g.edges == reference_make_cr_free(g0, 3).edges
+        assert count_triangles(g) == 0 < count_triangles(g0)
+
+    def test_tiny_budget_raises(self):
+        with pytest.raises(BudgetExceeded):
+            make_cr_free(complete(6), 3, budget=3)
+
+    def test_budget_counts_only_resumed_steps(self):
+        # the rescan from vertex 0 repeats the dead starts after every
+        # deletion, so it needs more steps than the resumed search
+        g0 = gnp(60, 0.2, 2)
+        steps = 1 + bisect.bisect_left(range(1, 10**6), True, key=lambda b: _cr_free_within(g0, 3, b))
+        with pytest.raises(BudgetExceeded):
+            reference_make_cr_free(g0, 3, budget=steps)
+        with pytest.raises(BudgetExceeded):
+            make_cr_free(g0, 3, budget=steps - 1)
 
     def test_only_exact_length_cycles_die(self):
         # destroying 4-cycles in K4 must leave a triangle behind

@@ -279,6 +279,12 @@ class TestCli:
         assert code == 0
         assert "tcut-expectation: PASS" in out
 
+    def test_verify_tcut_expectation_honours_trials(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "tcut-expectation", "--trials", "5")
+        assert code == 0 and out == "tcut-expectation: PASS (5 (graph, base, t) cases)\n"
+        code, out, _ = run_cli(capsys, "verify", "--suite", "tcut-expectation")
+        assert code == 0 and out == "tcut-expectation: PASS (123 (graph, base, t) cases)\n"
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.txt"
         code, _, _ = run_cli(capsys, "gen", "--model", "turan", "--n", "6", "--classes", "2", "--out", str(target))
@@ -357,6 +363,8 @@ class TestCliRefusals:
         (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3", "--cr-free", "2"), "cycle length"),
         (("bench", "--family", "regular", "--nlist", "10,x", "--dlist", "3"), "--nlist"),
         (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3,1.5"), "--dlist"),
+        (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3", "--instances", "0"), "--instances"),
+        (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3", "--instances", "-2"), "--instances"),
         (("verify", "--suite", "plan-dominance", "--trials", "0"), "--trials"),
         (("verify", "--suite", "decomposition", "--trials", "-1"), "--trials"),
         (("verify", "--suite", "tcut-expectation", "--trials", "0"), "--trials"),
