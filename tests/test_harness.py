@@ -363,11 +363,11 @@ class TestCliRefusals:
         (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3", "--cr-free", "2"), "cycle length"),
         (("bench", "--family", "regular", "--nlist", "10,x", "--dlist", "3"), "--nlist"),
         (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3,1.5"), "--dlist"),
-        (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3", "--instances", "0"), "--instances"),
-        (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3", "--instances", "-2"), "--instances"),
         (("verify", "--suite", "plan-dominance", "--trials", "0"), "--trials"),
         (("verify", "--suite", "decomposition", "--trials", "-1"), "--trials"),
         (("verify", "--suite", "tcut-expectation", "--trials", "0"), "--trials"),
+        (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3", "--instances", "0"), "--instances"),
+        (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3", "--instances", "-2"), "--instances"),
     ])
     def test_bad_gen_bench_verify_input_exits_3(self, capsys, argv, needle):
         code, out, err = run_cli(capsys, *argv)
