@@ -285,6 +285,18 @@ class TestCli:
         code, out, _ = run_cli(capsys, "verify", "--suite", "tcut-expectation")
         assert code == 0 and out == "tcut-expectation: PASS (123 (graph, base, t) cases)\n"
 
+    def test_verify_all_output_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "0")
+        assert code == 0
+        assert out.splitlines() == [
+            "plan-dominance: PASS (1000 plans, worst margin 0.000e+00)",
+            "triangle-sparse-constant: PASS (100 triangle-sparse graphs)",
+            "decomposition: PASS (200 decompositions)",
+            "coloring-cut: PASS (60 colorings)",
+            "coloring-classes: PASS (60 clique-free graphs)",
+            "tcut-expectation: PASS (123 (graph, base, t) cases)",
+        ]
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.txt"
         code, _, _ = run_cli(capsys, "gen", "--model", "turan", "--n", "6", "--classes", "2", "--out", str(target))
