@@ -20,7 +20,6 @@ from .decompose import (
     Decomposition,
     combine_subcuts,
     composite_cut,
-    epsilon_for_surplus_exponent,
     extend_cut,
     find_dense_subset,
     greedy_half_cut,
@@ -68,7 +67,6 @@ from .graphcore import (
     edwards_bound,
     find_clique,
     induced_subgraph,
-    is_kr_free,
     peel,
     triangle_list,
 )

@@ -49,9 +49,10 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _resolve_eps(text: str) -> float | None:
+def _resolve_eps(text: str, g: Graph) -> float:
+    """The eps that ``--epsilon`` selects on ``g``; ``auto`` is min(1, eps_cap(g))."""
     if text == "auto":
-        return None
+        return min(1.0, eps_cap(g))
     try:
         eps = float(text)
     except ValueError:
@@ -63,49 +64,51 @@ def _resolve_eps(text: str) -> float | None:
 
 def run_cut_algorithm(g: Graph, algo: str, *, seed: int, epsilon: str, repeats: int,
                       r: int, t: int, p: float | None, max_vertices: int | None):
-    """Dispatch one algorithm; returns (value, certificate, bound, params)."""
-    eps = _resolve_eps(epsilon)
+    """Dispatch one algorithm; returns (cut, certificate, bound, params).
+
+    The cut is a ``Cut``, or a ``TPartition`` for ``tcut``; the certificate
+    is the algorithm's ``CutCertificate``, or None for ``exact``.
+    """
+    eps = _resolve_eps(epsilon, g)
     # the library's own range checks (t, p, r) raise InvalidParameter, exit 3
     if repeats < 1:
         raise PreconditionError(f"--repeats must be >= 1, got {repeats}")
     if max_vertices is not None and max_vertices < 0:
         raise PreconditionError(f"--max-vertices must be >= 0, got {max_vertices}")
-    if eps is None:
-        eps = min(1.0, eps_cap(g))
     if algo == "exact":
         budget = OracleBudget(max_vertices) if max_vertices is not None else None
-        cut = max_cut_exact(g, budget)
-        return cut.value, float(cut.value), edwards_bound(g.m), "exhaustive"
-    if algo == "sdp":
-        cut, cert = sdp_cut(g, eps, repeats, seed)
-        return cut.value, cert.expected_value, cert.bound_value, f"eps={eps:.10g};repeats={repeats}"
-    if algo == "composite":
-        cut, cert = composite_cut(
-            g, eps, lambda h: sdp_cut(h, None, repeats, derive_seed(seed, 9)), repeats, seed
-        )
-        return cut.value, cert.expected_value, cert.bound_value, f"eps={eps:.10g};repeats={repeats}"
-    if algo == "kr":
-        cut, cert = kr_cut(g, r, repeats, seed)
-        return cut.value, cert.expected_value, cert.bound_value, f"r={r};repeats={repeats}"
+        return max_cut_exact(g, budget), None, edwards_bound(g.m), "exhaustive"
     if algo == "chromatic":
         col = kr_free_coloring(g, r)
         cut, cert = coloring_cut(g, col)
         bound = (0.5 + 1.0 / (8.0 * g.n ** ((r - 2) / (r - 1)))) * g.m if g.n else 0.0
-        return cut.value, cert.expected_value, bound, f"r={r};classes={col.classes}"
-    if algo == "tcut":
+        return cut, cert, bound, f"r={r};classes={col.classes}"
+    if algo == "sdp":
+        cut, cert = sdp_cut(g, eps, repeats, seed)
+        params = f"eps={eps:.10g};repeats={repeats}"
+    elif algo == "composite":
+        cut, cert = composite_cut(
+            g, eps, lambda h: sdp_cut(h, None, repeats, derive_seed(seed, 9)), repeats, seed
+        )
+        params = f"eps={eps:.10g};repeats={repeats}"
+    elif algo == "kr":
+        cut, cert = kr_cut(g, r, repeats, seed)
+        params = f"r={r};repeats={repeats}"
+    elif algo == "tcut":
         base, _ = sdp_cut(g, eps, repeats, seed)
-        part, cert = max_t_cut(g, base, t, make_rng(seed, 7), repeats)
-        return part.value, cert.expected_value, cert.bound_value, f"t={t};base={base.value};repeats={repeats}"
-    if algo == "sampled":
+        cut, cert = max_t_cut(g, base, t, make_rng(seed, 7), repeats)
+        params = f"t={t};base={base.value};repeats={repeats}"
+    elif algo == "sampled":
         cut, cert = sampled_sdp_cut(g, p, eps, make_rng(seed, 8), repeats)
-        used_p = p if p is not None else SAMPLE_P
-        return cut.value, cert.expected_value, cert.bound_value, f"p={used_p:.10g};repeats={repeats}"
-    raise PreconditionError(f"unknown algorithm {algo!r}")
+        params = f"p={p if p is not None else SAMPLE_P:.10g};repeats={repeats}"
+    else:
+        raise PreconditionError(f"unknown algorithm {algo!r}")
+    return cut, cert, cert.bound_value, params
 
 
 def make_report(g: Graph, label: str, algo: str, seed: int, **kwargs) -> RunReport:
     start = time.perf_counter()
-    value, cert, bound, params = run_cut_algorithm(g, algo, seed=seed, **kwargs)
+    cut, cert, bound, params = run_cut_algorithm(g, algo, seed=seed, **kwargs)
     ms = (time.perf_counter() - start) * 1000.0
     return RunReport(
         graph=label,
@@ -116,10 +119,10 @@ def make_report(g: Graph, label: str, algo: str, seed: int, **kwargs) -> RunRepo
         algo=algo,
         params=params,
         seed=seed,
-        value=value,
-        surplus_num=2 * value - g.m,
-        certificate=float(cert),
-        bound=float(bound if bound is not None else g.m / 2),
+        value=cut.value,
+        surplus_num=2 * cut.value - g.m,
+        certificate=float(cut.value if cert is None else cert.expected_value),
+        bound=float(bound),
         ms=round(ms, 3),
     )
 
@@ -164,18 +167,23 @@ def _cmd_cut(args) -> int:
 
 def _parse_int_list(flag: str, text: str):
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise PreconditionError(f"{flag} takes comma-separated integers, got {text!r}") from None
+        values = []
+    if not values:
+        raise PreconditionError(f"{flag} takes comma-separated integers, at least one, got {text!r}")
+    return values
 
 
 def _cmd_bench(args) -> int:
     if args.instances < 1:
         raise PreconditionError(f"--instances must be >= 1, got {args.instances}")
+    nlist = _parse_int_list("--nlist", args.nlist)
+    dlist = _parse_int_list("--dlist", args.dlist)
     rows = [CSV_HEADER]
     index = 0
-    for n in _parse_int_list("--nlist", args.nlist):
-        for d in _parse_int_list("--dlist", args.dlist):
+    for n in nlist:
+        for d in dlist:
             for inst in range(args.instances):
                 inst_seed = derive_seed(args.seed, index)
                 if args.family == "regular":
@@ -186,10 +194,8 @@ def _cmd_bench(args) -> int:
                     )
                 elif args.family == "gnp":
                     spec = GenSpec("gnp", {"n": n, "p": min(1.0, d / max(n - 1, 1))}, inst_seed)
-                elif args.family == "turan":
+                else:  # turan; argparse refuses any other family
                     spec = GenSpec("turan", {"n": n, "classes": d}, inst_seed)
-                else:
-                    raise PreconditionError(f"unknown family {args.family!r}")
                 g = family(spec)
                 if args.cr_free:
                     g = make_cr_free(g, args.cr_free)
@@ -211,7 +217,7 @@ def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:
-        ok, detail = run_suite(name, seed=args.seed, trials=args.trials)
+        ok, detail = run_suite(name, seed=args.seed, count=args.trials)
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
         failed |= not ok
     return 1 if failed else 0

@@ -25,7 +25,6 @@ from .errors import (
     NotKrFree,
 )
 from .graphcore import (
-    CLIQUE_STEP_BUDGET,
     Cut,
     DegeneracyOrder,
     Graph,
@@ -255,7 +254,6 @@ def kr_cut(
     r: int,
     repeats: int = 32,
     seed: int = 0,
-    clique_budget: int = CLIQUE_STEP_BUDGET,
 ) -> tuple[Cut, CutCertificate]:
     """Composite cut for K_r-free graphs with eps = d^(-1 + 1/(2r-4)).
 
@@ -266,7 +264,7 @@ def kr_cut(
     """
     if r < 3:
         raise InvalidParameter(f"r must be >= 3, got {r}")
-    witness = find_clique(g, r, clique_budget)
+    witness = find_clique(g, r)
     if witness is not None:
         raise NotKrFree(witness)
     d = g.degeneracy_order.degeneracy
@@ -294,15 +292,6 @@ def kr_cut(
     cut, cert = composite_cut(g, eps, sub, repeats, seed)
     bound = (0.5 + KR_SURPLUS_CONSTANT * eps) * g.m
     return cut, CutCertificate(cert.expected_value, None, "kr_surplus", bound)
-
-
-def epsilon_for_surplus_exponent(a: float, c_prime: float, d: int) -> float:
-    """eps = c' * d^(-(2-a)/(1+a)) for a subsolver with surplus c' m^a."""
-    if not 0.5 <= a <= 1.0:
-        raise ValueError("surplus exponent a must lie in [1/2, 1]")
-    if d < 1:
-        raise ValueError("degeneracy must be >= 1")
-    return c_prime * float(d) ** (-(2.0 - a) / (1.0 + a))
 
 
 def sampled_sdp_cut(

@@ -243,18 +243,6 @@ def plan_lower_bound(g: Graph, plan: EpsilonPlan) -> float:
     return g.m / 2.0 + gain - loss
 
 
-def edge_inner_bound(plan: EpsilonPlan, u: int, v: int) -> float:
-    """Upper bound on <v_u, v_v> for an edge: pairs each membership indicator
-    with the set owner's eps (-eps_v/4 when u is in V_v, and symmetrically),
-    plus eps_u eps_v |V_u ^ V_v| for the shared support."""
-    b = 0.0
-    if u in plan.sets[v]:
-        b -= plan.eps[v] / 4.0
-    if v in plan.sets[u]:
-        b -= plan.eps[u] / 4.0
-    return b + plan.eps[u] * plan.eps[v] * len(plan.sets[u] & plan.sets[v])
-
-
 def hyperplane_round(emb: Embedding, rng) -> Cut:
     """Split by the sign of each vector's dot product with a standard normal
     direction; exact-zero dot products land on side 0."""

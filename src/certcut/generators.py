@@ -167,13 +167,20 @@ def petersen() -> Graph:
     return Graph.from_edges(10, edges)
 
 
+def _check_part_sizes(a: int, b: int) -> None:
+    if a < 0 or b < 0:
+        raise InvalidParameter(f"part sizes must be >= 0, got a={a}, b={b}")
+
+
 def complete_bipartite(a: int, b: int) -> Graph:
+    _check_part_sizes(a, b)
     return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
 def random_bipartite(a: int, b: int, p: float, seed: int = 0) -> Graph:
     """Each of the a*b pairs (u, a + v) appears independently with
     probability p; pair (u, a + v) is draw number u*b + v."""
+    _check_part_sizes(a, b)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     k = _kept_pairs(make_rng(seed), a * b, p)

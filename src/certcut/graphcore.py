@@ -74,12 +74,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @cached_property
     def adj_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(a) for a in self.adjacency)
@@ -111,9 +105,6 @@ class Graph:
         eu, ev = self.edge_index
         return int(np.count_nonzero(labels[eu] != labels[ev]))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj_sets[u]
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -124,9 +115,6 @@ class Cut:
 
     side: tuple[int, ...]
     value: int
-
-    def flipped(self) -> "Cut":
-        return Cut(tuple(1 - s for s in self.side), self.value)
 
 
 @dataclass(frozen=True)
@@ -341,10 +329,6 @@ def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
         if hit is not None:
             return hit
     return None
-
-
-def is_kr_free(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET) -> bool:
-    return find_clique(g, r, budget) is None
 
 
 def cut_value(g: Graph, side) -> Cut:

@@ -165,14 +165,6 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        raw = json.loads(text)
-        names = [f.name for f in fields(cls)]
-        if sorted(raw) != sorted(names):
-            raise ParseError("report fields do not match the schema")
-        return cls(**raw)
-
     def to_csv_row(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="")

@@ -1,13 +1,15 @@
 """Self-check suites behind `certcut verify`: randomized invariant batteries
 for the certificate engine, the decomposition, the coloring cuts, and the
 t-cut expectation formulas. Each suite returns (ok, detail) and is
-deterministic given its seed.
+deterministic given its seed; the acceptance tests run the same suites at
+their own seeds and counts.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from ._rng import make_rng
 from .chromatic import (
@@ -29,6 +31,7 @@ from .generators import (
     complete,
     complete_bipartite,
     cycle,
+    disjoint_cliques,
     gnp,
     make_cr_free,
     path,
@@ -52,30 +55,31 @@ def _random_graph(rng, max_n=60):
     return gnp(n, p, seed=int(rng.integers(0, 2**63)))
 
 
-def _random_plan(g, rng):
+def random_plan(g, rng):
+    """Feasible plan with each neighbor in V_i at rate 1/2 and eps_i drawn
+    uniformly below its cap, both from ``rng``."""
     sets, eps = [], []
     for v in range(g.n):
-        nbrs = g.adjacency[v]
-        chosen = frozenset(w for w in nbrs if rng.random() < 0.5)
+        chosen = frozenset(w for w in g.adjacency[v] if rng.random() < 0.5)
         cap = 1.0 / math.sqrt(len(chosen)) if chosen else 1.0
-        eps.append(float(rng.random()) * cap)
         sets.append(chosen)
+        eps.append(float(rng.random()) * cap)
     return EpsilonPlan(tuple(sets), tuple(eps))
 
 
-def check_plan_dominance(trials=1000, max_n=60, seed=0):
+def check_plan_dominance(count=1000, seed=0):
     """Exact rounding expectation dominates the closed-form plan bound."""
     rng = make_rng(seed, 101)
     worst = math.inf
-    for _ in range(trials):
-        g = _random_graph(rng, max_n)
-        plan = _random_plan(g, rng)
+    for _ in range(count):
+        g = _random_graph(rng)
+        plan = random_plan(g, rng)
         cert = exact_expected_cut(g, build_vectors(g, plan))
         margin = cert.expected_value - plan_lower_bound(g, plan)
         worst = min(worst, margin)
         if margin < -TOL:
             return False, f"dominance violated by {margin:.3e}"
-    return True, f"{trials} plans, worst margin {worst:.3e}"
+    return True, f"{count} plans, worst margin {worst:.3e}"
 
 
 def check_triangle_sparse_constant(count=100, seed=0):
@@ -148,7 +152,7 @@ def _kr_free_pool(count, seed):
     rng = make_rng(seed, 105)
     pool = []
     while len(pool) < count:
-        kind = len(pool) % 4
+        kind = len(pool) % 5
         s = int(rng.integers(0, 2**63))
         if kind == 0:
             g, r = turan(int(rng.integers(12, 60)), 2), 3
@@ -156,9 +160,11 @@ def _kr_free_pool(count, seed):
             g, r = turan(int(rng.integers(12, 60)), 3), 4
         elif kind == 2:
             g, r = random_bipartite(int(rng.integers(4, 14)), int(rng.integers(4, 14)), 0.6, s), 3
-        else:
+        elif kind == 3:
             n = 2 * int(rng.integers(8, 30))
             g, r = make_cr_free(random_regular(n, 3, s), 3), 3
+        else:
+            g, r = disjoint_cliques(int(rng.integers(3, 12)), 3), 4
         if g.m == 0:
             continue
         pool.append((g, r))
@@ -195,32 +201,21 @@ def check_coloring_cut(count=60, seed=0):
 
 
 def tcut_expectation_oracle(g: Graph, base_side, t: int) -> Fraction:
-    """Exhaustive expectation of the random t-way refinement, exact."""
+    """Exhaustive expectation of the random t-way refinement of a base cut:
+    enumerate every joint outcome of the per-vertex independent draws."""
     s, odd = divmod(t, 2)
-    choices = []
+    options = []
     for v in range(g.n):
+        own = range(s) if base_side[v] == 0 else range(s, 2 * s)
         if odd:
-            parts = list(range(s)) if base_side[v] == 0 else list(range(s, 2 * s))
-            opts = [(q, Fraction(2, t)) for q in parts] + [(2 * s, Fraction(1, t))]
+            options.append([(q, Fraction(2, t)) for q in own] + [(2 * s, Fraction(1, t))])
         else:
-            parts = list(range(s)) if base_side[v] == 0 else list(range(s, 2 * s))
-            opts = [(q, Fraction(1, s)) for q in parts]
-        choices.append(opts)
-
+            options.append([(q, Fraction(1, s)) for q in own])
     total = Fraction(0)
-
-    def rec(v, prob, assign):
-        nonlocal total
-        if v == g.n:
-            sep = sum(1 for a, b in g.edges if assign[a] != assign[b])
-            total += prob * sep
-            return
-        for part, q in choices[v]:
-            assign.append(part)
-            rec(v + 1, prob * q, assign)
-            assign.pop()
-
-    rec(0, Fraction(1), [])
+    for outcome in product(*options):
+        part = [q for q, _ in outcome]
+        prob = math.prod(q for _, q in outcome)
+        total += prob * sum(1 for u, v in g.edges if part[u] != part[v])
     return total
 
 
@@ -264,10 +259,6 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, trials: int | None = None):
+def run_suite(name: str, seed: int = 0, count: int | None = None):
     fn = SUITES[name]
-    kwargs = {"seed": seed}
-    if trials is not None:
-        key = "trials" if name == "plan-dominance" else "count"
-        kwargs[key] = trials
-    return fn(**kwargs)
+    return fn(seed=seed) if count is None else fn(count=count, seed=seed)

@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -54,6 +55,14 @@ def named_small_graphs() -> dict[str, Graph]:
         graphs[f"gnp12_{s}"] = gnp(12, 0.3, seed=100 + s)
         graphs[f"gnp16_{s}"] = gnp(16, 0.25, seed=200 + s)
     return graphs
+
+
+@st.composite
+def graphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, chosen)
 
 
 @pytest.fixture(scope="session")

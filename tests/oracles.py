@@ -1,13 +1,12 @@
 """Independent brute-force oracles for the test suite.
 
 These deliberately avoid the library's own enumeration paths: plain
-itertools/Fraction implementations straight from the definitions, usable up
+itertools implementations straight from the definitions, usable up
 to a dozen-ish vertices.
 """
 
 import heapq
 import math
-from fractions import Fraction
 from itertools import combinations, product
 
 from certcut._rng import make_rng
@@ -165,26 +164,16 @@ def reference_make_cr_free(g: Graph, r: int, budget: int = 10**8) -> Graph:
     return Graph.from_edges(g.n, edges)
 
 
-def tcut_split_expectation(g: Graph, base_side, t: int) -> Fraction:
-    """Exhaustive expectation of the random t-way refinement of a base cut:
-    enumerate every joint outcome of the per-vertex independent draws."""
-    s, odd = divmod(t, 2)
-    options = []
-    for v in range(g.n):
-        own = list(range(s)) if base_side[v] == 0 else list(range(s, 2 * s))
-        if odd:
-            opts = [(q, Fraction(2, t)) for q in own] + [(2 * s, Fraction(1, t))]
-        else:
-            opts = [(q, Fraction(1, s)) for q in own]
-        options.append(opts)
-    total = Fraction(0)
-    for outcome in product(*options):
-        part = [q for q, _ in outcome]
-        prob = Fraction(1)
-        for _, q in outcome:
-            prob *= q
-        total += prob * sum(1 for u, v in g.edges if part[u] != part[v])
-    return total
+def edge_inner_bound(plan, u: int, v: int) -> float:
+    """Upper bound on <v_u, v_v> for an edge: pairs each membership indicator
+    with the set owner's eps (-eps_v/4 when u is in V_v, and symmetrically),
+    plus eps_u eps_v |V_u ^ V_v| for the shared support."""
+    b = 0.0
+    if u in plan.sets[v]:
+        b -= plan.eps[v] / 4.0
+    if v in plan.sets[u]:
+        b -= plan.eps[u] / 4.0
+    return b + plan.eps[u] * plan.eps[v] * len(plan.sets[u] & plan.sets[v])
 
 
 def reference_vector(emb, i: int) -> dict[int, float]:
@@ -270,7 +259,7 @@ def reference_degeneracy_order(g: Graph) -> DegeneracyOrder:
     """Min-degree peel with one heap of (degree, id) pairs and lazy deletion:
     lowest degree first, lowest id on ties, removal sequence reversed."""
     n = g.n
-    deg = [g.degree(v) for v in range(n)]
+    deg = [len(a) for a in g.adjacency]
     removed = [False] * n
     heap = [(deg[v], v) for v in range(n)]
     heapq.heapify(heap)

@@ -1,5 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
-pass/fail line. Tolerances are pinned here, not configurable."""
+pass/fail line. The randomized batteries are the ``certcut verify`` checks
+run at this suite's own pinned seeds and counts; tolerances are pinned, not
+configurable."""
 
 import math
 import re
@@ -7,7 +9,6 @@ import time
 
 from certcut._rng import make_rng
 from certcut.chromatic import (
-    coloring_class_bound,
     coloring_cut,
     kr_free_coloring,
     max_t_cut,
@@ -18,25 +19,15 @@ from certcut.decompose import (
     composite_cut,
     greedy_half_cut,
     kr_cut,
-    partition_triangle_sparse,
     sampled_sdp_cut,
 )
-from certcut.embedding import (
-    EpsilonPlan,
-    back_neighbor_plan,
-    build_vectors,
-    exact_expected_cut,
-    plan_lower_bound,
-    sdp_cut,
-)
+from certcut.embedding import back_neighbor_plan, build_vectors, exact_expected_cut, sdp_cut
 from certcut.generators import (
     complete_bipartite,
-    disjoint_cliques,
     gnp,
     make_cr_free,
     random_bipartite,
     random_regular,
-    turan,
 )
 from certcut.graphcore import (
     count_triangles,
@@ -47,8 +38,15 @@ from certcut.graphcore import (
 )
 from certcut.harness import format_edge_list
 from certcut.oracle import max_cut_exact, max_t_cut_exact, monte_carlo_cut_mean
-from certcut.verify import decomposition_invariants
-from oracles import tcut_split_expectation
+from certcut.verify import (
+    check_coloring_classes,
+    check_coloring_cut,
+    check_decomposition,
+    check_plan_dominance,
+    check_triangle_sparse_constant,
+    random_plan,
+    tcut_expectation_oracle,
+)
 
 TOL = 1e-9
 
@@ -57,32 +55,14 @@ def report(name, detail=""):
     print(f"[acceptance] {name}: PASS {detail}")
 
 
-def random_plan(g, rng):
-    sets, eps = [], []
-    for v in range(g.n):
-        chosen = frozenset(w for w in g.adjacency[v] if rng.random() < 0.5)
-        cap = 1.0 / math.sqrt(len(chosen)) if chosen else 1.0
-        sets.append(chosen)
-        eps.append(float(rng.random()) * cap)
-    return EpsilonPlan(tuple(sets), tuple(eps))
-
-
 def test_certificate_dominates_plan_bound():
     """1000 random (graph, plan) pairs with n <= 60, margin >= -1e-9, <10s."""
-    rng = make_rng(1001)
     start = time.perf_counter()
-    worst = math.inf
-    for k in range(1000):
-        n = int(rng.integers(2, 61))
-        p = 0.3 + 0.3 * rng.random() if k % 5 == 0 and n <= 20 else min(1.0, (1 + 3 * rng.random()) / n)
-        g = gnp(n, p, int(rng.integers(0, 2**62)))
-        plan = random_plan(g, rng)
-        cert = exact_expected_cut(g, build_vectors(g, plan))
-        worst = min(worst, cert.expected_value - plan_lower_bound(g, plan))
-        assert cert.expected_value >= plan_lower_bound(g, plan) - TOL
+    ok, detail = check_plan_dominance(count=1000, seed=1001)
     elapsed = time.perf_counter() - start
+    assert ok, detail
     assert elapsed < 10.0
-    report("dominance over the plan bound", f"(1000 pairs, worst margin {worst:.2e}, {elapsed:.1f}s)")
+    report("dominance over the plan bound", f"({detail}, {elapsed:.1f}s)")
 
 
 def test_triangle_free_certificate_formula():
@@ -112,78 +92,25 @@ def test_triangle_free_certificate_formula():
 
 def test_triangle_sparse_sixty_constant():
     """100 graphs with verified t <= m/(8 eps): certificate >= (1/2 + eps/60) m."""
-    rng = make_rng(1003)
-    checked = 0
-    while checked < 100:
-        n = int(rng.integers(6, 50))
-        g = gnp(n, min(1.0, (1 + 2.5 * rng.random()) / n), int(rng.integers(0, 2**62)))
-        d = degeneracy_order(g).degeneracy
-        if d == 0:
-            continue
-        eps = 1.0 / math.sqrt(d)
-        if count_triangles(g) * 8.0 * eps > g.m:
-            continue
-        _, cert = sdp_cut(g, eps, repeats=1, seed=checked)
-        assert cert.expected_value >= (0.5 + eps / 60.0) * g.m - TOL
-        checked += 1
-    report("triangle-sparse surplus constant 1/60", "(100 graphs)")
+    ok, detail = check_triangle_sparse_constant(count=100, seed=1003)
+    assert ok, detail
+    report("triangle-sparse surplus constant 1/60", f"({detail})")
 
 
 def test_partition_invariants():
     """200 random graphs (n <= 300) across the eps grid: all invariants hold."""
-    rng = make_rng(1004)
-    grid = [0.1, 0.25, 0.5, 1.0, 2.0]
-    for k in range(200):
-        if k % 4 == 0:
-            n = int(rng.integers(80, 301))
-            g = gnp(n, 6.0 / n, int(rng.integers(0, 2**62)))
-        elif k % 4 == 1:
-            g = gnp(int(rng.integers(8, 40)), 0.4, int(rng.integers(0, 2**62)))
-        else:
-            g = gnp(int(rng.integers(10, 80)), 0.15, int(rng.integers(0, 2**62)))
-        eps = grid[k % len(grid)]
-        decomp = partition_triangle_sparse(g, eps)
-        violation = decomposition_invariants(g, decomp)
-        assert violation is None, violation
-    report("triangle-sparse partition invariants", "(200 graphs x eps grid)")
-
-
-def _clique_free_pool(count, seed):
-    rng = make_rng(seed)
-    pool = []
-    while len(pool) < count:
-        kind = len(pool) % 5
-        s = int(rng.integers(0, 2**62))
-        if kind == 0:
-            g, r = turan(int(rng.integers(12, 80)), 2), 3
-        elif kind == 1:
-            g, r = turan(int(rng.integers(12, 80)), 3), 4
-        elif kind == 2:
-            g, r = random_bipartite(int(rng.integers(4, 16)), int(rng.integers(4, 16)),
-                                    0.6, s), 3
-        elif kind == 3:
-            n = 2 * int(rng.integers(8, 30))
-            g, r = make_cr_free(random_regular(n, 3, s), 3), 3
-        else:
-            g, r = disjoint_cliques(int(rng.integers(3, 12)), 3), 4
-        if g.m == 0:
-            continue
-        pool.append((g, r))
-    return pool
+    ok, detail = check_decomposition(count=200, seed=1004)
+    assert ok, detail
+    report("triangle-sparse partition invariants", f"({detail} x eps grid)")
 
 
 def test_coloring_pipeline():
     """100 clique-free graphs (r in {3,4}): proper coloring, class bound,
     and the pipeline certificate floor. Runtime < 30s."""
     start = time.perf_counter()
-    for g, r in _clique_free_pool(100, 1005):
-        col = kr_free_coloring(g, r)
-        for u, v in g.edges:
-            assert col.color[u] != col.color[v]
-        assert col.classes <= coloring_class_bound(g.n, r) + TOL
-        _, cert = coloring_cut(g, col)
-        floor = (0.5 + 1.0 / (8.0 * g.n ** ((r - 2) / (r - 1)))) * g.m
-        assert cert.expected_value >= floor - TOL
+    for check in (check_coloring_classes, check_coloring_cut):
+        ok, detail = check(count=100, seed=1005)
+        assert ok, detail
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report("coloring pipeline bounds", f"(100 graphs, {elapsed:.1f}s)")
@@ -252,7 +179,7 @@ def test_tcut_certificate_exact(small_graphs):
             w = base.value - g.m / 2
             for t in (2, 3, 4):
                 closed = t_cut_expected_value(g.m, base.value, t)
-                exact = float(tcut_split_expectation(g, base.side, t))
+                exact = float(tcut_expectation_oracle(g, base.side, t))
                 assert abs(closed - exact) <= TOL
                 surplus = closed - (t - 1) / t * g.m
                 expected_surplus = 2 * w / t if t % 2 == 0 else 2 * (t - 1) * w / (t * t)

@@ -1,12 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certcut._rng import make_rng
+from certcut.chromatic import coloring_cut, kr_free_coloring
 from certcut.decompose import (
     combine_subcuts,
     composite_cut,
-    epsilon_for_surplus_exponent,
     extend_cut,
     find_dense_subset,
     greedy_half_cut,
@@ -39,10 +41,12 @@ from certcut.graphcore import (
     Graph,
     cut_value,
     degeneracy_order,
+    find_clique,
     induced_subgraph,
 )
 from certcut.oracle import max_cut_exact
 from certcut.verify import decomposition_invariants
+from conftest import graphs
 from oracles import brute_max_cut
 
 
@@ -302,9 +306,7 @@ class TestKrCut:
         for seed in range(4):
             g = gnp(16, 0.3, seed + 10)
             g = make_cr_free(g, 3) if r == 3 else g
-            from certcut.graphcore import is_kr_free
-
-            if not is_kr_free(g, r):
+            if find_clique(g, r) is not None:
                 continue
             cut, cert = kr_cut(g, r, repeats=8, seed=seed)
             assert cert.expected_value >= g.m / 2
@@ -351,13 +353,30 @@ def test_constant_epsilon_is_checked_up_front(solve, eps):
         solve(complete(5), eps)
 
 
-class TestEpsilonHelper:
-    def test_known_exponents(self):
-        assert epsilon_for_surplus_exponent(1.0, 1.0, 16) == pytest.approx(0.25)
-        assert epsilon_for_surplus_exponent(0.8, 1.0, 8) == pytest.approx(8 ** (-2 / 3))
+def labeled_cut(data, g, vs):
+    """Cut of the subgraph induced by ``vs`` with drawn labels."""
+    sub, _ = induced_subgraph(g, vs)
+    return cut_value(sub, data.draw(st.lists(st.integers(0, 1), min_size=sub.n, max_size=sub.n)))
 
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            epsilon_for_surplus_exponent(0.3, 1.0, 4)
-        with pytest.raises(ValueError):
-            epsilon_for_surplus_exponent(0.8, 1.0, 0)
+
+@given(graphs(), st.data())
+@settings(deadline=None, max_examples=60)
+def test_derandomized_cuts_meet_their_certificates(g, data):
+    """Every derandomized procedure returns value >= certificate, with zero
+    tolerance: greedy extension, greedy block combination, and the class
+    split of a clique-free coloring."""
+    results = [greedy_half_cut(g)]
+    u = sorted(data.draw(st.sets(st.integers(0, g.n - 1))))
+    results.append(extend_cut(g, u, labeled_cut(data, g, u)))
+    block_of = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    blocks = []
+    for b in sorted(set(block_of)):
+        vs = [v for v in range(g.n) if block_of[v] == b]
+        blocks.append((vs, labeled_cut(data, g, vs)))
+    results.append(combine_subcuts(g, blocks))
+    r = 2
+    while find_clique(g, r) is not None:
+        r += 1
+    results.append(coloring_cut(g, kr_free_coloring(g, r)))
+    for cut, cert in results:
+        assert cut.value >= cert.expected_value

@@ -12,7 +12,6 @@ from certcut.embedding import (
     EpsilonPlan,
     back_neighbor_plan,
     build_vectors,
-    edge_inner_bound,
     exact_expected_cut,
     hyperplane_round,
     plan_lower_bound,
@@ -30,7 +29,8 @@ from certcut.generators import (
     random_regular,
 )
 from certcut.graphcore import Graph, count_triangles, degeneracy_order
-from oracles import reference_edge_terms, reference_inner, reference_vector
+from certcut.verify import random_plan
+from oracles import edge_inner_bound, reference_edge_terms, reference_inner, reference_vector
 
 TOL = 1e-9
 
@@ -47,16 +47,6 @@ def antipodal_plan():
 
 def identity_plan(g):
     return EpsilonPlan(tuple(frozenset() for _ in range(g.n)), (0.0,) * g.n)
-
-
-def random_plan(g, rng):
-    sets, eps = [], []
-    for v in range(g.n):
-        chosen = frozenset(w for w in g.adjacency[v] if rng.random() < 0.5)
-        cap = 1.0 / math.sqrt(len(chosen)) if chosen else 1.0
-        sets.append(chosen)
-        eps.append(float(rng.random()) * cap)
-    return EpsilonPlan(tuple(sets), tuple(eps))
 
 
 class TestEpsilonPlan:

@@ -5,7 +5,13 @@ import tracemalloc
 import pytest
 
 from certcut import generators
-from certcut.errors import BudgetExceeded, InfeasibleDegree, InfeasibleSpec, VertexOutOfRange
+from certcut.errors import (
+    BudgetExceeded,
+    InfeasibleDegree,
+    InfeasibleSpec,
+    InvalidParameter,
+    VertexOutOfRange,
+)
 from certcut.generators import (
     GenSpec,
     blowup,
@@ -47,7 +53,7 @@ class TestRandomRegular:
 
     def test_output_is_simple_and_regular(self):
         g = random_regular(20, 3, seed=7)
-        assert all(g.degree(v) == 3 for v in range(20))
+        assert all(len(a) == 3 for a in g.adjacency)
         assert len(set(g.edges)) == g.m == 30
 
     def test_reproducible(self):
@@ -227,13 +233,26 @@ class TestFamilies:
         assert count_triangles(g) == 0
 
     def test_star_path_petersen_shapes(self):
-        assert star(9).degree(0) == 9
+        assert len(star(9).adjacency[0]) == 9
         assert petersen().m == 15
-        assert all(petersen().degree(v) == 3 for v in range(10))
+        assert all(len(a) == 3 for a in petersen().adjacency)
 
     def test_random_bipartite_has_no_odd_cycles(self):
         g = random_bipartite(6, 7, 0.5, seed=2)
         assert count_triangles(g) == 0
+
+    @pytest.mark.parametrize("a, b", [(-1, 3), (3, -1), (-2, -2)])
+    def test_negative_part_sizes_are_refused(self, a, b):
+        with pytest.raises(InvalidParameter, match="part sizes"):
+            complete_bipartite(a, b)
+        with pytest.raises(InvalidParameter, match="part sizes"):
+            random_bipartite(a, b, 0.5, seed=0)
+        with pytest.raises(InfeasibleSpec, match="part sizes"):
+            family(GenSpec("bipartite", {"a": a, "b": b, "p": 0.5}))
+
+    def test_empty_parts_are_allowed(self):
+        assert complete_bipartite(0, 3).n == 3 and complete_bipartite(0, 3).m == 0
+        assert random_bipartite(3, 0, 0.5, seed=0).m == 0
 
 
 class TestFamilyDispatch:

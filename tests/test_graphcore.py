@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from certcut.errors import (
     BudgetExceeded,
@@ -21,17 +20,9 @@ from certcut.graphcore import (
     edwards_bound,
     find_clique,
     induced_subgraph,
-    is_kr_free,
 )
+from conftest import graphs
 from oracles import brute_cliques, brute_degeneracy, brute_max_cut, brute_triangles
-
-
-@st.composite
-def graphs(draw, max_n=10):
-    n = draw(st.integers(1, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Graph.from_edges(n, chosen)
 
 
 class TestGraphConstruction:
@@ -155,9 +146,8 @@ class TestCliques:
 
     def test_find_clique_and_freeness(self):
         assert find_clique(cycle(5), 3) is None
-        assert is_kr_free(cycle(5), 3)
         assert find_clique(complete(4), 3) == (0, 1, 2)
-        assert not is_kr_free(complete(4), 4)
+        assert find_clique(complete(4), 4) == (0, 1, 2, 3)
 
 
 class TestCutValue:
@@ -183,7 +173,6 @@ class TestCutValue:
         side = [v % 2 for v in range(g.n)]
         cut = cut_value(g, side)
         assert cut.value <= g.m
-        assert cut.flipped().value == cut.value
         assert cut_value(g, [1 - s for s in side]).value == cut.value
 
 

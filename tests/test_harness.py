@@ -110,7 +110,7 @@ def sample_report():
 class TestRunReport:
     def test_json_round_trip(self):
         report = sample_report()
-        assert RunReport.from_json(report.to_json()) == report
+        assert RunReport(**json.loads(report.to_json())) == report
 
     def test_json_field_order_is_schema_order(self):
         keys = list(json.loads(sample_report().to_json()))
@@ -120,10 +120,6 @@ class TestRunReport:
         row = sample_report().to_csv_row()
         assert row.split(",")[0] == "x.txt"
         assert len(row.split(",")) == len(CSV_HEADER.split(","))
-
-    def test_from_json_rejects_alien_fields(self):
-        with pytest.raises(ParseError):
-            RunReport.from_json('{"graph": "x"}')
 
 
 def run_cli(capsys, *argv):
@@ -272,7 +268,7 @@ class TestCli:
         )
         assert code == 0
         g = parse_graph(out)
-        assert all(g.degree(v) == 5 for v in range(60))
+        assert all(len(a) == 5 for a in g.adjacency)
 
     def test_verify_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "tcut-expectation")
@@ -380,6 +376,12 @@ class TestCliRefusals:
         (("verify", "--suite", "tcut-expectation", "--trials", "0"), "--trials"),
         (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3", "--instances", "0"), "--instances"),
         (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3", "--instances", "-2"), "--instances"),
+        (("gen", "--model", "bipartite", "--a", "-1", "--b", "3"), "part sizes"),
+        (("gen", "--model", "bipartite", "--a", "-1", "--b", "3", "--p", "0.5"), "part sizes"),
+        (("gen", "--model", "bipartite", "--a", "3", "--b", "-1"), "part sizes"),
+        (("gen", "--model", "bipartite", "--a", "3", "--b", "-1", "--p", "0.5"), "part sizes"),
+        (("bench", "--family", "regular", "--nlist", ",", "--dlist", "3"), "--nlist"),
+        (("bench", "--family", "regular", "--nlist", "12", "--dlist", ""), "--dlist"),
     ])
     def test_bad_gen_bench_verify_input_exits_3(self, capsys, argv, needle):
         code, out, err = run_cli(capsys, *argv)

@@ -121,7 +121,8 @@ def check_triangle_list(g: Graph):
     assert tri.shape == (len(tri), 3)
     rows = [tuple(sorted(int(v) for v in row)) for row in tri]
     assert len(set(rows)) == len(rows)
-    assert all(g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c) for a, b, c in rows)
+    adj = g.adj_sets
+    assert all(b in adj[a] and c in adj[a] and c in adj[b] for a, b, c in rows)
     assert sorted(rows) == brute_triangle_list(g)
 
 
