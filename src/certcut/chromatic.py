@@ -43,7 +43,7 @@ def _ramsey_bound(r: int, s: int) -> int:
     return math.comb(r + s - 2, s - 1)
 
 
-def _ramsey(g: Graph, verts: list[int], r: int, s: int) -> set[int]:
+def _ramsey(adj: list[list[int]], verts: list[int], r: int, s: int) -> set[int]:
     if s <= 0:
         return set()
     if len(verts) < _ramsey_bound(r, s):
@@ -54,23 +54,23 @@ def _ramsey(g: Graph, verts: list[int], r: int, s: int) -> set[int]:
     vset = set(verts)
     if r == 2:
         for v in verts:
-            for w in g.adjacency[v]:
+            for w in adj[v]:
                 if w > v and w in vset:
                     raise CliqueFound((v, w))
         return set(verts[:s])
     if s == 1:
         return {verts[0]}
-    pivot = max(verts, key=lambda v: (sum(1 for w in g.adjacency[v] if w in vset), -v))
-    nbrs = sorted(w for w in g.adjacency[pivot] if w in vset)
+    pivot = max(verts, key=lambda v: (sum(1 for w in adj[v] if w in vset), -v))
+    nbrs = [w for w in adj[pivot] if w in vset]
     if len(nbrs) >= _ramsey_bound(r - 1, s):
         try:
-            return _ramsey(g, nbrs, r - 1, s)
+            return _ramsey(adj, nbrs, r - 1, s)
         except CliqueFound as found:
             # a clique inside the pivot's neighborhood extends by the pivot
             raise CliqueFound((*found.witness, pivot)) from None
     nbr_set = set(nbrs)
     non = [v for v in verts if v != pivot and v not in nbr_set]
-    return _ramsey(g, non, r, s - 1) | {pivot}
+    return _ramsey(adj, non, r, s - 1) | {pivot}
 
 
 def ramsey_independent_set(g: Graph, r: int, s: int) -> frozenset[int]:
@@ -86,18 +86,18 @@ def ramsey_independent_set(g: Graph, r: int, s: int) -> frozenset[int]:
         raise ValueError("r must be >= 2")
     if s < 0:
         raise ValueError("s must be >= 0")
-    return frozenset(_ramsey(g, list(range(g.n)), r, s))
+    return frozenset(_ramsey(g.rows(), list(range(g.n)), r, s))
 
 
-def _grow_maximal(g: Graph, ind: set[int], verts: list[int]) -> set[int]:
+def _grow_maximal(adj: list[list[int]], ind: set[int], verts: list[int]) -> set[int]:
     # greedy maximal extension inside verts, lowest id first
     blocked = set()
     for v in ind:
-        blocked.update(g.adjacency[v])
+        blocked.update(adj[v])
     for v in verts:
         if v not in ind and v not in blocked:
             ind.add(v)
-            blocked.update(g.adjacency[v])
+            blocked.update(adj[v])
     return ind
 
 
@@ -122,6 +122,7 @@ def kr_free_coloring(g: Graph, r: int) -> Coloring:
     """
     if r < 2:
         raise InvalidParameter(f"r must be >= 2, got {r}")
+    adj = g.rows()
     color = [-1] * g.n
     residual = list(range(g.n))
     next_class = 0
@@ -130,7 +131,7 @@ def kr_free_coloring(g: Graph, r: int) -> Coloring:
         if len(residual) <= base_threshold:
             top = next_class
             for v in residual:
-                used = {color[w] for w in g.adjacency[v] if color[w] >= next_class}
+                used = {color[w] for w in adj[v] if color[w] >= next_class}
                 c = next_class
                 while c in used:
                     c += 1
@@ -140,8 +141,8 @@ def kr_free_coloring(g: Graph, r: int) -> Coloring:
             residual = []
         else:
             s = _floor_root(len(residual), r - 1)
-            ind = _ramsey(g, residual, r, s)
-            ind = _grow_maximal(g, set(ind), residual)
+            ind = _ramsey(adj, residual, r, s)
+            ind = _grow_maximal(adj, set(ind), residual)
             for v in ind:
                 color[v] = next_class
             next_class += 1
@@ -171,7 +172,8 @@ def coloring_cut(g: Graph, col: Coloring) -> tuple[Cut, CutCertificate]:
     """
     if len(col.color) != g.n:
         raise ImproperColoring(f"coloring covers {len(col.color)} of {g.n} vertices")
-    for u, v in g.edges:
+    edges = g.edges
+    for u, v in edges:
         if col.color[u] == col.color[v]:
             raise ImproperColoring(f"edge ({u}, {v}) is monochromatic")
     t = col.classes
@@ -180,7 +182,7 @@ def coloring_cut(g: Graph, col: Coloring) -> tuple[Cut, CutCertificate]:
         return cut, CutCertificate(0.0, None, "coloring_bound", 0.0)
 
     weights = [[0] * t for _ in range(t)]
-    for u, v in g.edges:
+    for u, v in edges:
         cu, cv = col.color[u], col.color[v]
         weights[cu][cv] += 1
         weights[cv][cu] += 1

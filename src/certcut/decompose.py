@@ -88,19 +88,18 @@ def partition_triangle_sparse(g: Graph, eps: float) -> Decomposition:
     is nonempty.
 
     The residual is an ``alive`` mask over ``g``'s own vertices: its edge and
-    triangle counts are masked counts over ``g.edge_index`` and
+    triangle counts are masked counts over ``g.eu``/``g.ev`` and
     ``g.triangle_list``, and its canonical order is :func:`peel` on the mask,
     so no round builds a subgraph.
     """
     _check_partition_eps(eps)
     ta, tb, tc = g.triangle_list.T
-    eu, ev = g.edge_index
     alive = np.ones(g.n, dtype=bool)
     parts: list[frozenset[int]] = []
     witnesses: list[int] = []
     while True:
         t = int(np.count_nonzero(alive[ta] & alive[tb] & alive[tc]))
-        m = int(np.count_nonzero(alive[eu] & alive[ev]))
+        m = int(np.count_nonzero(alive[g.eu] & alive[g.ev]))
         if t == 0 or t * eps < m:
             break
         order = peel(g, alive) if parts else g.degeneracy_order
@@ -148,6 +147,7 @@ def combine_subcuts(g: Graph, blocks) -> tuple[Cut, CutCertificate]:
     if seen != set(range(g.n)):
         raise NotAPartition("blocks do not cover the vertex set")
 
+    adj = g.rows()
     side = [0] * g.n
     placed = [False] * g.n
     internal_edges = 0
@@ -156,16 +156,10 @@ def combine_subcuts(g: Graph, blocks) -> tuple[Cut, CutCertificate]:
         sub, vmap = _check_block_cut(g, vs, cut)
         internal_edges += sub.m
         internal_value += cut.value
-        keep = flip = 0
-        for local, v in enumerate(vmap.to_parent):
-            sv = cut.side[local]
-            for w in g.adjacency[v]:
-                if placed[w]:
-                    if sv != side[w]:
-                        keep += 1
-                    else:
-                        flip += 1
-        orient = 0 if keep >= flip else 1
+        # edges to placed vertices that the block's own labels leave uncut
+        uncut = [cut.side[local] == side[w]
+                 for local, v in enumerate(vmap.to_parent) for w in adj[v] if placed[w]]
+        orient = 0 if 2 * sum(uncut) <= len(uncut) else 1
         for local, v in enumerate(vmap.to_parent):
             side[v] = cut.side[local] ^ orient
             placed[v] = True
@@ -187,12 +181,11 @@ def extend_cut(g: Graph, u, cut_u: Cut) -> tuple[Cut, CutCertificate]:
     for local, v in enumerate(vmap.to_parent):
         side[v] = cut_u.side[local]
         placed[v] = True
-    for v in range(g.n):
+    for v, row in enumerate(g.rows()):
         if placed[v]:
             continue
-        to_one = sum(1 for w in g.adjacency[v] if placed[w] and side[w] == 1)
-        to_zero = sum(1 for w in g.adjacency[v] if placed[w] and side[w] == 0)
-        side[v] = 0 if to_one >= to_zero else 1
+        near = [side[w] for w in row if placed[w]]
+        side[v] = 0 if 2 * sum(near) >= len(near) else 1
         placed[v] = True
     final = cut_value(g, side)
     cert = (g.m - sub.m) / 2 + cut_u.value

@@ -52,8 +52,9 @@ class EpsilonPlan:
     def validate(self, g: Graph) -> None:
         if len(self.sets) != g.n or len(self.eps) != g.n:
             raise InvalidEpsilon(f"plan covers {len(self.sets)} of {g.n} vertices")
+        rows = g.rows()
         for i in range(g.n):
-            if not self.sets[i] <= g.adj_sets[i]:
+            if not self.sets[i].issubset(rows[i]):
                 raise InvalidEpsilon(f"V_{i} is not a subset of the neighbors of {i}")
             e = self.eps[i]
             if not math.isfinite(e):
@@ -209,16 +210,12 @@ def build_vectors(g: Graph, plan: EpsilonPlan) -> Embedding:
     return Embedding(g, plan)
 
 
-def _check_same_graph(g: Graph, emb: Embedding) -> None:
-    if emb.graph is not g and (emb.graph.n != g.n or emb.graph.edges != g.edges):
-        raise ValueError("embedding was built for a different graph")
-
-
 def exact_expected_cut(g: Graph, emb: Embedding) -> CutCertificate:
     """Exact expected cut of hyperplane rounding: sum of arccos(<v_i,v_j>)/pi."""
-    _check_same_graph(g, emb)
+    if emb.graph is not g and (emb.graph.n != g.n or emb.graph.edges != g.edges):
+        raise ValueError("embedding was built for a different graph")
     probs = []
-    for u, v in g.edges:
+    for u, v in zip(g.eu.tolist(), g.ev.tolist()):
         x = emb.inner(u, v)
         x = 1.0 if x > 1.0 else (-1.0 if x < -1.0 else x)
         probs.append(math.acos(x) / math.pi)
@@ -236,7 +233,7 @@ def plan_lower_bound(g: Graph, plan: EpsilonPlan) -> float:
     loss = (
         math.fsum(
             plan.eps[u] * plan.eps[v] * len(plan.sets[u] & plan.sets[v])
-            for u, v in g.edges
+            for u, v in zip(g.eu.tolist(), g.ev.tolist())
         )
         / 2.0
     )

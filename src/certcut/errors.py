@@ -22,6 +22,11 @@ class RetryLimitExceeded(BudgetExceeded):
 
 
 class ParseError(CertcutError):
+    """Malformed input at ``line``, when known; ``Graph.from_edges`` sets
+    ``index``, the position of the pair it refuses."""
+
+    index = None
+
     def __init__(self, message, line=None):
         self.line = line
         if line is not None:

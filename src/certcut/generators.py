@@ -11,7 +11,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import make_rng
-from .errors import BudgetExceeded, InfeasibleDegree, InfeasibleSpec, InvalidParameter, RetryLimitExceeded
+from .errors import (
+    BudgetExceeded,
+    DuplicateEdge,
+    InfeasibleDegree,
+    InfeasibleSpec,
+    InvalidParameter,
+    RetryLimitExceeded,
+    SelfLoop,
+)
 from .graphcore import Graph
 
 
@@ -23,26 +31,17 @@ def random_regular(n: int, d: int, seed: int = 0, max_restarts: int = 1000) -> G
     decays like exp(-(d-1)/2 - (d-1)^2/4), so degrees beyond ~5 need a much
     larger restart budget.
     """
+    _check_sizes("vertex count", n=n)
     if d < 0 or (n * d) % 2 != 0 or (d >= n and n > 0):
         raise InfeasibleDegree(f"no simple {d}-regular graph on {n} vertices")
     rng = make_rng(seed)
-    stubs = [v for v in range(n) for _ in range(d)]
+    stubs = np.repeat(np.arange(n), d)
     for _ in range(max_restarts):
-        perm = rng.permutation(len(stubs)) if stubs else []
-        edges = set()
-        ok = True
-        for k in range(0, len(stubs), 2):
-            u, v = stubs[int(perm[k])], stubs[int(perm[k + 1])]
-            if u == v:
-                ok = False
-                break
-            e = (u, v) if u < v else (v, u)
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if ok:
-            return Graph.from_edges(n, sorted(edges))
+        pairing = stubs[rng.permutation(len(stubs))] if len(stubs) else stubs
+        try:
+            return Graph.from_edges(n, pairing.reshape(-1, 2))
+        except (SelfLoop, DuplicateEdge):
+            continue
     raise RetryLimitExceeded(f"no simple pairing found in {max_restarts} restarts")
 
 
@@ -69,6 +68,7 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
     Pair (u, v), u < v, is draw number u*n - u(u+1)/2 + (v - u - 1), the
     row-major order of the upper triangle.
     """
+    _check_sizes("vertex count", n=n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     k = _kept_pairs(make_rng(seed), n * (n - 1) // 2 if n > 1 else 0, p)
@@ -76,7 +76,7 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
     row_start = rows * n - rows * (rows + 1) // 2
     u = np.searchsorted(row_start, k, side="right") - 1
     v = k - row_start[u] + u + 1
-    return Graph.from_edges(n, zip(u.tolist(), v.tolist()))
+    return Graph.from_edges(n, np.stack((u, v), axis=1))
 
 
 def _find_cycle(adj: dict, n: int, r: int, steps: list, budget: int, first: int):
@@ -122,7 +122,7 @@ def make_cr_free(g: Graph, r: int, budget: int = 10**8) -> Graph:
     """
     if r < 3:
         raise InvalidParameter(f"cycle length r must be >= 3, got {r}")
-    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    adj = {v: set(row) for v, row in enumerate(g.rows())}
     steps = [0]
     first = 0
     while True:
@@ -140,21 +140,31 @@ def make_cr_free(g: Graph, r: int, budget: int = 10**8) -> Graph:
     return Graph.from_edges(g.n, edges)
 
 
+def _check_sizes(what: str, **sizes: int) -> None:
+    if any(x < 0 for x in sizes.values()):
+        got = ", ".join(f"{name}={x}" for name, x in sizes.items())
+        raise InvalidParameter(f"{what} must be >= 0, got {got}")
+
+
 def complete(n: int) -> Graph:
+    _check_sizes("vertex count", n=n)
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def cycle(n: int) -> Graph:
+    _check_sizes("vertex count", n=n)
     if n < 3:
         raise InfeasibleSpec("a cycle needs at least 3 vertices")
     return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def path(n: int) -> Graph:
+    _check_sizes("vertex count", n=n)
     return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def star(leaves: int) -> Graph:
+    _check_sizes("leaf count", leaves=leaves)
     return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
 
 
@@ -167,29 +177,25 @@ def petersen() -> Graph:
     return Graph.from_edges(10, edges)
 
 
-def _check_part_sizes(a: int, b: int) -> None:
-    if a < 0 or b < 0:
-        raise InvalidParameter(f"part sizes must be >= 0, got a={a}, b={b}")
-
-
 def complete_bipartite(a: int, b: int) -> Graph:
-    _check_part_sizes(a, b)
+    _check_sizes("part sizes", a=a, b=b)
     return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
 def random_bipartite(a: int, b: int, p: float, seed: int = 0) -> Graph:
     """Each of the a*b pairs (u, a + v) appears independently with
     probability p; pair (u, a + v) is draw number u*b + v."""
-    _check_part_sizes(a, b)
+    _check_sizes("part sizes", a=a, b=b)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     k = _kept_pairs(make_rng(seed), a * b, p)
-    return Graph.from_edges(a + b, zip((k // b).tolist(), (a + k % b).tolist()))
+    return Graph.from_edges(a + b, np.stack((k // b, a + k % b), axis=1))
 
 
 def turan(n: int, classes: int) -> Graph:
     """Complete multipartite graph with balanced classes (v's class is v mod
     classes); the canonical dense K_(classes+1)-free instance."""
+    _check_sizes("vertex count", n=n)
     if classes < 1:
         raise InfeasibleSpec("need at least one class")
     edges = [
@@ -206,21 +212,14 @@ def blowup(base: Graph, k: int) -> Graph:
     with the complete bipartite join of the two sets."""
     if k < 1:
         raise InfeasibleSpec("blowup factor must be >= 1")
-    edges = []
-    for u, v in base.edges:
-        for i in range(k):
-            for j in range(k):
-                edges.append((u * k + i, v * k + j))
+    edges = [(u * k + i, v * k + j) for u, v in base.edges for i in range(k) for j in range(k)]
     return Graph.from_edges(base.n * k, edges)
 
 
 def disjoint_cliques(count: int, size: int) -> Graph:
-    edges = []
-    for c in range(count):
-        base = c * size
-        edges.extend(
-            (base + u, base + v) for u in range(size) for v in range(u + 1, size)
-        )
+    _check_sizes("clique count and size", count=count, size=size)
+    edges = [(c * size + u, c * size + v)
+             for c in range(count) for u in range(size) for v in range(u + 1, size)]
     return Graph.from_edges(count * size, edges)
 
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -24,66 +25,81 @@ from .errors import (
     VertexOutOfRange,
 )
 
-Edge = tuple[int, int]
-
 CLIQUE_STEP_BUDGET = 10**9
 
-
-def _adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return tuple(tuple(sorted(a)) for a in adj)
+# the back set of every vertex without back-neighbors
+_NO_BACK: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1.
+    """Simple undirected graph on vertices 0..n-1 in four read-only arrays.
 
-    ``edges`` is sorted with u < v in every pair; ``adjacency`` lists are
-    sorted and consistent with it. Build instances via :meth:`from_edges`,
-    which validates (no self-loops, no duplicates, ids in range).
+    ``indptr``/``indices`` hold the CSR rows: the neighbors of v, ascending,
+    are ``indices[indptr[v]:indptr[v + 1]]``. ``eu``/``ev`` hold the edges,
+    eu < ev, sorted by (eu, ev). Build instances via :meth:`from_edges`.
     """
 
     n: int
-    edges: tuple[Edge, ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    eu: np.ndarray
+    ev: np.ndarray
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """Graph on n vertices from (u, v) pairs or an (m, 2) int array. The
+        first bad pair in input order raises VertexOutOfRange, SelfLoop or
+        DuplicateEdge, checked in that order, with its position in ``index``."""
         if n < 0:
             raise VertexOutOfRange(f"vertex count {n} is negative")
-        seen = set()
-        norm = []
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
-            if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise DuplicateEdge(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
-        norm.sort()
-        return cls(n, tuple(norm), _adjacency(n, norm))
+        if isinstance(edges, np.ndarray):
+            pairs = ids = edges.astype(np.int64, copy=False).reshape(-1, 2)
+        else:
+            pairs = list(edges)
+            try:
+                ids = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+            except OverflowError:  # clamp ids beyond int64; they stay out of range
+                ids = np.array([min(max(x, -1), n) for x in chain.from_iterable(pairs)])
+            ids = ids.reshape(-1, 2)
+        lo, hi = ids.min(axis=1), ids.max(axis=1)
+        out = (lo < 0) | (hi >= n)
+        loop = lo == hi
+        bad = out | loop
+        # bad pairs get distinct negative keys, so only good pairs repeat
+        key = np.where(bad, -1 - np.arange(len(ids)), lo * n + hi)
+        by_key = np.argsort(key, kind="stable")
+        key = key[by_key]
+        # the stable sort puts every repeat after the pair it repeats
+        bad[by_key[1:][key[1:] == key[:-1]]] = True
+        if bad.any():
+            i = int(bad.argmax())
+            u, v = (int(x) for x in pairs[i])
+            if out[i]:
+                err = VertexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
+            elif loop[i]:
+                err = SelfLoop(f"self-loop at vertex {u}")
+            else:
+                err = DuplicateEdge(f"duplicate edge {(min(u, v), max(u, v))}")
+            err.index = i
+            raise err
+        eu, ev = np.divmod(key, max(n, 1))
+        return _from_sorted_edges(n, eu, ev)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.eu)
 
-    @cached_property
-    def adj_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(a) for a in self.adjacency)
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Sorted ``(u, v)`` Python-int pairs, made from ``eu``/``ev`` per access."""
+        return tuple(zip(self.eu.tolist(), self.ev.tolist()))
 
-    @cached_property
-    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays ``(eu, ev)`` of ``edges``, in edge order."""
-        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * self.m)
-        pairs = flat.reshape(self.m, 2)
-        return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
+    def rows(self) -> list[list[int]]:
+        """Every neighbor row as a list of Python ints, ascending. Made on
+        every call, so a Python loop over rows calls it once."""
+        flat = self.indices.tolist()
+        return [flat[a:b] for a, b in pairwise(self.indptr.tolist())]
 
     @cached_property
     def degeneracy_order(self) -> DegeneracyOrder:
@@ -102,11 +118,23 @@ class Graph:
 
     def crossing_count(self, labels: np.ndarray) -> int:
         """Number of edges whose endpoints carry different ``labels``."""
-        eu, ev = self.edge_index
-        return int(np.count_nonzero(labels[eu] != labels[ev]))
+        return int(np.count_nonzero(labels[self.eu] != labels[self.ev]))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _from_sorted_edges(n: int, eu: np.ndarray, ev: np.ndarray) -> Graph:
+    """Graph of valid edges sorted by (eu, ev), eu < ev. In edge order the
+    lower and the upper neighbors of each vertex ascend, so a stable sort
+    by row leaves every row ascending."""
+    row = np.concatenate((ev, eu))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    indices = np.concatenate((eu, ev))[np.argsort(row, kind="stable")]
+    for a in (indptr, indices, eu, ev):
+        a.flags.writeable = False
+    return Graph(n, indptr, indices, eu, ev)
 
 
 @dataclass(frozen=True)
@@ -155,16 +183,11 @@ def peel(g: Graph, alive=None) -> DegeneracyOrder:
     canonical order mapped back to ``g``.
     """
     n = g.n
-    adj = g.adjacency
-    if alive is None:
-        live = [True] * n
-        deg = [len(a) for a in adj]
-    else:
-        mask = np.asarray(alive, dtype=bool)
-        eu, ev = g.edge_index
-        both = mask[eu] & mask[ev]
-        deg = (np.bincount(eu[both], minlength=n) + np.bincount(ev[both], minlength=n)).tolist()
-        live = mask.tolist()
+    adj = g.rows()
+    mask = np.ones(n, dtype=bool) if alive is None else np.asarray(alive, dtype=bool)
+    both = mask[g.eu] & mask[g.ev]
+    deg = (np.bincount(g.eu[both], minlength=n) + np.bincount(g.ev[both], minlength=n)).tolist()
+    live = mask.tolist()
     # ascending ids, so every bucket starts out as a valid heap
     buckets = [[] for _ in range(max(deg, default=0) + 1)]
     for v in range(n):
@@ -172,7 +195,7 @@ def peel(g: Graph, alive=None) -> DegeneracyOrder:
             buckets[deg[v]].append(v)
     pop, push = heapq.heappop, heapq.heappush
     removal = []
-    back = [frozenset()] * n
+    back = [_NO_BACK] * n
     degeneracy = 0
     d = 0
     for _ in range(sum(live)):
@@ -190,9 +213,10 @@ def peel(g: Graph, alive=None) -> DegeneracyOrder:
         removal.append(v)
         if d > degeneracy:
             degeneracy = d
-        # the residual neighbors, filtered from the ascending adjacency
+        # the residual neighbors, filtered from the ascending row
         rest = [w for w in adj[v] if live[w]]
-        back[v] = frozenset(rest)
+        if rest:
+            back[v] = frozenset(rest)
         for w in rest:
             k = deg[w] - 1
             deg[w] = k
@@ -222,8 +246,8 @@ def triangle_list(g: Graph) -> np.ndarray:
     edge keys.
     """
     n = g.n
-    eu, ev = g.edge_index
-    deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+    eu, ev = g.eu, g.ev
+    deg = np.diff(g.indptr)
     rank = np.empty(n, dtype=np.intp)
     rank[np.argsort(deg, kind="stable")] = np.arange(n)
     up = rank[eu] < rank[ev]
@@ -236,7 +260,7 @@ def triangle_list(g: Graph) -> np.ndarray:
     fan = row_end - np.arange(g.m) - 1
     fan_end = np.cumsum(fan)
     wedges = int(fan_end[-1]) if g.m else 0
-    keys = eu * n + ev  # ascending, since ``edges`` is sorted
+    keys = eu * n + ev  # ascending, since the edges are sorted
     found = []
     for start in range(0, wedges, TRIANGLE_CHUNK):
         w = np.arange(start, min(start + TRIANGLE_CHUNK, wedges))
@@ -272,6 +296,11 @@ def count_back_triangles(g: Graph, order: DegeneracyOrder) -> tuple[int, ...]:
     return tuple(np.bincount(ordered[last], minlength=g.n).tolist())
 
 
+def _forward_sets(g: Graph) -> list[frozenset[int]]:
+    """For each vertex v, the part of its ascending row above v."""
+    return [frozenset(row[bisect_right(row, v):]) for v, row in enumerate(g.rows())]
+
+
 def count_cliques(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET) -> int:
     """Exact number of r-cliques by ordered forward-neighbor intersection.
 
@@ -280,9 +309,7 @@ def count_cliques(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET) -> int:
     """
     if r < 2:
         raise ValueError("clique size r must be >= 2")
-    fwd = tuple(
-        frozenset(w for w in g.adjacency[v] if w > v) for v in range(g.n)
-    )
+    fwd = _forward_sets(g)
     steps = 0
 
     def extend(cand: frozenset, need: int) -> int:
@@ -294,10 +321,7 @@ def count_cliques(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET) -> int:
             return len(cand)
         return sum(extend(cand & fwd[v], need - 1) for v in sorted(cand))
 
-    total = 0
-    for v in range(g.n):
-        total += extend(fwd[v], r - 1)
-    return total
+    return sum(extend(cand, r - 1) for cand in fwd)
 
 
 def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
@@ -306,9 +330,7 @@ def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
         raise ValueError("clique size r must be >= 1")
     if r == 1:
         return (0,) if g.n else None
-    fwd = tuple(
-        frozenset(w for w in g.adjacency[v] if w > v) for v in range(g.n)
-    )
+    fwd = _forward_sets(g)
     steps = 0
 
     def extend(prefix: tuple, cand: frozenset):
@@ -350,21 +372,19 @@ def edwards_bound(m: int) -> float:
 
 @dataclass(frozen=True)
 class VertexMap:
-    """Bidirectional vertex relabeling for an induced subgraph."""
+    """Vertex relabeling of an induced subgraph: local id i is parent id
+    ``to_parent[i]``."""
 
     to_parent: tuple[int, ...]
-
-    @cached_property
-    def to_sub(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.to_parent)}
 
 
 def induced_subgraph(g: Graph, vs) -> tuple[Graph, VertexMap]:
     """Compact relabeled subgraph induced by ``vs`` plus the vertex map.
 
-    The relabeling is monotone: sorted parent ids map to 0..|vs|-1. When
-    ``vs`` covers every vertex that relabeling is the identity, and ``g``
-    itself is returned, so the facts cached on it carry over.
+    The relabeling is monotone: sorted parent ids map to 0..|vs|-1, so the
+    kept edges stay in sorted order. When ``vs`` covers every vertex that
+    relabeling is the identity, and ``g`` itself is returned, so the facts
+    cached on it carry over.
     """
     vs = sorted(set(int(v) for v in vs))
     if vs and not (0 <= vs[0] and vs[-1] < g.n):
@@ -372,12 +392,8 @@ def induced_subgraph(g: Graph, vs) -> tuple[Graph, VertexMap]:
     vmap = VertexMap(tuple(vs))
     if len(vs) == g.n:
         return g, vmap
-    to_sub = vmap.to_sub
-    edges = []
-    for v in vs:
-        sv = to_sub[v]
-        for w in g.adjacency[v]:
-            if w > v and w in to_sub:
-                edges.append((sv, to_sub[w]))
-    edges.sort()
-    return Graph(len(vs), tuple(edges), _adjacency(len(vs), edges)), vmap
+    keep = np.zeros(g.n, dtype=bool)
+    keep[vs] = True
+    local = np.cumsum(keep) - 1
+    inside = keep[g.eu] & keep[g.ev]
+    return _from_sorted_edges(len(vs), local[g.eu[inside]], local[g.ev[inside]]), vmap

@@ -12,8 +12,8 @@ from dataclasses import asdict, dataclass, fields
 from .errors import BudgetExceeded, DuplicateEdge, ParseError, SelfLoop, VertexOutOfRange
 from .graphcore import Graph
 
-# largest vertex count a header may declare; the graph allocates one
-# adjacency list per declared vertex, edges or not
+# largest vertex count a header may declare; every declared vertex costs
+# the graph a CSR row pointer and a run of per-vertex work, edges or not
 MAX_HEADER_VERTICES = 10**6
 
 CSV_HEADER = (
@@ -38,6 +38,15 @@ def parse_graph(data: bytes | str) -> Graph:
     return _parse_edge_list(lines)
 
 
+def _int_pair(tokens, what, no) -> tuple[int, int]:
+    """Exactly two integer tokens, or ParseError(``what``) at line ``no``."""
+    try:
+        u, v = map(int, tokens)
+    except ValueError:
+        raise ParseError(what, no) from None
+    return u, v
+
+
 def _parse_edge_list(lines) -> Graph:
     header = None
     header_no = 0
@@ -47,20 +56,9 @@ def _parse_edge_list(lines) -> Graph:
         if not parts:
             continue
         if header is None:
-            if len(parts) != 2:
-                raise ParseError("expected header 'n m'", no)
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ParseError("expected header 'n m'", no) from None
-            header_no = no
-            continue
-        if len(parts) != 2:
-            raise ParseError("expected edge 'u v'", no)
-        try:
-            entries.append((int(parts[0]), int(parts[1]), no))
-        except ValueError:
-            raise ParseError("expected edge 'u v'", no) from None
+            header, header_no = _int_pair(parts, "expected header 'n m'", no), no
+        else:
+            entries.append((*_int_pair(parts, "expected edge 'u v'", no), no))
     if header is None:
         raise ParseError("empty input", 1)
     _check_counts(header, header_no, len(entries), "header")
@@ -78,22 +76,13 @@ def _parse_dimacs(lines) -> Graph:
         if parts[0] == "p":
             if header is not None:
                 raise ParseError("duplicate problem line", no)
-            if len(parts) != 4 or parts[1] not in ("edge", "col"):
+            if len(parts) < 2 or parts[1] not in ("edge", "col"):
                 raise ParseError("expected 'p edge n m'", no)
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise ParseError("expected 'p edge n m'", no) from None
-            header_no = no
+            header, header_no = _int_pair(parts[2:], "expected 'p edge n m'", no), no
         elif parts[0] == "e":
             if header is None:
                 raise ParseError("edge before problem line", no)
-            if len(parts) != 3:
-                raise ParseError("expected 'e u v'", no)
-            try:
-                entries.append((int(parts[1]), int(parts[2]), no))
-            except ValueError:
-                raise ParseError("expected 'e u v'", no) from None
+            entries.append((*_int_pair(parts[1:], "expected 'e u v'", no), no))
         else:
             raise ParseError(f"unknown line type {parts[0]!r}", no)
     if header is None:
@@ -110,25 +99,25 @@ def _check_counts(header, header_no, found, what):
         raise ParseError(f"{what} declares {m} edges, found {found}", header_no)
 
 
+# what an edge that Graph.from_edges refuses says at its input line, in the
+# ids as the input wrote them
+_BAD_EDGE = {
+    VertexOutOfRange: "vertex in edge ({u}, {v}) out of range",
+    SelfLoop: "self-loop at vertex {u}",
+    DuplicateEdge: "duplicate edge ({lo}, {hi})",
+}
+
+
 def _assemble(n, entries, one_indexed) -> Graph:
     if n > MAX_HEADER_VERTICES:
         raise BudgetExceeded(f"header declares {n} vertices, above the cap {MAX_HEADER_VERTICES}")
     shift = 1 if one_indexed else 0
-    seen = set()
-    edges = []
-    for u, v, no in entries:
-        u -= shift
-        v -= shift
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"vertex in edge ({u + shift}, {v + shift}) out of range", no)
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u + shift}", no)
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise DuplicateEdge(f"duplicate edge {e}", no)
-        seen.add(e)
-        edges.append(e)
-    return Graph.from_edges(n, edges)
+    try:
+        return Graph.from_edges(n, [(u - shift, v - shift) for u, v, _ in entries])
+    except (VertexOutOfRange, SelfLoop, DuplicateEdge) as err:
+        u, v, no = entries[err.index]
+        text = _BAD_EDGE[type(err)].format(u=u, v=v, lo=min(u, v), hi=max(u, v))
+        raise type(err)(text, no) from None
 
 
 def format_edge_list(g: Graph) -> str:

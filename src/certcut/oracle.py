@@ -45,10 +45,8 @@ def max_cut_exact(g: Graph, budget: OracleBudget | None = None) -> Cut:
     masks = np.arange(1 << free, dtype=np.uint32)
     values = np.zeros(masks.shape, dtype=np.uint16)
     for u, v in g.edges:
-        if u == 0:
-            values += ((masks >> (v - 1)) & 1).astype(np.uint16)
-        else:
-            values += (((masks >> (u - 1)) ^ (masks >> (v - 1))) & 1).astype(np.uint16)
+        bit_u = masks >> (u - 1) if u else 0  # vertex 0 is pinned to side 0
+        values += ((bit_u ^ (masks >> (v - 1))) & 1).astype(np.uint16)
     best = int(values.max())
     cand = values == best
     # refine to the lexicographically smallest side sequence
@@ -82,11 +80,12 @@ def max_t_cut_exact(g: Graph, t: int, budget: OracleBudget | None = None) -> TPa
     place = [t ** (free - v) for v in range(1, g.n)]  # digit weight of vertex v
     best_val = -1
     best_code = 0
+    edges = g.edges
     for start in range(0, total, _CHUNK):
         codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         digits = [None] + [(codes // place[v - 1]) % t for v in range(1, g.n)]
         values = np.zeros(codes.shape, dtype=np.uint16)
-        for u, v in g.edges:
+        for u, v in edges:
             du = digits[u] if u else 0
             values += (du != digits[v]).astype(np.uint16)
         idx = int(values.argmax())
@@ -107,9 +106,7 @@ def monte_carlo_cut_mean(emb: Embedding, trials: int, rng) -> tuple[float, float
     mat = emb.dense_matrix()
     directions = rng.standard_normal((trials, emb.n))
     sides = (directions @ mat.T) < 0
-    values = np.zeros(trials, dtype=np.int64)
-    for u, v in emb.graph.edges:
-        values += sides[:, u] != sides[:, v]
+    values = np.count_nonzero(sides[:, emb.graph.eu] != sides[:, emb.graph.ev], axis=1)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

@@ -59,8 +59,8 @@ def random_plan(g, rng):
     """Feasible plan with each neighbor in V_i at rate 1/2 and eps_i drawn
     uniformly below its cap, both from ``rng``."""
     sets, eps = [], []
-    for v in range(g.n):
-        chosen = frozenset(w for w in g.adjacency[v] if rng.random() < 0.5)
+    for row in g.rows():
+        chosen = frozenset(w for w in row if rng.random() < 0.5)
         cap = 1.0 / math.sqrt(len(chosen)) if chosen else 1.0
         sets.append(chosen)
         eps.append(float(rng.random()) * cap)
@@ -116,10 +116,11 @@ def decomposition_invariants(g: Graph, decomp) -> str | None:
         return "parts plus remainder do not partition the vertex set"
     if len(decomp.witnesses) != len(decomp.parts):
         return "witness count mismatch"
+    rows = g.rows()
     for part, w in zip(decomp.parts, decomp.witnesses):
         if len(part) > d:
             return f"part of size {len(part)} exceeds degeneracy {d}"
-        if not part <= g.adj_sets[w]:
+        if not part.issubset(rows[w]):
             return f"part not adjacent to witness {w}"
         sub, _ = induced_subgraph(g, part)
         if sub.m * eps < len(part):
@@ -175,9 +176,8 @@ def check_coloring_classes(count=60, seed=0):
     """Colorings are proper with class count <= 4 n^((r-2)/(r-1))."""
     for k, (g, r) in enumerate(_kr_free_pool(count, seed)):
         col = kr_free_coloring(g, r)
-        for u, v in g.edges:
-            if col.color[u] == col.color[v]:
-                return False, f"graph {k}: improper coloring"
+        if any(col.color[u] == col.color[v] for u, v in g.edges):
+            return False, f"graph {k}: improper coloring"
         if col.classes > coloring_class_bound(g.n, r) + TOL:
             return False, f"graph {k}: {col.classes} classes exceed the bound"
     return True, f"{count} clique-free graphs"
@@ -212,10 +212,11 @@ def tcut_expectation_oracle(g: Graph, base_side, t: int) -> Fraction:
         else:
             options.append([(q, Fraction(1, s)) for q in own])
     total = Fraction(0)
+    edges = g.edges
     for outcome in product(*options):
         part = [q for q, _ in outcome]
         prob = math.prod(q for _, q in outcome)
-        total += prob * sum(1 for u, v in g.edges if part[u] != part[v])
+        total += prob * sum(1 for u, v in edges if part[u] != part[v])
     return total
 
 

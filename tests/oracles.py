@@ -10,8 +10,34 @@ import math
 from itertools import combinations, product
 
 from certcut._rng import make_rng
-from certcut.errors import BudgetExceeded
+from certcut.errors import BudgetExceeded, DuplicateEdge, SelfLoop, VertexOutOfRange
 from certcut.graphcore import DegeneracyOrder, Graph, induced_subgraph
+
+
+def reference_from_edges(n: int, edges) -> tuple[tuple, tuple]:
+    """Check and normalise the pairs one at a time, in input order, and
+    build the rows by appending: returns (sorted edges, ascending rows)."""
+    if n < 0:
+        raise VertexOutOfRange(f"vertex count {n} is negative")
+    seen = set()
+    norm = []
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
+        if u == v:
+            raise SelfLoop(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise DuplicateEdge(f"duplicate edge {e}")
+        seen.add(e)
+        norm.append(e)
+    norm.sort()
+    adj = [[] for _ in range(n)]
+    for u, v in norm:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(norm), tuple(tuple(sorted(a)) for a in adj)
 
 
 def brute_max_cut(g: Graph) -> int:
@@ -33,19 +59,20 @@ def brute_max_t_cut(g: Graph, t: int) -> int:
 def brute_degeneracy(g: Graph) -> int:
     """max over nonempty induced subgraphs of their minimum degree."""
     worst = 0
+    adj = g.rows()
     verts = list(range(g.n))
     for size in range(1, g.n + 1):
         for subset in combinations(verts, size):
             inside = set(subset)
             mindeg = min(
-                sum(1 for w in g.adjacency[v] if w in inside) for v in subset
+                sum(1 for w in adj[v] if w in inside) for v in subset
             )
             worst = max(worst, mindeg)
     return worst
 
 
 def brute_triangle_list(g: Graph) -> list[tuple[int, int, int]]:
-    adj = g.adj_sets
+    adj = [frozenset(row) for row in g.rows()]
     return [
         (a, b, c)
         for a, b, c in combinations(range(g.n), 3)
@@ -58,7 +85,7 @@ def brute_triangles(g: Graph) -> int:
 
 
 def brute_cliques(g: Graph, r: int) -> int:
-    adj = g.adj_sets
+    adj = [frozenset(row) for row in g.rows()]
     total = 0
     for group in combinations(range(g.n), r):
         if all(v in adj[u] for u, v in combinations(group, 2)):
@@ -67,7 +94,7 @@ def brute_cliques(g: Graph, r: int) -> int:
 
 
 def brute_independence_number(g: Graph) -> int:
-    adj = g.adj_sets
+    adj = [frozenset(row) for row in g.rows()]
     best = 0
     for size in range(g.n, 0, -1):
         for group in combinations(range(g.n), size):
@@ -79,7 +106,7 @@ def brute_independence_number(g: Graph) -> int:
 def count_r_cycles(g: Graph, r: int) -> int:
     """Distinct cycles of length exactly r (as vertex sets with a cyclic
     order), counted once each: minimal vertex first, second < last."""
-    adj = g.adj_sets
+    adj = [frozenset(row) for row in g.rows()]
     total = 0
 
     def walk(path):
@@ -151,7 +178,7 @@ def reference_find_cycle(adj: dict, n: int, r: int, steps: list, budget: int):
 def reference_make_cr_free(g: Graph, r: int, budget: int = 10**8) -> Graph:
     """Delete the smallest edge of the first r-cycle found, rescanning from
     vertex 0 after every deletion, until no r-cycle remains."""
-    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    adj = {v: set(row) for v, row in enumerate(g.rows())}
     steps = [0]
     while True:
         cycle = reference_find_cycle(adj, g.n, r, steps, budget)
@@ -259,7 +286,8 @@ def reference_degeneracy_order(g: Graph) -> DegeneracyOrder:
     """Min-degree peel with one heap of (degree, id) pairs and lazy deletion:
     lowest degree first, lowest id on ties, removal sequence reversed."""
     n = g.n
-    deg = [len(a) for a in g.adjacency]
+    adj = g.rows()
+    deg = [len(a) for a in adj]
     removed = [False] * n
     heap = [(deg[v], v) for v in range(n)]
     heapq.heapify(heap)
@@ -272,14 +300,14 @@ def reference_degeneracy_order(g: Graph) -> DegeneracyOrder:
         removed[v] = True
         removal.append(v)
         degeneracy = max(degeneracy, d)
-        for w in g.adjacency[v]:
+        for w in adj[v]:
             if not removed[w]:
                 deg[w] -= 1
                 heapq.heappush(heap, (deg[w], w))
     order = tuple(reversed(removal))
     pos = {v: i for i, v in enumerate(order)}
     back = tuple(
-        frozenset(w for w in g.adjacency[v] if pos[w] < pos[v]) for v in range(n)
+        frozenset(w for w in adj[v] if pos[w] < pos[v]) for v in range(n)
     )
     return DegeneracyOrder(order, back, degeneracy)
 
@@ -287,7 +315,7 @@ def reference_degeneracy_order(g: Graph) -> DegeneracyOrder:
 def reference_count_triangles(g: Graph) -> int:
     """Triangles by set intersection along every edge, each counted at its
     largest vertex."""
-    adj = g.adj_sets
+    adj = [frozenset(row) for row in g.rows()]
     total = 0
     for u, v in g.edges:
         a, b = adj[u], adj[v]
@@ -299,7 +327,7 @@ def reference_count_triangles(g: Graph) -> int:
 
 def reference_back_triangles(g: Graph, order: DegeneracyOrder) -> tuple[int, ...]:
     """Per-vertex triangles inside the back set, by set intersection."""
-    adj = g.adj_sets
+    adj = [frozenset(row) for row in g.rows()]
     out = []
     for v in range(g.n):
         back = order.back_neighbors[v]

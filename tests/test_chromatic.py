@@ -35,9 +35,10 @@ TOL = 1e-9
 
 def assert_independent(g, vertices):
     vs = sorted(vertices)
+    adj = g.rows()
     for i, u in enumerate(vs):
         for v in vs[i + 1 :]:
-            assert v not in g.adj_sets[u]
+            assert v not in adj[u]
 
 
 def assert_proper(g, col):
@@ -68,9 +69,10 @@ class TestRamseyIndependentSet:
             ramsey_independent_set(g, 3, 4)
         w = err.value.witness
         assert len(w) == 3
+        adj = g.rows()
         for i, u in enumerate(w):
             for v in w[i + 1 :]:
-                assert v in g.adj_sets[u]
+                assert v in adj[u]
 
     def test_too_few_vertices(self):
         with pytest.raises(TooFewVertices):

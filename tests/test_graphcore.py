@@ -1,11 +1,14 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certcut.errors import (
     BudgetExceeded,
     DuplicateEdge,
     LabelSizeMismatch,
     OutOfRangeVertex,
+    ParseError,
     SelfLoop,
     VertexOutOfRange,
 )
@@ -22,7 +25,31 @@ from certcut.graphcore import (
     induced_subgraph,
 )
 from conftest import graphs
-from oracles import brute_cliques, brute_degeneracy, brute_max_cut, brute_triangles
+from oracles import (
+    brute_cliques,
+    brute_degeneracy,
+    brute_max_cut,
+    brute_triangles,
+    reference_from_edges,
+)
+
+
+@st.composite
+def pair_lists(draw):
+    """(n, pairs): distinct in-range pairs, flipped at random, mixed with
+    repeats in either orientation, self-loops and ids that are negative, too
+    large or beyond int64."""
+    n = draw(st.integers(-1, 8))
+    good = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = draw(st.lists(st.sampled_from(good), unique=True)) if good else []
+    pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in pairs]
+    if draw(st.booleans()):  # else a valid list
+        if pairs:
+            pairs += draw(st.lists(st.sampled_from(pairs).map(lambda e: e[::-1]), max_size=2))
+        ids = st.integers(-2, n + 2) | st.sampled_from([2**63, -(2**64), 10**30])
+        pairs += draw(st.lists(st.tuples(ids, ids), max_size=3))
+        pairs += draw(st.lists(st.integers(0, max(n - 1, 0)).map(lambda v: (v, v)), max_size=1))
+    return n, draw(st.permutations(pairs))
 
 
 class TestGraphConstruction:
@@ -38,10 +65,34 @@ class TestGraphConstruction:
         with pytest.raises(VertexOutOfRange):
             Graph.from_edges(2, [(0, 2)])
 
+    @given(pair_lists())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_the_pair_loop(self, case):
+        # same error class and message for the first bad pair, else same edges and rows
+        n, pairs = case
+        inputs = [pairs]
+        if all(abs(x) < 2**62 for e in pairs for x in e):
+            inputs.append(np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        for edges in inputs:
+            try:
+                want = reference_from_edges(n, pairs)
+            except ParseError as err:
+                with pytest.raises(ParseError) as got:
+                    Graph.from_edges(n, edges)
+                assert type(got.value) is type(err) and str(got.value) == str(err)
+                if n >= 0:  # ``index`` is the first bad pair: every pair before it is good
+                    reference_from_edges(n, pairs[: got.value.index])
+                    with pytest.raises(type(err)):
+                        reference_from_edges(n, pairs[: got.value.index + 1])
+                continue
+            g = Graph.from_edges(n, edges)
+            assert g.edges == want[0]
+            assert g.rows() == [list(row) for row in want[1]]
+
     def test_edges_normalized_sorted(self):
         g = Graph.from_edges(4, [(3, 1), (2, 0)])
         assert g.edges == ((0, 2), (1, 3))
-        assert g.adjacency == ((2,), (3,), (0,), (1,))
+        assert g.rows() == [[2], [3], [0], [1]]
 
 
 class TestDegeneracyOrder:
@@ -115,8 +166,9 @@ class TestTriangles:
         g = gnp(12, 0.4, seed + 30)
         perm = tuple(int(v) for v in make_rng(seed).permutation(12))
         pos = {v: i for i, v in enumerate(perm)}
+        adj = g.rows()
         back = tuple(
-            frozenset(w for w in g.adjacency[v] if pos[w] < pos[v]) for v in range(12)
+            frozenset(w for w in adj[v] if pos[w] < pos[v]) for v in range(12)
         )
         order = DegeneracyOrder(perm, back, max(len(b) for b in back))
         assert sum(count_back_triangles(g, order)) == count_triangles(g)
@@ -210,7 +262,7 @@ class TestInducedSubgraph:
     def test_c5_three_vertices_single_edge(self):
         sub, vmap = induced_subgraph(cycle(5), {0, 1, 3})
         assert sub.edges == ((0, 1),)
-        assert vmap.to_sub == {0: 0, 1: 1, 3: 2}
+        assert vmap.to_parent == (0, 1, 3)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeVertex):
@@ -223,6 +275,10 @@ class TestInducedSubgraph:
         assert vmap.to_parent == tuple(range(g.n))
 
     def test_maps_are_inverse(self):
-        sub, vmap = induced_subgraph(petersen(), {1, 3, 5, 8})
-        for local, parent in enumerate(vmap.to_parent):
-            assert vmap.to_sub[parent] == local
+        # local edges map onto exactly the parent edges inside the set
+        g = petersen()
+        sub, vmap = induced_subgraph(g, {1, 3, 5, 8})
+        up = vmap.to_parent
+        assert up == (1, 3, 5, 8)
+        inside = {(u, v) for u, v in g.edges if u in up and v in up}
+        assert {(up[a], up[b]) for a, b in sub.edges} == inside

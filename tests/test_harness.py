@@ -51,6 +51,17 @@ class TestParseGraph:
         with pytest.raises(VertexOutOfRange):
             parse_graph("p edge 2 1\ne 0 1\n")  # DIMACS is 1-indexed
 
+    @pytest.mark.parametrize("text, error, line, needle", [
+        ("c x\np edge 3 2\ne 1 2\nc y\nc z\ne 2 4\n", VertexOutOfRange, 6, "(2, 4)"),
+        ("p edge 3 2\nc y\ne 1 2\nc z\ne 3 3\n", SelfLoop, 5, "vertex 3"),
+        ("p edge 3 3\ne 1 2\nc y\ne 2 3\nc z\nc w\ne 2 1\n", DuplicateEdge, 7, "duplicate edge"),
+    ])
+    def test_dimacs_bad_edge_reports_line(self, text, error, line, needle):
+        # comment lines between the edges: the line is the input's, not the edge's index
+        with pytest.raises(error) as err:
+            parse_graph(text)
+        assert err.value.line == line and needle in str(err.value)
+
     def test_bad_header(self):
         with pytest.raises(ParseError) as err:
             parse_graph("two one\n")
@@ -268,7 +279,7 @@ class TestCli:
         )
         assert code == 0
         g = parse_graph(out)
-        assert all(len(a) == 5 for a in g.adjacency)
+        assert all(len(a) == 5 for a in g.rows())
 
     def test_verify_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "tcut-expectation")
@@ -382,6 +393,10 @@ class TestCliRefusals:
         (("gen", "--model", "bipartite", "--a", "3", "--b", "-1", "--p", "0.5"), "part sizes"),
         (("bench", "--family", "regular", "--nlist", ",", "--dlist", "3"), "--nlist"),
         (("bench", "--family", "regular", "--nlist", "12", "--dlist", ""), "--dlist"),
+        (("gen", "--model", "disjoint-cliques", "--count", "-2", "--size", "-3"), "must be >= 0"),
+        (("gen", "--model", "disjoint-cliques", "--count", "-1", "--size", "3"), "must be >= 0"),
+        (("gen", "--model", "turan", "--n", "-5"), "must be >= 0"),
+        (("gen", "--model", "gnp", "--n", "-3", "--p", "0.5"), "must be >= 0"),
     ])
     def test_bad_gen_bench_verify_input_exits_3(self, capsys, argv, needle):
         code, out, err = run_cli(capsys, *argv)

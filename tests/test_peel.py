@@ -71,8 +71,9 @@ def masks(g: Graph):
     yield np.zeros(g.n, dtype=bool)
     yield np.ones(g.n, dtype=bool)
     isolated = np.ones(g.n, dtype=bool)
+    rows = g.rows()
     for v in range(0, g.n, 3):
-        isolated[list(g.adjacency[v])] = False
+        isolated[rows[v]] = False
         isolated[v] = True  # keep v, drop its neighbors: v is isolated
     yield isolated
     for keep in (0.3, 0.7):
@@ -121,7 +122,7 @@ def check_triangle_list(g: Graph):
     assert tri.shape == (len(tri), 3)
     rows = [tuple(sorted(int(v) for v in row)) for row in tri]
     assert len(set(rows)) == len(rows)
-    adj = g.adj_sets
+    adj = [frozenset(row) for row in g.rows()]
     assert all(b in adj[a] and c in adj[a] and c in adj[b] for a, b, c in rows)
     assert sorted(rows) == brute_triangle_list(g)
 

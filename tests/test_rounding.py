@@ -96,7 +96,7 @@ def test_hyperplane_round_matches_reference_on_full_neighborhoods(name):
     # a plan on whole neighborhoods gives wider, uneven supports than the
     # back-neighbor plan
     g = CORPUS[name]
-    sets = g.adj_sets
+    sets = tuple(frozenset(row) for row in g.rows())
     plan = EpsilonPlan(sets, tuple(1.0 / math.sqrt(len(s)) if s else 0.0 for s in sets))
     emb = build_vectors(g, plan)
     for k in range(20):
@@ -162,8 +162,7 @@ def test_skewed_supports_match_reference():
 
 def test_edge_index_and_crossing_count():
     g = CORPUS["gnp90_3"]
-    eu, ev = g.edge_index
-    assert list(zip(eu.tolist(), ev.tolist())) == list(g.edges)
+    assert list(zip(g.eu.tolist(), g.ev.tolist())) == list(g.edges)
     side = [v % 3 == 0 for v in range(g.n)]
     assert g.crossing_count(np.array(side)) == cut_value(g, side).value
     empty = Graph.from_edges(0, [])
