@@ -9,9 +9,11 @@ import heapq
 import math
 from itertools import combinations, product
 
+import numpy as np
+
 from certcut._rng import make_rng
 from certcut.errors import BudgetExceeded, DuplicateEdge, SelfLoop, VertexOutOfRange
-from certcut.graphcore import DegeneracyOrder, Graph, induced_subgraph
+from certcut.graphcore import Cut, DegeneracyOrder, Graph, induced_subgraph
 
 
 def reference_from_edges(n: int, edges) -> tuple[tuple, tuple]:
@@ -46,6 +48,28 @@ def brute_max_cut(g: Graph) -> int:
         side = (0,) + bits
         best = max(best, sum(1 for u, v in g.edges if side[u] != side[v]))
     return best
+
+
+def reference_max_cut_exact(g: Graph) -> Cut:
+    """Optimal cut by one pass over all 2^(n-1) labelings per edge, vertex 0
+    on side 0, refined vertex by vertex to the lexicographically smallest
+    optimal labeling."""
+    if g.n == 0:
+        return Cut((), 0)
+    masks = np.arange(1 << (g.n - 1), dtype=np.uint32)
+    values = np.zeros(masks.shape, dtype=np.uint16)
+    for u, v in g.edges:
+        bit_u = masks >> (u - 1) if u else 0
+        values += ((bit_u ^ (masks >> (v - 1))) & 1).astype(np.uint16)
+    best = int(values.max())
+    cand = values == best
+    for v in range(1, g.n):
+        sub = cand & (((masks >> (v - 1)) & 1) == 0)
+        if sub.any():
+            cand = sub
+    mask = int(masks[np.flatnonzero(cand)[0]])
+    side = (0,) + tuple((mask >> (v - 1)) & 1 for v in range(1, g.n))
+    return Cut(side, best)
 
 
 def brute_max_t_cut(g: Graph, t: int) -> int:

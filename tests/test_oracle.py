@@ -1,12 +1,16 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
 
 from certcut._rng import make_rng
 from certcut.embedding import EpsilonPlan, back_neighbor_plan, build_vectors, exact_expected_cut
-from certcut.errors import BudgetExceeded
-from certcut.generators import complete, complete_bipartite, cycle, gnp, petersen
+from certcut.errors import BudgetExceeded, InvalidParameter
+from certcut.generators import complete, complete_bipartite, cycle, gnp, petersen, random_regular
 from certcut.graphcore import Graph, edwards_bound
 from certcut.oracle import OracleBudget, max_cut_exact, max_t_cut_exact, monte_carlo_cut_mean
-from oracles import brute_max_cut, brute_max_t_cut
+from conftest import graphs
+from oracles import brute_max_cut, brute_max_t_cut, reference_max_cut_exact
 
 
 class TestMaxCutExact:
@@ -47,6 +51,47 @@ class TestMaxCutExact:
         assert max_cut_exact(g).value >= edwards_bound(m) - 1e-9
 
 
+def _shifted(g: Graph) -> Graph:
+    """g on vertices 1..n, so that vertex 0 is isolated."""
+    return Graph.from_edges(g.n + 1, [(u + 1, v + 1) for u, v in g.edges])
+
+
+class TestPrefixExtension:
+    """max_cut_exact against the per-edge enumeration it replaced."""
+
+    @given(graphs(max_n=14))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_the_per_edge_enumeration(self, g):
+        assert max_cut_exact(g) == reference_max_cut_exact(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gnp(18, 0.3, 1),
+            gnp(20, 0.3, 2),
+            gnp(22, 0.3, 3),
+            complete(22),  # nearly every labeling ties
+            random_regular(20, 3, 4),
+            Graph.from_edges(22, []),
+            _shifted(gnp(19, 0.3, 5)),
+        ],
+        ids=["gnp18", "gnp20", "gnp22", "k22", "regular20_3", "edgeless22", "isolated0"],
+    )
+    def test_full_size_cases(self, g):
+        assert max_cut_exact(g) == reference_max_cut_exact(g)
+
+    def test_peak_memory(self):
+        # no full-length temporary per edge: the per-edge enumeration peaks at 42 MB here
+        g = gnp(22, 0.3, 5)
+        tracemalloc.start()
+        try:
+            max_cut_exact(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+
+
 class TestMaxTCutExact:
     def test_k4_all_parts(self):
         assert max_t_cut_exact(complete(4), 4).value == 6
@@ -78,6 +123,13 @@ class TestMaxTCutExact:
         assert max_t_cut_exact(Graph.from_edges(3, []), 3).part == (0, 0, 0)
         assert max_t_cut_exact(complete(2), 4).part == (0, 1)
 
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_rejects_t_below_one(self, t):
+        with pytest.raises(InvalidParameter):
+            max_t_cut_exact(complete(3), t)
+        with pytest.raises(ValueError):
+            max_t_cut_exact(complete(3), t)
+
 
 class TestMonteCarlo:
     def test_antipodal_pair_always_cut(self):
@@ -104,4 +156,10 @@ class TestMonteCarlo:
         g = Graph.from_edges(2, [(0, 1)])
         emb = build_vectors(g, EpsilonPlan((frozenset(), frozenset()), (0.0, 0.0)))
         with pytest.raises(ValueError):
+            monte_carlo_cut_mean(emb, 0, make_rng(0))
+
+    def test_zero_trials_is_an_invalid_parameter(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        emb = build_vectors(g, EpsilonPlan((frozenset(), frozenset()), (0.0, 0.0)))
+        with pytest.raises(InvalidParameter):
             monte_carlo_cut_mean(emb, 0, make_rng(0))
