@@ -21,6 +21,7 @@ from .errors import (
     DuplicateEdge,
     LabelSizeMismatch,
     OutOfRangeVertex,
+    ParseError,
     SelfLoop,
     VertexOutOfRange,
 )
@@ -74,15 +75,7 @@ class Graph:
         bad[by_key[1:][key[1:] == key[:-1]]] = True
         if bad.any():
             i = int(bad.argmax())
-            u, v = (int(x) for x in pairs[i])
-            if out[i]:
-                err = VertexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
-            elif loop[i]:
-                err = SelfLoop(f"self-loop at vertex {u}")
-            else:
-                err = DuplicateEdge(f"duplicate edge {(min(u, v), max(u, v))}")
-            err.index = i
-            raise err
+            raise _bad_pair(n, pairs[i], i, out[i], loop[i])
         eu, ev = np.divmod(key, max(n, 1))
         return _from_sorted_edges(n, eu, ev)
 
@@ -122,6 +115,23 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _bad_pair(n: int, pair, i: int, out: bool, loop: bool) -> ParseError:
+    """The error for bad pair number i. Built here, not bound to a local of
+    ``from_edges``: an exception in a local of the frame its traceback holds
+    is a reference cycle, which keeps that frame's arrays alive until the
+    cyclic collector runs, so every rejected ``random_regular`` pairing
+    would add to the peak memory."""
+    u, v = (int(x) for x in pair)
+    if out:
+        err = VertexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
+    elif loop:
+        err = SelfLoop(f"self-loop at vertex {u}")
+    else:
+        err = DuplicateEdge(f"duplicate edge {(min(u, v), max(u, v))}")
+    err.index = i
+    return err
 
 
 def _from_sorted_edges(n: int, eu: np.ndarray, ev: np.ndarray) -> Graph:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,21 @@ class TestGraphConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
             Graph.from_edges(2, [(0, 2)])
+
+    def test_refusals_leave_no_reference_cycle(self):
+        # a refused pair list is freed as soon as its error is dropped; a cycle
+        # would wait for the collector, and random_regular's restarts pile up
+        gc.collect()
+        gc.disable()
+        try:
+            for n, edges in ((2, [(0, 0)]), (3, np.array([[0, 1], [1, 0]])), (2, [(0, 2)])):
+                try:
+                    Graph.from_edges(n, edges)
+                except ParseError:
+                    pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @given(pair_lists())
     @settings(deadline=None, max_examples=300)
