@@ -44,33 +44,38 @@ def _ramsey_bound(r: int, s: int) -> int:
 
 
 def _ramsey(adj: list[list[int]], verts: list[int], r: int, s: int) -> set[int]:
-    if s <= 0:
-        return set()
-    if len(verts) < _ramsey_bound(r, s):
-        raise TooFewVertices(
-            f"{len(verts)} vertices cannot certify an independent set of size {s} "
-            f"(need {_ramsey_bound(r, s)})"
-        )
-    vset = set(verts)
-    if r == 2:
-        for v in verts:
-            for w in adj[v]:
-                if w > v and w in vset:
-                    raise CliqueFound((v, w))
-        return set(verts[:s])
-    if s == 1:
-        return {verts[0]}
-    pivot = max(verts, key=lambda v: (sum(1 for w in adj[v] if w in vset), -v))
-    nbrs = [w for w in adj[pivot] if w in vset]
-    if len(nbrs) >= _ramsey_bound(r - 1, s):
-        try:
-            return _ramsey(adj, nbrs, r - 1, s)
-        except CliqueFound as found:
-            # a clique inside the pivot's neighborhood extends by the pivot
-            raise CliqueFound((*found.witness, pivot)) from None
-    nbr_set = set(nbrs)
-    non = [v for v in verts if v != pivot and v not in nbr_set]
-    return _ramsey(adj, non, r, s - 1) | {pivot}
+    # each pass either descends into the pivot's neighborhood with r - 1 (the
+    # only recursion, so nesting is at most r) or keeps the pivot and goes on
+    # in its non-neighborhood with s - 1
+    picked = set()
+    while s > 0:
+        if len(verts) < _ramsey_bound(r, s):
+            raise TooFewVertices(
+                f"{len(verts)} vertices cannot certify an independent set of size {s} "
+                f"(need {_ramsey_bound(r, s)})"
+            )
+        vset = set(verts)
+        if r == 2:
+            for v in verts:
+                for w in adj[v]:
+                    if w > v and w in vset:
+                        raise CliqueFound((v, w))
+            return picked | set(verts[:s])
+        if s == 1:
+            return picked | {verts[0]}
+        pivot = max(verts, key=lambda v: (sum(1 for w in adj[v] if w in vset), -v))
+        nbrs = [w for w in adj[pivot] if w in vset]
+        if len(nbrs) >= _ramsey_bound(r - 1, s):
+            try:
+                return picked | _ramsey(adj, nbrs, r - 1, s)
+            except CliqueFound as found:
+                # a clique inside the pivot's neighborhood extends by the pivot
+                raise CliqueFound((*found.witness, pivot)) from None
+        nbr_set = set(nbrs)
+        verts = [v for v in verts if v != pivot and v not in nbr_set]
+        picked.add(pivot)
+        s -= 1
+    return picked
 
 
 def ramsey_independent_set(g: Graph, r: int, s: int) -> frozenset[int]:
@@ -276,8 +281,8 @@ def max_t_cut(
     certificate is the exact closed-form expectation; the headline reference
     is ((t-1)/t) m.
     """
-    if t < 2:
-        raise InvalidParameter(f"t must be >= 2, got {t}")
+    if not 2 <= t <= np.iinfo(np.int64).max:
+        raise InvalidParameter(f"t must lie in [2, 2^63 - 1], got {t}")
     if len(base.side) != g.n:
         raise LabelSizeMismatch(f"base cut covers {len(base.side)} of {g.n} vertices")
     s, odd = divmod(t, 2)

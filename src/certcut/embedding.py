@@ -12,13 +12,12 @@ An embedding stores only its graph and its plan, no per-vertex vector:
 ``Embedding.entries`` defines vector i once. In its own order, vector i is
 1/norm_i at coordinate i, then -eps_i/norm_i at each j of V_i in set order.
 
-Rounding is one array pass per direction. The slot rows order the vertices
-by support size, largest first: row s holds entry s of every vector that has
-more than s entries, in the vector's own order, so row s covers a prefix of
-that order and the rows together store each entry once. The dot products
-accumulate row by row from 0, which adds the terms in the same order as a
-per-vertex ``sum`` over the vector, so the sides are bit-identical to that
-sum. Repeat k of ``sdp_cut`` draws its direction from the stream (seed, k).
+Rounding is one array pass per direction and reads no entry: vector i is
+(e_i - eps_i * sum_{j in V_i} e_j)/norm_i with norm_i >= 1, so <v_i, w> has
+the sign of w_i - eps_i * (sum of w over V_i). The sides match a term-by-term
+dot product except where it lies within rounding error of zero, and they
+depend on neither the norms nor V_i's iteration order. Repeat k of
+``sdp_cut`` draws its direction from the stream (seed, k).
 """
 
 from __future__ import annotations
@@ -147,40 +146,24 @@ class Embedding:
         return mat
 
     @cached_property
-    def slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-        """``(order, cols, vals, starts)``: ``order`` lists the vertices by
-        support size, largest first. Row s is ``cols[starts[s]:starts[s + 1]]``
-        (``vals`` alike); its entry j is entry s of vector ``order[j]``, for
-        every j whose vector has more than s entries."""
+    def plan_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(owner, cols, eps)``: one pair ``(owner[k], cols[k]) = (i, j)``
+        for each j of V_i, and eps_i at ``eps[i]``."""
         sets = self.plan.sets
-        own, off = self.entries
-        sizes = np.fromiter((len(s) + 1 for s in sets), np.intp, self.n)
-        order = np.argsort(-sizes, kind="stable")
-        sizes = sizes[order]
-        total = int(sizes.sum())
-        cols = np.fromiter(chain.from_iterable((i, *sets[i]) for i in order.tolist()), np.intp, total)
-        heads = np.cumsum(sizes) - sizes
-        vals = np.repeat(np.array(off)[order], sizes)
-        vals[heads] = np.array(own)[order]
-        # slot of every entry; a stable sort by slot keeps the vertex order
-        slot = np.arange(total) - np.repeat(heads, sizes)
-        by_slot = np.argsort(slot, kind="stable")
-        starts = (0, *np.cumsum(np.bincount(slot)).tolist())
-        return order, cols[by_slot], vals[by_slot], starts
+        sizes = np.fromiter(map(len, sets), np.intp, self.n)
+        owner = np.repeat(np.arange(self.n), sizes)
+        cols = np.fromiter(chain.from_iterable(sets), np.intp, len(owner))
+        return owner, cols, np.array(self.plan.eps, dtype=float)
 
     def round_sides(self, w: np.ndarray) -> np.ndarray:
         """Boolean side of every vertex for direction ``w``: True (side 1)
-        where the dot product is negative, False where it is >= 0."""
-        order, cols, vals, starts = self.slots
-        terms = w[cols]
-        terms *= vals
-        d = np.zeros(self.n)
-        for a, b in zip(starts, starts[1:]):
-            d[: b - a] += terms[a:b]
-        side = np.empty(self.n, dtype=bool)
-        # ~(d >= 0) rather than d < 0, so that NaN lands on side 1
-        side[order] = ~(d >= 0.0)
-        return side
+        where w_i - eps_i * (sum of w over V_i) is negative or NaN, False
+        where it is >= 0. That value is norm_i * <v_i, w>, so the sides match
+        a term-by-term dot product except within rounding error of zero."""
+        owner, cols, eps = self.plan_arrays
+        sums = np.bincount(owner, weights=w[cols], minlength=self.n)
+        # ~(... >= 0) rather than < 0, so that NaN lands on side 1
+        return ~(w - eps * sums >= 0.0)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,8 @@ def random_regular(n: int, d: int, seed: int = 0, max_restarts: int = 1000) -> G
     larger restart budget.
     """
     _check_sizes("vertex count", n=n)
+    if max_restarts < 0:
+        raise InvalidParameter(f"max_restarts must be >= 0, got {max_restarts}")
     if d < 0 or (n * d) % 2 != 0 or (d >= n and n > 0):
         raise InfeasibleDegree(f"no simple {d}-regular graph on {n} vertices")
     rng = make_rng(seed)
@@ -242,11 +244,7 @@ def family(spec: GenSpec) -> Graph:
         if spec.model == "gnp":
             return gnp(p.pop("n"), p.pop("p"), spec.seed)
         if spec.model == "bipartite":
-            prob = p.pop("p", 1.0)
-            a, b = p.pop("a"), p.pop("b")
-            if prob >= 1.0:
-                return complete_bipartite(a, b)
-            return random_bipartite(a, b, prob, spec.seed)
+            return random_bipartite(p.pop("a"), p.pop("b"), p.pop("p", 1.0), spec.seed)
         if spec.model == "turan":
             return turan(p.pop("n"), p.pop("classes"))
         if spec.model == "blowup":

@@ -24,7 +24,6 @@ from .embedding import (
     build_vectors,
     eps_cap,
     exact_expected_cut,
-    plan_lower_bound,
     sdp_cut,
 )
 from .generators import (
@@ -73,9 +72,8 @@ def check_plan_dominance(count=1000, seed=0):
     worst = math.inf
     for _ in range(count):
         g = _random_graph(rng)
-        plan = random_plan(g, rng)
-        cert = exact_expected_cut(g, build_vectors(g, plan))
-        margin = cert.expected_value - plan_lower_bound(g, plan)
+        cert = exact_expected_cut(g, build_vectors(g, random_plan(g, rng)))
+        margin = cert.expected_value - cert.bound_value
         worst = min(worst, margin)
         if margin < -TOL:
             return False, f"dominance violated by {margin:.3e}"

@@ -12,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 
 from certcut._rng import make_rng
-from certcut.errors import BudgetExceeded, DuplicateEdge, SelfLoop, VertexOutOfRange
+from certcut.errors import BudgetExceeded, CliqueFound, DuplicateEdge, SelfLoop, TooFewVertices, VertexOutOfRange
 from certcut.graphcore import Cut, DegeneracyOrder, Graph, induced_subgraph
 
 
@@ -387,3 +387,37 @@ def reference_partition(g: Graph, eps: float):
         witnesses.append(vmap.to_parent[w])
         residual = [vmap.to_parent[v] for v in range(sub.n) if v not in dense]
     return tuple(parts), tuple(witnesses), frozenset(residual)
+
+
+def _ramsey_bound(r: int, s: int) -> int:
+    return math.comb(r + s - 2, s - 1)
+
+
+def reference_ramsey(adj, verts, r: int, s: int) -> set[int]:
+    """Pivot recursion for a Ramsey independent set, one nesting level per
+    pivot kept on the non-neighbor branch: the max-degree pivot (lowest id on
+    a tie) either descends into its neighborhood with r - 1 or joins the set
+    found in its non-neighborhood with s - 1."""
+    if s <= 0:
+        return set()
+    if len(verts) < _ramsey_bound(r, s):
+        raise TooFewVertices(f"{len(verts)} vertices, need {_ramsey_bound(r, s)}")
+    vset = set(verts)
+    if r == 2:
+        for v in verts:
+            for w in adj[v]:
+                if w > v and w in vset:
+                    raise CliqueFound((v, w))
+        return set(verts[:s])
+    if s == 1:
+        return {verts[0]}
+    pivot = max(verts, key=lambda v: (sum(1 for w in adj[v] if w in vset), -v))
+    nbrs = [w for w in adj[pivot] if w in vset]
+    if len(nbrs) >= _ramsey_bound(r - 1, s):
+        try:
+            return reference_ramsey(adj, nbrs, r - 1, s)
+        except CliqueFound as found:
+            raise CliqueFound((*found.witness, pivot)) from None
+    nbr_set = set(nbrs)
+    non = [v for v in verts if v != pivot and v not in nbr_set]
+    return reference_ramsey(adj, non, r, s - 1) | {pivot}

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from certcut import chromatic
 from certcut._rng import make_rng
 from certcut.chromatic import (
     Coloring,
@@ -28,7 +29,7 @@ from certcut.generators import (
 )
 from certcut.graphcore import Graph, cut_value, find_clique
 from certcut.verify import tcut_expectation_oracle
-from oracles import brute_independence_number
+from oracles import brute_independence_number, reference_ramsey
 
 TOL = 1e-9
 
@@ -85,6 +86,68 @@ class TestRamseyIndependentSet:
         got = ramsey_independent_set(g, 3, s)
         assert len(got) >= s
         assert_independent(g, got)
+
+
+def ramsey_cases():
+    """Seeded (graph, r, s) cases: clique-free graphs at the coloring's s,
+    graphs that hold a K_r, and s above what the vertex count certifies."""
+    cases = [
+        (Graph.from_edges(2500, []), 3, 50),
+        (random_regular(400, 3, 2), 3, 20),
+        (make_cr_free(gnp(120, 0.06, 1), 3), 3, 10),
+        (turan(60, 3), 4, 3),
+        (turan(40, 2), 3, 6),
+        (complete(17), 3, 4),
+        (complete(30), 4, 3),
+        (cycle(4), 3, 4),
+        (petersen(), 2, 2),
+        (Graph.from_edges(9, []), 2, 9),
+    ]
+    rng = make_rng(23)
+    for k in range(40):
+        n = int(rng.integers(2, 70))
+        g = gnp(n, float(rng.random()) * 0.4, seed=k)
+        r = int(rng.integers(2, 5))
+        cases.append((g, r, max(1, math.isqrt(n) - int(rng.integers(0, 3)))))
+    return cases
+
+
+def ramsey_outcome(fn, g, r, s):
+    try:
+        return "set", fn(g.rows(), list(range(g.n)), r, s)
+    except CliqueFound as found:
+        return "clique", found.witness
+    except TooFewVertices:
+        return "too few", None
+
+
+class TestRamseyLoop:
+    def test_matches_the_recursion(self):
+        kinds = set()
+        for g, r, s in ramsey_cases():
+            got = ramsey_outcome(chromatic._ramsey, g, r, s)
+            assert got == ramsey_outcome(reference_ramsey, g, r, s), (g.n, g.m, r, s)
+            kinds.add(got[0])
+        assert kinds == {"set", "clique", "too few"}
+
+    def test_nesting_is_at_most_r(self, monkeypatch):
+        inner = chromatic._ramsey
+        depth = deepest = 0
+
+        def counted(*args):
+            nonlocal depth, deepest
+            depth += 1
+            deepest = max(deepest, depth)
+            try:
+                return inner(*args)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(chromatic, "_ramsey", counted)
+        for g, r in ((Graph.from_edges(2500, []), 3), (random_regular(4000, 3, 1), 3), (turan(200, 3), 4)):
+            deepest = 0
+            kr_free_coloring(make_cr_free(g, 3) if r == 3 else g, r)
+            assert deepest <= r, (g.n, r, deepest)
 
 
 class TestKrFreeColoring:

@@ -62,6 +62,15 @@ class TestRandomRegular:
     def test_zero_degree(self):
         assert random_regular(6, 0, 0).m == 0
 
+    def test_negative_restart_budget_is_refused(self):
+        with pytest.raises(InvalidParameter, match="max_restarts"):
+            random_regular(10, 3, 0, max_restarts=-1)
+        with pytest.raises(InfeasibleSpec, match="max_restarts"):
+            family(GenSpec("regular", {"n": 10, "d": 3, "max_restarts": -1}))
+        # a zero budget is still a budget
+        with pytest.raises(BudgetExceeded):
+            random_regular(10, 3, 0, max_restarts=0)
+
 
 class TestGnp:
     def test_p_zero_edgeless(self):
@@ -276,3 +285,14 @@ class TestFamilyDispatch:
     def test_infeasible_parameters(self):
         with pytest.raises(InfeasibleSpec):
             family(GenSpec("turan", {"n": 5, "classes": 0}))
+
+    def test_bipartite_p_above_one_is_refused(self):
+        with pytest.raises(InfeasibleSpec, match="p must lie"):
+            family(GenSpec("bipartite", {"a": 2, "b": 2, "p": 1.5}))
+
+    def test_bipartite_at_p_one_keeps_every_pair(self):
+        for a in range(0, 41, 5):
+            for b in (0, 1, 7, 40):
+                want = complete_bipartite(a, b).edges
+                assert random_bipartite(a, b, 1.0, seed=a + b).edges == want
+                assert family(GenSpec("bipartite", {"a": a, "b": b}, seed=3)).edges == want

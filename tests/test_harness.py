@@ -346,6 +346,7 @@ class TestCliRefusals:
         ("--algo", "sdp", "--repeats", "-5"),
         ("--algo", "tcut", "--repeats", "0"),
         ("--algo", "exact", "--max-vertices", "-1"),
+        ("--algo", "tcut", "--t", "100000000000000000000"),
     ])
     def test_bad_parameter_exits_3(self, capsys, petersen_file, args):
         code, out, err = run_cli(capsys, "cut", *args, "--in", petersen_file)
@@ -397,6 +398,9 @@ class TestCliRefusals:
         (("gen", "--model", "disjoint-cliques", "--count", "-1", "--size", "3"), "must be >= 0"),
         (("gen", "--model", "turan", "--n", "-5"), "must be >= 0"),
         (("gen", "--model", "gnp", "--n", "-3", "--p", "0.5"), "must be >= 0"),
+        (("gen", "--model", "bipartite", "--a", "2", "--b", "2", "--p", "1.5"), "p must lie in [0, 1]"),
+        (("gen", "--model", "regular", "--n", "10", "--d", "3", "--max-restarts", "-1"), "max_restarts"),
+        (("bench", "--family", "regular", "--nlist", "12", "--dlist", "3", "--max-restarts", "-1"), "max_restarts"),
     ])
     def test_bad_gen_bench_verify_input_exits_3(self, capsys, argv, needle):
         code, out, err = run_cli(capsys, *argv)
@@ -413,7 +417,7 @@ class TestCliRefusals:
 
     def test_edge_parameters_still_run(self, capsys, petersen_file):
         for args in (("--algo", "tcut", "--t", "2"), ("--algo", "sampled", "--p", "1"),
-                     ("--algo", "sdp", "--repeats", "1")):
+                     ("--algo", "sdp", "--repeats", "1"), ("--algo", "tcut", "--t", str(2**63 - 1))):
             code, out, _ = run_cli(capsys, "cut", *args, "--in", petersen_file)
             assert code == 0 and json.loads(out)["value"] > 0
 
