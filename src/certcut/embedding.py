@@ -1,23 +1,19 @@
 """Explicit feasible solutions of the max-cut SDP relaxation, hyperplane
 rounding, and exact expectation certificates.
 
-The embedding assigns vertex i the unit vector obtained by normalizing the
-sparse vector with 1 at coordinate i and -eps_i on a chosen neighbor subset
-V_i. Rounding by the sign of the dot product with a random direction cuts an
-edge with probability arccos(<v_i, v_j>)/pi, and summing those probabilities
-gives a deterministic lower bound on the maximum cut that dominates the
-closed-form plan bound; no SDP solver is involved anywhere.
+Vertex i gets the unit vector v_i = (e_i - eps_i * sum_{j in V_i} e_j)/norm_i,
+norm_i = sqrt(1 + eps_i^2 |V_i|), for a chosen neighbor subset V_i. Rounding by
+the sign of <v_i, w> for a random direction w cuts an edge with probability
+arccos(<v_i, v_j>)/pi; the sum of those probabilities is a deterministic lower
+bound on the maximum cut that dominates the closed-form plan bound. No SDP
+solver is involved anywhere.
 
-An embedding stores only its graph and its plan, no per-vertex vector:
-``Embedding.entries`` defines vector i once. In its own order, vector i is
-1/norm_i at coordinate i, then -eps_i/norm_i at each j of V_i in set order.
-
-Rounding is one array pass per direction and reads no entry: vector i is
-(e_i - eps_i * sum_{j in V_i} e_j)/norm_i with norm_i >= 1, so <v_i, w> has
-the sign of w_i - eps_i * (sum of w over V_i). The sides match a term-by-term
-dot product except where it lies within rounding error of zero, and they
-depend on neither the norms nor V_i's iteration order. Repeat k of
-``sdp_cut`` draws its direction from the stream (seed, k).
+An embedding stores only its graph and its plan. With own_i = 1/norm_i and
+off_i = -eps_i/norm_i, an edge (u, v) has <v_u, v_v> = own_u off_v [u in V_v]
++ off_u own_v [v in V_u] + off_u off_v |V_u ^ V_v|: the certificate reads
+three integers per edge and depends on no set's iteration order. Rounding
+takes the sign of w_i - eps_i * (sum of w over V_i), which is
+norm_i * <v_i, w>; repeat k of ``sdp_cut`` draws w from the stream (seed, k).
 """
 
 from __future__ import annotations
@@ -48,21 +44,48 @@ class EpsilonPlan:
     sets: tuple[frozenset[int], ...]
     eps: tuple[float, ...]
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(owner, cols, eps)``: a pair ``(owner[k], cols[k]) = (i, j)`` for
+        each j of V_i, and eps_i at ``eps[i]``. Ids too large for int64 become -1."""
+        sizes = np.fromiter(map(len, self.sets), np.intp, len(self.sets))
+        owner = np.repeat(np.arange(len(self.sets)), sizes)
+        try:
+            cols = np.fromiter(chain.from_iterable(self.sets), np.intp, len(owner))
+        except OverflowError:
+            cols = np.array([j if abs(j) < 2**62 else -1 for j in chain.from_iterable(self.sets)])
+        return owner, cols, np.array(self.eps, dtype=float)
+
     def validate(self, g: Graph) -> None:
-        if len(self.sets) != g.n or len(self.eps) != g.n:
-            raise InvalidEpsilon(f"plan covers {len(self.sets)} of {g.n} vertices")
-        rows = g.rows()
-        for i in range(g.n):
-            if not self.sets[i].issubset(rows[i]):
-                raise InvalidEpsilon(f"V_{i} is not a subset of the neighbors of {i}")
-            e = self.eps[i]
-            if not math.isfinite(e):
-                raise InvalidEpsilon(f"eps_{i} = {e} is not finite")
-            if e < 0.0:
-                raise InvalidEpsilon(f"eps_{i} = {e} is negative")
-            cap = 1.0 / math.sqrt(len(self.sets[i])) if self.sets[i] else 1.0
-            if e > cap + _EPS_TOL:
-                raise InvalidEpsilon(f"eps_{i} = {e} exceeds 1/sqrt(|V_{i}|) = {cap}")
+        """Refuse the first infeasible vertex at its first failed check: V_i
+        among i's neighbors, then eps_i finite, nonnegative and capped."""
+        n = g.n
+        if len(self.sets) != n or len(self.eps) != n:
+            raise InvalidEpsilon(f"plan covers {len(self.sets)} of {n} vertices")
+        owner, cols, eps = self.arrays
+        # clipped to -1 or n, an id outside [0, n) keys no edge u*n + v with
+        # 0 <= u < v < n, and neither does j = i
+        j = np.minimum(np.maximum(cols, -1), n)
+        key, keys = np.minimum(owner, j) * n + np.maximum(owner, j), g.eu * n + g.ev
+        at = np.searchsorted(keys, key)
+        edge = at < g.m
+        edge[edge] = keys[at[edge]] == key[edge]
+        outside = np.bincount(owner[~edge], minlength=n) > 0
+        caps = 1.0 / np.sqrt(np.maximum(np.bincount(owner, minlength=n), 1))
+        # NaN fails both comparisons
+        bad = outside | ~((eps >= 0.0) & (eps <= caps + _EPS_TOL))
+        if not bad.any():
+            return
+        i = int(bad.argmax())
+        if outside[i]:
+            raise InvalidEpsilon(f"V_{i} is not a subset of the neighbors of {i}")
+        e = self.eps[i]
+        if not math.isfinite(e):
+            raise InvalidEpsilon(f"eps_{i} = {e} is not finite")
+        if e < 0.0:
+            raise InvalidEpsilon(f"eps_{i} = {e} is negative")
+        cap = 1.0 / math.sqrt(len(self.sets[i])) if self.sets[i] else 1.0
+        raise InvalidEpsilon(f"eps_{i} = {e} exceeds 1/sqrt(|V_{i}|) = {cap}")
 
 
 def eps_cap(g: Graph) -> float:
@@ -97,9 +120,7 @@ def back_neighbor_plan(g: Graph, eps: float) -> EpsilonPlan:
 
 @dataclass(frozen=True)
 class Embedding:
-    """The unit vectors of ``plan``'s explicit SDP point on ``graph``, derived
-    from the plan (support {i} union V_i, entries from :attr:`entries`); no
-    per-vertex dict is stored."""
+    """The unit vectors of ``plan``'s explicit SDP point on ``graph``."""
 
     graph: Graph
     plan: EpsilonPlan
@@ -108,59 +129,12 @@ class Embedding:
     def n(self) -> int:
         return self.graph.n
 
-    @cached_property
-    def norms(self) -> tuple[float, ...]:
-        """Pre-normalization norms sqrt(1 + eps_i^2 |V_i|)."""
-        return tuple(math.sqrt(1.0 + e * e * len(s)) for s, e in zip(self.plan.sets, self.plan.eps))
-
-    @cached_property
-    def entries(self) -> tuple[list[float], list[float]]:
-        """``(own, off)``: vector i is ``own[i]`` at coordinate i, then
-        ``off[i]`` at each j of V_i, in the set's iteration order."""
-        own = [1.0 / norm for norm in self.norms]
-        off = [-e / norm for e, norm in zip(self.plan.eps, self.norms)]
-        return own, off
-
-    def inner(self, i: int, j: int) -> float:
-        """<v_i, v_j>, summed over the smaller support (i's on a tie) in its
-        vector's order: the own coordinate first, then V_i."""
-        sets = self.plan.sets
-        vi, vj = sets[i], sets[j]
-        if len(vi) > len(vj):
-            i, j, vi, vj = j, i, vj, vi
-        own, off = self.entries
-        fi, oj, fj = off[i], own[j], off[j]
-        terms = [own[i] * oj] if i == j else [own[i] * fj] if i in vj else []
-        for k in vi:
-            if k == j:
-                terms.append(fi * oj)
-            elif k in vj:
-                terms.append(fi * fj)
-        return sum(terms)
-
-    def dense_matrix(self) -> np.ndarray:
-        own, off = self.entries
-        mat = np.diag(own)
-        for i, s in enumerate(self.plan.sets):
-            mat[i, list(s)] = off[i]
-        return mat
-
-    @cached_property
-    def plan_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(owner, cols, eps)``: one pair ``(owner[k], cols[k]) = (i, j)``
-        for each j of V_i, and eps_i at ``eps[i]``."""
-        sets = self.plan.sets
-        sizes = np.fromiter(map(len, sets), np.intp, self.n)
-        owner = np.repeat(np.arange(self.n), sizes)
-        cols = np.fromiter(chain.from_iterable(sets), np.intp, len(owner))
-        return owner, cols, np.array(self.plan.eps, dtype=float)
-
     def round_sides(self, w: np.ndarray) -> np.ndarray:
         """Boolean side of every vertex for direction ``w``: True (side 1)
         where w_i - eps_i * (sum of w over V_i) is negative or NaN, False
         where it is >= 0. That value is norm_i * <v_i, w>, so the sides match
         a term-by-term dot product except within rounding error of zero."""
-        owner, cols, eps = self.plan_arrays
+        owner, cols, eps = self.plan.arrays
         sums = np.bincount(owner, weights=w[cols], minlength=self.n)
         # ~(... >= 0) rather than < 0, so that NaN lands on side 1
         return ~(w - eps * sums >= 0.0)
@@ -184,42 +158,68 @@ class CutCertificate:
 
 
 def build_vectors(g: Graph, plan: EpsilonPlan) -> Embedding:
-    """Unit vectors of the explicit SDP-feasible point for ``plan``.
-
-    The pre-normalization vector for i has squared norm 1 + eps_i^2 |V_i|,
-    which always lies in [1, 2].
-    """
+    """Unit vectors of the explicit SDP-feasible point for a feasible ``plan``;
+    norm_i^2 = 1 + eps_i^2 |V_i| lies in [1, 2]."""
     plan.validate(g)
     return Embedding(g, plan)
 
 
+def edge_counts(g: Graph, plan: EpsilonPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[u in V_v], [v in V_u] (bool) and |V_u ^ V_v| (int) per edge of ``g``
+    for a feasible ``plan``. Each pair (i, j) of the plan is an edge, found by
+    its key among the sorted edge keys u*n + v. A common member k of V_u and
+    V_v closes the triangle (u, v, k), so each triangle of ``g.triangle_list``
+    is tested once per edge, k its third vertex.
+    """
+    owner, cols, _ = plan.arrays
+    n, m = g.n, g.m
+    keys = g.eu * n + g.ev
+    at = np.searchsorted(keys, np.minimum(owner, cols) * n + np.maximum(owner, cols))
+    fwd = owner < cols  # the pair is (u, v), so v is in V_u
+    v_in_u = np.bincount(at[fwd], minlength=m) > 0
+    u_in_v = np.bincount(at[~fwd], minlength=m) > 0
+    a, b, c = np.sort(g.triangle_list, axis=1).T
+    ab, ac, bc = (np.searchsorted(keys, x * n + y) for x, y in ((a, b), (a, c), (b, c)))
+    # c is in V_a and V_b, b in V_a and V_c, a in V_b and V_c
+    shared = ab[v_in_u[ac] & v_in_u[bc]], ac[v_in_u[ab] & u_in_v[bc]], bc[u_in_v[ab] & u_in_v[ac]]
+    return u_in_v, v_in_u, np.bincount(np.concatenate(shared), minlength=m)
+
+
+def edge_inner(g: Graph, plan: EpsilonPlan, counts: tuple[np.ndarray, ...]) -> np.ndarray:
+    """<v_u, v_v> per edge of ``g``: the closed form's three terms, in order,
+    from ``counts = edge_counts(g, plan)``."""
+    u_in_v, v_in_u, common = counts
+    owner, _, eps = plan.arrays
+    norm = np.sqrt(1.0 + eps * eps * np.bincount(owner, minlength=g.n))
+    own, off = 1.0 / norm, -eps / norm
+    off_u, off_v = off[g.eu], off[g.ev]
+    return own[g.eu] * off_v * u_in_v + off_u * own[g.ev] * v_in_u + off_u * off_v * common
+
+
 def exact_expected_cut(g: Graph, emb: Embedding) -> CutCertificate:
-    """Exact expected cut of hyperplane rounding: sum of arccos(<v_i,v_j>)/pi."""
-    if emb.graph is not g and (emb.graph.n != g.n or emb.graph.edges != g.edges):
+    """Exact expected cut of hyperplane rounding, sum_E arccos(<v_u, v_v>)/pi;
+    one :func:`edge_counts` pass gives the terms and the plan bound."""
+    h = emb.graph
+    if h is not g and not (h.n == g.n and np.array_equal(h.eu, g.eu) and np.array_equal(h.ev, g.ev)):
         raise ValueError("embedding was built for a different graph")
-    probs = []
-    for u, v in zip(g.eu.tolist(), g.ev.tolist()):
-        x = emb.inner(u, v)
-        x = 1.0 if x > 1.0 else (-1.0 if x < -1.0 else x)
-        probs.append(math.acos(x) / math.pi)
-    return CutCertificate(
-        expected_value=math.fsum(probs),
-        per_edge_terms=tuple(probs),
-        bound_reference="plan_bound",
-        bound_value=plan_lower_bound(g, emb.plan),
-    )
+    counts = edge_counts(g, emb.plan)
+    x = np.minimum(np.maximum(edge_inner(g, emb.plan, counts), -1.0), 1.0)
+    probs = [math.acos(t) / math.pi for t in x.tolist()]
+    return CutCertificate(expected_value=math.fsum(probs), per_edge_terms=tuple(probs),
+                          bound_reference="plan_bound", bound_value=_plan_bound(g, emb.plan, counts[2]))
 
 
 def plan_lower_bound(g: Graph, plan: EpsilonPlan) -> float:
-    """Closed-form cut bound m/2 + sum eps_i |V_i|/(4 pi) - sum_E eps_i eps_j |V_i ^ V_j|/2."""
-    gain = math.fsum(plan.eps[i] * len(plan.sets[i]) for i in range(g.n)) / (4.0 * math.pi)
-    loss = (
-        math.fsum(
-            plan.eps[u] * plan.eps[v] * len(plan.sets[u] & plan.sets[v])
-            for u, v in zip(g.eu.tolist(), g.ev.tolist())
-        )
-        / 2.0
-    )
+    """Closed-form cut bound m/2 + sum eps_i |V_i|/(4 pi) - sum_E eps_u eps_v |V_u ^ V_v|/2
+    of a feasible plan."""
+    return _plan_bound(g, plan, edge_counts(g, plan)[2])
+
+
+def _plan_bound(g: Graph, plan: EpsilonPlan, common: np.ndarray) -> float:
+    """:func:`plan_lower_bound` from the per-edge |V_u ^ V_v| in ``common``."""
+    owner, _, eps = plan.arrays
+    gain = math.fsum((eps * np.bincount(owner, minlength=g.n)).tolist()) / (4.0 * math.pi)
+    loss = math.fsum((eps[g.eu] * eps[g.ev] * common).tolist()) / 2.0
     return g.m / 2.0 + gain - loss
 
 

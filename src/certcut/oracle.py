@@ -115,10 +115,8 @@ def monte_carlo_cut_mean(emb: Embedding, trials: int, rng) -> tuple[float, float
     """Sample mean and standard error of hyperplane-rounded cut values."""
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
-    mat = emb.dense_matrix()
-    directions = rng.standard_normal((trials, emb.n))
-    sides = (directions @ mat.T) < 0
-    values = np.count_nonzero(sides[:, emb.graph.eu] != sides[:, emb.graph.ev], axis=1)
+    g = emb.graph
+    values = np.array([g.crossing_count(emb.round_sides(rng.standard_normal(g.n))) for _ in range(trials)])
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

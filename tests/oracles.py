@@ -257,6 +257,14 @@ def reference_edge_terms(emb) -> tuple[float, ...]:
     return tuple(terms)
 
 
+def reference_plan_lower_bound(g, plan) -> float:
+    """Plan bound m/2 + sum eps_i |V_i|/(4 pi) - sum_E eps_u eps_v |V_u ^ V_v|/2,
+    intersecting the two frozensets of every edge."""
+    gain = math.fsum(plan.eps[i] * len(plan.sets[i]) for i in range(g.n)) / (4.0 * math.pi)
+    loss = math.fsum(plan.eps[u] * plan.eps[v] * len(plan.sets[u] & plan.sets[v]) for u, v in g.edges)
+    return g.m / 2.0 + gain - loss / 2.0
+
+
 def reference_hyperplane_round(emb, rng) -> tuple[tuple[int, ...], int]:
     """Per-vertex rounding straight from the definition: side 1 unless the
     dot product, summed term by term in the vector's own order, is >= 0."""

@@ -12,6 +12,8 @@ from certcut.embedding import (
     EpsilonPlan,
     back_neighbor_plan,
     build_vectors,
+    edge_counts,
+    edge_inner,
     exact_expected_cut,
     hyperplane_round,
     plan_lower_bound,
@@ -30,9 +32,16 @@ from certcut.generators import (
 )
 from certcut.graphcore import Graph, count_triangles, degeneracy_order
 from certcut.verify import random_plan
-from oracles import edge_inner_bound, reference_edge_terms, reference_inner, reference_vector
+from oracles import (
+    edge_inner_bound,
+    reference_edge_terms,
+    reference_inner,
+    reference_plan_lower_bound,
+    reference_vector,
+)
 
 TOL = 1e-9
+ULP = 2.0**-52  # the largest gap allowed between two sums of the same terms
 
 
 def k2_plan():
@@ -70,6 +79,35 @@ class TestEpsilonPlan:
         with pytest.raises(InvalidEpsilon):
             build_vectors(g, EpsilonPlan((frozenset(), frozenset({0})), (0.0, -0.1)))
 
+    @pytest.mark.parametrize(
+        "g, sets, eps, message",
+        [
+            (complete(2), [set()], [0.0], "plan covers 1 of 2 vertices"),
+            (complete(2), [set(), set()], [0.0], "plan covers 2 of 2 vertices"),
+            (complete(2), [{0}, set()], [0.5, 0.0], "V_0 is not a subset of the neighbors of 0"),
+            (Graph.from_edges(3, [(0, 1)]), [set(), {5}, set()], [0.0, 0.5, 0.0],
+             "V_1 is not a subset of the neighbors of 1"),
+            (Graph.from_edges(3, [(0, 1)]), [{-1}, set(), set()], [0.5, 0.0, 0.0],
+             "V_0 is not a subset of the neighbors of 0"),
+            (Graph.from_edges(3, [(0, 1)]), [set(), {2**70}, set()], [0.0, 0.5, 0.0],
+             "V_1 is not a subset of the neighbors of 1"),
+            # vertex 0 fails only the cap, vertex 1 only the subset check
+            (Graph.from_edges(3, [(0, 1), (0, 2)]), [{1, 2}, {2}, set()], [0.9, 0.5, 0.0],
+             "eps_0 = 0.9 exceeds 1/sqrt(|V_0|) = 0.7071067811865475"),
+            # the subset check comes first within a vertex
+            (complete(3), [set(), {0, 7}, set()], [0.0, -1.0, 0.0],
+             "V_1 is not a subset of the neighbors of 1"),
+            (complete(3), [set(), {0}, {0, 1}], [0.0, math.nan, -1.0], "eps_1 = nan is not finite"),
+            (complete(3), [set(), {0}, set()], [0.0, -0.25, 2.0], "eps_1 = -0.25 is negative"),
+            (complete(3), [set(), set(), set()], [0.0, 1.5, 0.0], "eps_1 = 1.5 exceeds 1/sqrt(|V_1|) = 1.0"),
+        ],
+    )
+    def test_first_bad_vertex_and_check_named(self, g, sets, eps, message):
+        plan = EpsilonPlan(tuple(map(frozenset, sets)), tuple(eps))
+        with pytest.raises(InvalidEpsilon) as err:
+            plan.validate(g)
+        assert str(err.value) == message
+
     def test_back_neighbor_plan_zeroes_empty_sets(self):
         g = cycle(5)
         plan = back_neighbor_plan(g, 0.5)
@@ -105,30 +143,31 @@ class TestBuildVectors:
         g, plans = seeded_plans(seed)
         for plan in plans:
             emb = build_vectors(g, plan)
-            vecs = [reference_vector(emb, i) for i in range(g.n)]
-            for i in range(g.n):
-                for j in range(g.n):
-                    # repr tells 0 from 0.0 and -0.0, and round-trips every float
-                    assert repr(emb.inner(i, j)) == repr(reference_inner(vecs[i], vecs[j])), (i, j)
+            inner = inner_products(g, plan)
+            terms = term_counts(g, plan)
+            for k, (u, v) in enumerate(g.edges):
+                want = reference_inner(reference_vector(emb, u), reference_vector(emb, v))
+                assert_same_sum(inner[k], want, terms[k], (u, v))
 
     def test_k2_inner_product(self):
         g = complete(2)
-        emb = build_vectors(g, k2_plan())
-        assert emb.norms[1] == pytest.approx(math.sqrt(2))
-        assert emb.inner(0, 1) == pytest.approx(-1 / math.sqrt(2))
+        plan = k2_plan()
+        emb = build_vectors(g, plan)
+        assert reference_vector(emb, 1)[1] == pytest.approx(1 / math.sqrt(2))
+        assert inner_products(g, plan) == [pytest.approx(-1 / math.sqrt(2))]
 
     def test_identity_embedding(self):
         g = gnp(8, 0.5, 0)
-        emb = build_vectors(g, identity_plan(g))
-        for u, v in g.edges:
-            assert emb.inner(u, v) == 0.0
+        plan = identity_plan(g)
+        build_vectors(g, plan)
+        assert inner_products(g, plan) == [0.0] * g.m
 
     def test_k3_prenorm_squared_norm_is_two(self):
         g = complete(3)
         plan = back_neighbor_plan(g, 1 / math.sqrt(2))
         emb = build_vectors(g, plan)
         heavy = next(v for v in range(3) if len(plan.sets[v]) == 2)
-        assert emb.norms[heavy] ** 2 == pytest.approx(2.0)
+        assert reference_vector(emb, heavy)[heavy] ** -2 == pytest.approx(2.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unit_norms_and_support(self, seed):
@@ -140,7 +179,65 @@ class TestBuildVectors:
             norm_sq = sum(x * x for x in vec.values())
             assert abs(norm_sq - 1.0) <= 1e-12
             assert set(vec) == {v} | set(plan.sets[v])
-            assert 1.0 <= emb.norms[v] ** 2 <= 2.0 + 1e-12
+            assert 1.0 <= vec[v] ** -2 <= 2.0 + 1e-12
+
+
+def inner_products(g, plan) -> list[float]:
+    """<v_u, v_v> for every edge, as the certificate computes it."""
+    return edge_inner(g, plan, edge_counts(g, plan)).tolist()
+
+
+def term_counts(g, plan) -> list[int]:
+    """Terms of each edge's inner product: [u in V_v] + [v in V_u] + |V_u ^ V_v|."""
+    return [a + b + c for a, b, c in zip(*(x.tolist() for x in edge_counts(g, plan)))]
+
+
+def assert_same_sum(got: float, want: float, terms: int, where) -> None:
+    """``got`` and ``want`` add the same ``terms`` products in possibly
+    different orders: with at most two there is one rounding, so they are
+    equal bit for bit; with more they may differ in the last bit."""
+    if terms <= 2:
+        # repr tells 0.0 from -0.0, and round-trips every float
+        assert repr(float(got)) == repr(float(want)), where
+    else:
+        assert abs(got - want) <= ULP, where
+
+
+def random_plans(seed: int, count: int = 25):
+    """``verify.random_plan`` plans on seeded G(n, p) graphs of 2 to 29 vertices."""
+    rng = make_rng(seed, 32)
+    for k in range(count):
+        n = int(rng.integers(2, 30))
+        g = gnp(n, float(rng.random()) * 0.8 + 0.1, seed * 1000 + k)
+        yield g, random_plan(g, rng)
+
+
+class TestEdgeCounts:
+    @staticmethod
+    def assert_counts(g, plan):
+        u_in_v, v_in_u, common = edge_counts(g, plan)
+        assert u_in_v.dtype == v_in_u.dtype == bool and len(common) == g.m
+        got = list(zip(u_in_v.tolist(), v_in_u.tolist(), common.tolist()))
+        want = [
+            (u in plan.sets[v], v in plan.sets[u], len(plan.sets[u] & plan.sets[v]))
+            for u, v in g.edges
+        ]
+        assert got == want
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_plans(self, seed):
+        g, plans = seeded_plans(seed)
+        for plan in plans:
+            self.assert_counts(g, plan)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_plans(self, seed):
+        for g, plan in random_plans(seed):
+            self.assert_counts(g, plan)
+
+    def test_edgeless_and_empty(self):
+        for g in (Graph.from_edges(0, []), Graph.from_edges(5, [])):
+            self.assert_counts(g, identity_plan(g))
 
 
 class TestExactExpectedCut:
@@ -165,7 +262,10 @@ class TestExactExpectedCut:
         g, plans = seeded_plans(seed)
         for plan in plans:
             emb = build_vectors(g, plan)
-            assert exact_expected_cut(g, emb).per_edge_terms == reference_edge_terms(emb)
+            got = exact_expected_cut(g, emb).per_edge_terms
+            terms = term_counts(g, plan)
+            for k, want in enumerate(reference_edge_terms(emb)):
+                assert_same_sum(got[k], want, terms[k], k)
 
     def test_terms_sum_to_expected_value(self):
         g = gnp(10, 0.5, 2)
@@ -175,6 +275,14 @@ class TestExactExpectedCut:
 
 
 class TestPlanLowerBound:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_set_intersection_reference(self, seed):
+        g, plans = seeded_plans(seed)
+        for plan in plans:
+            assert repr(plan_lower_bound(g, plan)) == repr(reference_plan_lower_bound(g, plan))
+            cert = exact_expected_cut(g, build_vectors(g, plan))
+            assert repr(cert.bound_value) == repr(reference_plan_lower_bound(g, plan))
+
     def test_zero_epsilon_gives_half(self):
         g = gnp(10, 0.4, 3)
         assert plan_lower_bound(g, identity_plan(g)) == pytest.approx(g.m / 2)
@@ -199,9 +307,10 @@ class TestInnerProductBound:
     def test_edges_respect_owner_paired_bound(self, seed):
         g = gnp(14, 0.4, seed)
         plan = random_plan(g, make_rng(seed + 50))
-        emb = build_vectors(g, plan)
-        for u, v in g.edges:
-            assert emb.inner(u, v) <= edge_inner_bound(plan, u, v) + 1e-12
+        build_vectors(g, plan)
+        inner = inner_products(g, plan)
+        for k, (u, v) in enumerate(g.edges):
+            assert inner[k] <= edge_inner_bound(plan, u, v) + 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_constant_epsilon_plans_match_symmetric_form(self, seed):
@@ -212,14 +321,14 @@ class TestInnerProductBound:
             pytest.skip("edgeless sample")
         eps = 1 / math.sqrt(order.degeneracy)
         plan = back_neighbor_plan(g, eps)
-        emb = build_vectors(g, plan)
-        for u, v in g.edges:
+        inner = inner_products(g, plan)
+        for k, (u, v) in enumerate(g.edges):
             literal = (
                 -plan.eps[u] / 4 * (u in plan.sets[v])
                 - plan.eps[v] / 4 * (v in plan.sets[u])
                 + plan.eps[u] * plan.eps[v] * len(plan.sets[u] & plan.sets[v])
             )
-            assert emb.inner(u, v) <= literal + 1e-12
+            assert inner[k] <= literal + 1e-12
 
     def test_arcsine_scalar_inequality_on_grid(self):
         # asin(a - b) <= (pi/2) a - b for a, b in [0, 1]
