@@ -59,6 +59,7 @@ from .graphcore import (
     Cut,
     DegeneracyOrder,
     Graph,
+    back_pairs,
     count_back_triangles,
     count_cliques,
     count_triangles,

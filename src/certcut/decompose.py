@@ -28,6 +28,7 @@ from .graphcore import (
     Cut,
     DegeneracyOrder,
     Graph,
+    back_pairs,
     count_back_triangles,
     cut_value,
     find_clique,
@@ -72,11 +73,14 @@ def find_dense_subset(g: Graph, order: DegeneracyOrder, eps: float):
     NotEnoughTriangles when no vertex qualifies.
     """
     _check_partition_eps(eps)
-    t_back = count_back_triangles(g, order)
-    for v in order.order:
-        dv = len(order.back_neighbors[v])
-        if dv >= 1 and t_back[v] * eps >= dv:
-            return order.back_neighbors[v], v
+    owner, cols = back_pairs(g, order)
+    ordered = np.fromiter(order.order, np.intp, len(order.order))
+    dv = np.bincount(owner, minlength=g.n)[ordered]
+    t_back = np.array(count_back_triangles(g, order), dtype=np.int64)[ordered]
+    hit = (dv >= 1) & (t_back * eps >= dv)
+    if hit.any():
+        v = int(ordered[hit.argmax()])
+        return frozenset(cols[owner == v].tolist()), v
     raise NotEnoughTriangles(
         f"no vertex closes back-degree/{eps} triangles inside its back-neighbor set"
     )

@@ -8,7 +8,9 @@ arccos(<v_i, v_j>)/pi; the sum of those probabilities is a deterministic lower
 bound on the maximum cut that dominates the closed-form plan bound. No SDP
 solver is involved anywhere.
 
-An embedding stores only its graph and its plan. With own_i = 1/norm_i and
+A plan is arrays only: one (i, j) pair per j of V_i, and eps. An embedding
+stores its graph, its plan and the edge of every pair, looked up once when
+the plan is validated. With own_i = 1/norm_i and
 off_i = -eps_i/norm_i, an edge (u, v) has <v_u, v_v> = own_u off_v [u in V_v]
 + off_u own_v [v in V_u] + off_u off_v |V_u ^ V_v|: the certificate reads
 three integers per edge and depends on no set's iteration order. Rounding
@@ -20,49 +22,59 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from ._rng import make_rng
 from .errors import EpsilonTooLarge, InvalidEpsilon
-from .graphcore import Cut, Graph
+from .graphcore import Cut, Graph, back_pairs
 from .graphcore import cut_value  # noqa: F401  (kept importable from this module)
 
 _EPS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpsilonPlan:
-    """Per-vertex neighbor subsets V_i and weights eps_i.
+    """Per-vertex neighbor subsets V_i and weights eps_i, as arrays: one pair
+    ``(owner[k], cols[k]) = (i, j)`` for each j of V_i, and eps_i at ``eps[i]``.
 
     Feasibility: V_i is a subset of the neighbors of i, eps_i >= 0, and
     eps_i <= 1/sqrt(|V_i|) whenever V_i is nonempty (eps_i <= 1 otherwise).
     """
 
-    sets: tuple[frozenset[int], ...]
-    eps: tuple[float, ...]
+    owner: np.ndarray
+    cols: np.ndarray
+    eps: np.ndarray
 
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(owner, cols, eps)``: a pair ``(owner[k], cols[k]) = (i, j)`` for
-        each j of V_i, and eps_i at ``eps[i]``. Ids too large for int64 become -1."""
-        sizes = np.fromiter(map(len, self.sets), np.intp, len(self.sets))
-        owner = np.repeat(np.arange(len(self.sets)), sizes)
+    @classmethod
+    def from_sets(cls, sets, eps) -> "EpsilonPlan":
+        """Plan with V_i = ``sets[i]`` and eps_i = ``eps[i]``; the pairs of
+        one owner follow its set's iteration order. Ids too large for int64
+        become -1, which no edge has."""
+        if len(sets) != len(eps):
+            raise InvalidEpsilon(f"plan has {len(sets)} sets and {len(eps)} eps values")
+        sizes = np.fromiter(map(len, sets), np.intp, len(sets))
+        owner = np.repeat(np.arange(len(sets)), sizes)
         try:
-            cols = np.fromiter(chain.from_iterable(self.sets), np.intp, len(owner))
+            cols = np.fromiter(chain.from_iterable(sets), np.intp, len(owner))
         except OverflowError:
-            cols = np.array([j if abs(j) < 2**62 else -1 for j in chain.from_iterable(self.sets)])
-        return owner, cols, np.array(self.eps, dtype=float)
+            cols = np.array([j if abs(j) < 2**62 else -1 for j in chain.from_iterable(sets)])
+        return cls(owner, cols, np.array(eps, dtype=float))
 
-    def validate(self, g: Graph) -> None:
-        """Refuse the first infeasible vertex at its first failed check: V_i
-        among i's neighbors, then eps_i finite, nonnegative and capped."""
-        n = g.n
-        if len(self.sets) != n or len(self.eps) != n:
-            raise InvalidEpsilon(f"plan covers {len(self.sets)} of {n} vertices")
-        owner, cols, eps = self.arrays
+    def validate(self, g: Graph) -> np.ndarray:
+        """Refuse malformed arrays, then the first infeasible vertex at its
+        first failed check: V_i among i's neighbors and without repeats, then
+        eps_i finite, nonnegative and capped. Returns the index in ``g``'s
+        edges of every pair."""
+        n, owner, cols, eps = g.n, self.owner, self.cols, self.eps
+        if len(eps) != n:
+            raise InvalidEpsilon(f"plan covers {len(eps)} of {n} vertices")
+        if len(owner) != len(cols):
+            raise InvalidEpsilon(f"plan has {len(owner)} owners but {len(cols)} members")
+        stray = (owner < 0) | (owner >= n)
+        if stray.any():
+            raise InvalidEpsilon(f"pair owner {owner[stray.argmax()]} outside [0, {n})")
         # clipped to -1 or n, an id outside [0, n) keys no edge u*n + v with
         # 0 <= u < v < n, and neither does j = i
         j = np.minimum(np.maximum(cols, -1), n)
@@ -70,21 +82,29 @@ class EpsilonPlan:
         at = np.searchsorted(keys, key)
         edge = at < g.m
         edge[edge] = keys[at[edge]] == key[edge]
+        # an edge holds at most one pair per endpoint: slot 2e + [owner is v]
+        slot = 2 * at + (owner > j)
+        repeat = edge & (np.bincount(slot[edge], minlength=2 * g.m + 2)[slot] > 1)
         outside = np.bincount(owner[~edge], minlength=n) > 0
-        caps = 1.0 / np.sqrt(np.maximum(np.bincount(owner, minlength=n), 1))
+        twice = np.bincount(owner[repeat], minlength=n) > 0
+        sizes = np.bincount(owner, minlength=n)
+        caps = 1.0 / np.sqrt(np.maximum(sizes, 1))
         # NaN fails both comparisons
-        bad = outside | ~((eps >= 0.0) & (eps <= caps + _EPS_TOL))
+        bad = outside | twice | ~((eps >= 0.0) & (eps <= caps + _EPS_TOL))
         if not bad.any():
-            return
+            return at
         i = int(bad.argmax())
         if outside[i]:
             raise InvalidEpsilon(f"V_{i} is not a subset of the neighbors of {i}")
-        e = self.eps[i]
+        if twice[i]:
+            raise InvalidEpsilon(f"V_{i} lists {cols[repeat & (owner == i)][0]} twice")
+        e = float(eps[i])
         if not math.isfinite(e):
             raise InvalidEpsilon(f"eps_{i} = {e} is not finite")
         if e < 0.0:
             raise InvalidEpsilon(f"eps_{i} = {e} is negative")
-        cap = 1.0 / math.sqrt(len(self.sets[i])) if self.sets[i] else 1.0
+        size = int(sizes[i])
+        cap = 1.0 / math.sqrt(size) if size else 1.0
         raise InvalidEpsilon(f"eps_{i} = {e} exceeds 1/sqrt(|V_{i}|) = {cap}")
 
 
@@ -108,22 +128,25 @@ def check_eps(g: Graph, eps: float) -> None:
 
 
 def back_neighbor_plan(g: Graph, eps: float) -> EpsilonPlan:
-    """Constant-eps plan on the back-neighbor sets of ``g``'s degeneracy order.
+    """Constant-eps plan on the back-neighbor pairs of ``g``'s degeneracy
+    order (:func:`back_pairs`), one pair per edge.
 
     Vertices with no back-neighbors get eps_i = 0 (their vector is a plain
     basis vector either way). ``eps`` must pass :func:`check_eps`.
     """
     check_eps(g, eps)
-    sets = g.degeneracy_order.back_neighbors
-    return EpsilonPlan(sets, tuple(eps if s else 0.0 for s in sets))
+    owner, cols = back_pairs(g, g.degeneracy_order)
+    return EpsilonPlan(owner, cols, np.where(np.bincount(owner, minlength=g.n) > 0, eps, 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
-    """The unit vectors of ``plan``'s explicit SDP point on ``graph``."""
+    """The unit vectors of ``plan``'s explicit SDP point on ``graph``;
+    ``pair_edge[k]`` is the index in ``graph``'s edges of plan pair k."""
 
     graph: Graph
     plan: EpsilonPlan
+    pair_edge: np.ndarray
 
     @property
     def n(self) -> int:
@@ -134,10 +157,10 @@ class Embedding:
         where w_i - eps_i * (sum of w over V_i) is negative or NaN, False
         where it is >= 0. That value is norm_i * <v_i, w>, so the sides match
         a term-by-term dot product except within rounding error of zero."""
-        owner, cols, eps = self.plan.arrays
-        sums = np.bincount(owner, weights=w[cols], minlength=self.n)
+        plan = self.plan
+        sums = np.bincount(plan.owner, weights=w[plan.cols], minlength=self.n)
         # ~(... >= 0) rather than < 0, so that NaN lands on side 1
-        return ~(w - eps * sums >= 0.0)
+        return ~(w - plan.eps * sums >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -160,22 +183,21 @@ class CutCertificate:
 def build_vectors(g: Graph, plan: EpsilonPlan) -> Embedding:
     """Unit vectors of the explicit SDP-feasible point for a feasible ``plan``;
     norm_i^2 = 1 + eps_i^2 |V_i| lies in [1, 2]."""
-    plan.validate(g)
-    return Embedding(g, plan)
+    return Embedding(g, plan, plan.validate(g))
 
 
-def edge_counts(g: Graph, plan: EpsilonPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[u in V_v], [v in V_u] (bool) and |V_u ^ V_v| (int) per edge of ``g``
-    for a feasible ``plan``. Each pair (i, j) of the plan is an edge, found by
-    its key among the sorted edge keys u*n + v. A common member k of V_u and
-    V_v closes the triangle (u, v, k), so each triangle of ``g.triangle_list``
-    is tested once per edge, k its third vertex.
+def edge_counts(emb: Embedding) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[u in V_v], [v in V_u] (bool) and |V_u ^ V_v| (int) per edge of the
+    embedding's graph. Each plan pair (i, j) marks its edge, found once by
+    validation (``emb.pair_edge``). A common member k of V_u and V_v closes
+    the triangle (u, v, k), so each triangle of ``g.triangle_list`` is tested
+    once per edge, k its third vertex, found by its key among the sorted edge
+    keys u*n + v.
     """
-    owner, cols, _ = plan.arrays
+    g, plan, at = emb.graph, emb.plan, emb.pair_edge
     n, m = g.n, g.m
     keys = g.eu * n + g.ev
-    at = np.searchsorted(keys, np.minimum(owner, cols) * n + np.maximum(owner, cols))
-    fwd = owner < cols  # the pair is (u, v), so v is in V_u
+    fwd = plan.owner < plan.cols  # the pair is (u, v), so v is in V_u
     v_in_u = np.bincount(at[fwd], minlength=m) > 0
     u_in_v = np.bincount(at[~fwd], minlength=m) > 0
     a, b, c = np.sort(g.triangle_list, axis=1).T
@@ -187,10 +209,10 @@ def edge_counts(g: Graph, plan: EpsilonPlan) -> tuple[np.ndarray, np.ndarray, np
 
 def edge_inner(g: Graph, plan: EpsilonPlan, counts: tuple[np.ndarray, ...]) -> np.ndarray:
     """<v_u, v_v> per edge of ``g``: the closed form's three terms, in order,
-    from ``counts = edge_counts(g, plan)``."""
+    from ``counts = edge_counts(build_vectors(g, plan))``."""
     u_in_v, v_in_u, common = counts
-    owner, _, eps = plan.arrays
-    norm = np.sqrt(1.0 + eps * eps * np.bincount(owner, minlength=g.n))
+    eps = plan.eps
+    norm = np.sqrt(1.0 + eps * eps * np.bincount(plan.owner, minlength=g.n))
     own, off = 1.0 / norm, -eps / norm
     off_u, off_v = off[g.eu], off[g.ev]
     return own[g.eu] * off_v * u_in_v + off_u * own[g.ev] * v_in_u + off_u * off_v * common
@@ -202,7 +224,7 @@ def exact_expected_cut(g: Graph, emb: Embedding) -> CutCertificate:
     h = emb.graph
     if h is not g and not (h.n == g.n and np.array_equal(h.eu, g.eu) and np.array_equal(h.ev, g.ev)):
         raise ValueError("embedding was built for a different graph")
-    counts = edge_counts(g, emb.plan)
+    counts = edge_counts(emb)
     x = np.minimum(np.maximum(edge_inner(g, emb.plan, counts), -1.0), 1.0)
     probs = [math.acos(t) / math.pi for t in x.tolist()]
     return CutCertificate(expected_value=math.fsum(probs), per_edge_terms=tuple(probs),
@@ -212,13 +234,13 @@ def exact_expected_cut(g: Graph, emb: Embedding) -> CutCertificate:
 def plan_lower_bound(g: Graph, plan: EpsilonPlan) -> float:
     """Closed-form cut bound m/2 + sum eps_i |V_i|/(4 pi) - sum_E eps_u eps_v |V_u ^ V_v|/2
     of a feasible plan."""
-    return _plan_bound(g, plan, edge_counts(g, plan)[2])
+    return _plan_bound(g, plan, edge_counts(build_vectors(g, plan))[2])
 
 
 def _plan_bound(g: Graph, plan: EpsilonPlan, common: np.ndarray) -> float:
     """:func:`plan_lower_bound` from the per-edge |V_u ^ V_v| in ``common``."""
-    owner, _, eps = plan.arrays
-    gain = math.fsum((eps * np.bincount(owner, minlength=g.n)).tolist()) / (4.0 * math.pi)
+    eps = plan.eps
+    gain = math.fsum((eps * np.bincount(plan.owner, minlength=g.n)).tolist()) / (4.0 * math.pi)
     loss = math.fsum((eps[g.eu] * eps[g.ev] * common).tolist()) / 2.0
     return g.m / 2.0 + gain - loss
 

@@ -28,9 +28,6 @@ from .errors import (
 
 CLIQUE_STEP_BUDGET = 10**9
 
-# the back set of every vertex without back-neighbors
-_NO_BACK: frozenset[int] = frozenset()
-
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -159,22 +156,35 @@ class Cut:
 class DegeneracyOrder:
     """A vertex order in which every vertex has few earlier neighbors.
 
-    ``back_neighbors[v]`` is the set of neighbors of ``v`` that appear before
-    it in ``order``; ``degeneracy`` is the maximum back-degree, which for the
-    canonical order equals the graph degeneracy exactly.
+    ``order`` lists some or all of the ``n`` vertices. The back-neighbors of
+    a vertex are its neighbors earlier in ``order`` (see :func:`back_pairs`);
+    ``degeneracy`` is the maximum back-degree, which for the canonical order
+    equals the graph degeneracy exactly.
     """
 
+    n: int
     order: tuple[int, ...]
-    back_neighbors: tuple[frozenset[int], ...]
     degeneracy: int
 
     @cached_property
-    def position(self) -> tuple[int, ...]:
-        """Index of every vertex in ``order``; -1 for vertices outside it."""
-        pos = [-1] * len(self.back_neighbors)
-        for i, v in enumerate(self.order):
-            pos[v] = i
-        return tuple(pos)
+    def position(self) -> np.ndarray:
+        """Read-only index of every vertex in ``order``; -1 for vertices
+        outside it."""
+        pos = np.full(self.n, -1, dtype=np.intp)
+        pos[np.fromiter(self.order, np.intp, len(self.order))] = np.arange(len(self.order))
+        pos.flags.writeable = False
+        return pos
+
+
+def back_pairs(g: Graph, order: DegeneracyOrder) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, cols)``, one pair per edge of ``g`` whose endpoints are both
+    in ``order``, in edge order: ``owner`` is the later endpoint and ``cols``
+    the earlier one, its back-neighbor. The pairs of one owner list its
+    back-neighbors in ascending id."""
+    pu, pv = order.position[g.eu], order.position[g.ev]
+    both = (pu >= 0) & (pv >= 0)
+    later = pu > pv
+    return np.where(later, g.eu, g.ev)[both], np.where(later, g.ev, g.eu)[both]
 
 
 def peel(g: Graph, alive=None) -> DegeneracyOrder:
@@ -185,12 +195,14 @@ def peel(g: Graph, alive=None) -> DegeneracyOrder:
     id on ties) and lists the removal sequence reversed, so each vertex's
     back-neighbors are exactly its residual neighbors at removal time and the
     maximum back-degree is the exact degeneracy of the graph induced by
-    ``alive``. Each degree keeps a min-heap of ids, a vertex is pushed again
-    whenever its degree drops, and the current minimum degree drops by at
-    most one per removal: O((n + m) log Delta) for the lowest-id tie-break. Vertices
-    outside ``alive`` are not in ``order`` and have empty back sets; since
-    ``induced_subgraph`` relabels monotonically, this is the subgraph's own
-    canonical order mapped back to ``g``.
+    ``alive``. Only the order and that degeneracy are kept; :func:`back_pairs`
+    reads the back-neighbors off the edges. Each degree keeps a min-heap of
+    ids, a vertex is pushed again whenever its degree drops, and the current
+    minimum degree drops by at most one per removal: O((n + m) log Delta) for
+    the lowest-id tie-break. Vertices outside ``alive`` are not in ``order``
+    and have no back-neighbors; since ``induced_subgraph`` relabels
+    monotonically, this is the subgraph's own canonical order mapped back to
+    ``g``.
     """
     n = g.n
     adj = g.rows()
@@ -205,7 +217,6 @@ def peel(g: Graph, alive=None) -> DegeneracyOrder:
             buckets[deg[v]].append(v)
     pop, push = heapq.heappop, heapq.heappush
     removal = []
-    back = [_NO_BACK] * n
     degeneracy = 0
     d = 0
     for _ in range(sum(live)):
@@ -223,17 +234,14 @@ def peel(g: Graph, alive=None) -> DegeneracyOrder:
         removal.append(v)
         if d > degeneracy:
             degeneracy = d
-        # the residual neighbors, filtered from the ascending row
-        rest = [w for w in adj[v] if live[w]]
-        if rest:
-            back[v] = frozenset(rest)
-        for w in rest:
-            k = deg[w] - 1
-            deg[w] = k
-            push(buckets[k], w)
+        for w in adj[v]:
+            if live[w]:
+                k = deg[w] - 1
+                deg[w] = k
+                push(buckets[k], w)
         if d:
             d -= 1
-    return DegeneracyOrder(tuple(reversed(removal)), tuple(back), degeneracy)
+    return DegeneracyOrder(n, tuple(reversed(removal)), degeneracy)
 
 
 def degeneracy_order(g: Graph) -> DegeneracyOrder:
@@ -299,8 +307,7 @@ def count_back_triangles(g: Graph, order: DegeneracyOrder) -> tuple[int, ...]:
     :func:`peel` on a vertex subset) are in no back set. Summing over all
     vertices recovers the triangle count of the ordered vertices.
     """
-    pos = np.asarray(order.position, dtype=np.intp)
-    pa, pb, pc = pos[g.triangle_list.T]
+    pa, pb, pc = order.position[g.triangle_list.T]
     last = np.maximum(np.maximum(pa, pb), pc)[(pa >= 0) & (pb >= 0) & (pc >= 0)]
     ordered = np.asarray(order.order, dtype=np.intp)
     return tuple(np.bincount(ordered[last], minlength=g.n).tolist())

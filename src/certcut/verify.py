@@ -63,7 +63,7 @@ def random_plan(g, rng):
         cap = 1.0 / math.sqrt(len(chosen)) if chosen else 1.0
         sets.append(chosen)
         eps.append(float(rng.random()) * cap)
-    return EpsilonPlan(tuple(sets), tuple(eps))
+    return EpsilonPlan.from_sets(sets, eps)
 
 
 def check_plan_dominance(count=1000, seed=0):

@@ -8,12 +8,13 @@ to a dozen-ish vertices.
 import heapq
 import math
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
 from certcut._rng import make_rng
 from certcut.errors import BudgetExceeded, CliqueFound, DuplicateEdge, SelfLoop, TooFewVertices, VertexOutOfRange
-from certcut.graphcore import Cut, DegeneracyOrder, Graph, induced_subgraph
+from certcut.graphcore import Cut, DegeneracyOrder, Graph, back_pairs, induced_subgraph
 
 
 def reference_from_edges(n: int, edges) -> tuple[tuple, tuple]:
@@ -215,23 +216,43 @@ def reference_make_cr_free(g: Graph, r: int, budget: int = 10**8) -> Graph:
     return Graph.from_edges(g.n, edges)
 
 
+def _sets(n: int, owner, cols) -> tuple[frozenset[int], ...]:
+    """The frozensets V_i = {cols[k] : owner[k] = i} of n owners."""
+    sets = [set() for _ in range(n)]
+    for i, j in zip(owner.tolist(), cols.tolist()):
+        sets[i].add(j)
+    return tuple(map(frozenset, sets))
+
+
+def plan_sets(plan) -> tuple[frozenset[int], ...]:
+    """The plan's subsets V_i, rebuilt as frozensets from its pair arrays."""
+    return _sets(len(plan.eps), plan.owner, plan.cols)
+
+
+def back_sets(g: Graph, order: DegeneracyOrder) -> tuple[frozenset[int], ...]:
+    """The back-neighbor set of every vertex, rebuilt from ``back_pairs``."""
+    return _sets(g.n, *back_pairs(g, order))
+
+
 def edge_inner_bound(plan, u: int, v: int) -> float:
     """Upper bound on <v_u, v_v> for an edge: pairs each membership indicator
     with the set owner's eps (-eps_v/4 when u is in V_v, and symmetrically),
     plus eps_u eps_v |V_u ^ V_v| for the shared support."""
+    sets = plan_sets(plan)
     b = 0.0
-    if u in plan.sets[v]:
+    if u in sets[v]:
         b -= plan.eps[v] / 4.0
-    if v in plan.sets[u]:
+    if v in sets[u]:
         b -= plan.eps[u] / 4.0
-    return b + plan.eps[u] * plan.eps[v] * len(plan.sets[u] & plan.sets[v])
+    return b + plan.eps[u] * plan.eps[v] * len(sets[u] & sets[v])
 
 
 def reference_vector(emb, i: int) -> dict[int, float]:
     """Vector i of ``emb`` straight from its plan, as a dict in the vector's
-    own order: 1 at coordinate i, then -eps_i at each j of V_i (in the set's
-    iteration order), all divided by sqrt(1 + eps_i^2 |V_i|)."""
-    e, vi = emb.plan.eps[i], emb.plan.sets[i]
+    own order: 1 at coordinate i, then -eps_i at each j of V_i (in the
+    plan's pair order), all divided by sqrt(1 + eps_i^2 |V_i|)."""
+    plan = emb.plan
+    e, vi = float(plan.eps[i]), plan.cols[plan.owner == i].tolist()
     norm = math.sqrt(1.0 + e * e * len(vi))
     vec = {i: 1.0 / norm}
     for j in vi:
@@ -260,8 +281,9 @@ def reference_edge_terms(emb) -> tuple[float, ...]:
 def reference_plan_lower_bound(g, plan) -> float:
     """Plan bound m/2 + sum eps_i |V_i|/(4 pi) - sum_E eps_u eps_v |V_u ^ V_v|/2,
     intersecting the two frozensets of every edge."""
-    gain = math.fsum(plan.eps[i] * len(plan.sets[i]) for i in range(g.n)) / (4.0 * math.pi)
-    loss = math.fsum(plan.eps[u] * plan.eps[v] * len(plan.sets[u] & plan.sets[v]) for u, v in g.edges)
+    sets, eps = plan_sets(plan), plan.eps.tolist()
+    gain = math.fsum(eps[i] * len(sets[i]) for i in range(g.n)) / (4.0 * math.pi)
+    loss = math.fsum(eps[u] * eps[v] * len(sets[u] & sets[v]) for u, v in g.edges)
     return g.m / 2.0 + gain - loss / 2.0
 
 
@@ -314,9 +336,28 @@ def reference_max_t_cut(g: Graph, base_side, t: int, rng, repeats: int) -> tuple
     return best_part, best_val
 
 
-def reference_degeneracy_order(g: Graph) -> DegeneracyOrder:
+class ReferenceOrder(NamedTuple):
+    """A vertex order with the back-neighbor set of every vertex."""
+
+    order: tuple[int, ...]
+    back_neighbors: tuple[frozenset[int], ...]
+    degeneracy: int
+
+
+def reference_back_sets(g: Graph, order) -> tuple[frozenset[int], ...]:
+    """For every vertex in ``order``, its neighbors earlier in ``order``;
+    the empty set for every other vertex."""
+    pos = {v: i for i, v in enumerate(order)}
+    return tuple(
+        frozenset(w for w in row if pos.get(w, len(pos)) < pos[v]) if v in pos else frozenset()
+        for v, row in enumerate(g.rows())
+    )
+
+
+def reference_degeneracy_order(g: Graph) -> ReferenceOrder:
     """Min-degree peel with one heap of (degree, id) pairs and lazy deletion:
-    lowest degree first, lowest id on ties, removal sequence reversed."""
+    lowest degree first, lowest id on ties, removal sequence reversed; the
+    back sets are read off the order by :func:`reference_back_sets`."""
     n = g.n
     adj = g.rows()
     deg = [len(a) for a in adj]
@@ -337,11 +378,7 @@ def reference_degeneracy_order(g: Graph) -> DegeneracyOrder:
                 deg[w] -= 1
                 heapq.heappush(heap, (deg[w], w))
     order = tuple(reversed(removal))
-    pos = {v: i for i, v in enumerate(order)}
-    back = tuple(
-        frozenset(w for w in adj[v] if pos[w] < pos[v]) for v in range(n)
-    )
-    return DegeneracyOrder(order, back, degeneracy)
+    return ReferenceOrder(order, reference_back_sets(g, order), degeneracy)
 
 
 def reference_count_triangles(g: Graph) -> int:
@@ -357,12 +394,14 @@ def reference_count_triangles(g: Graph) -> int:
     return total
 
 
-def reference_back_triangles(g: Graph, order: DegeneracyOrder) -> tuple[int, ...]:
-    """Per-vertex triangles inside the back set, by set intersection."""
+def reference_back_triangles(g: Graph, order) -> tuple[int, ...]:
+    """Per-vertex triangles inside the back set of ``order`` (a
+    ``DegeneracyOrder`` or a ``ReferenceOrder``), by set intersection."""
     adj = [frozenset(row) for row in g.rows()]
+    backs = reference_back_sets(g, order.order)
     out = []
     for v in range(g.n):
-        back = order.back_neighbors[v]
+        back = backs[v]
         twice = sum(len(adj[w] & back) for w in back)
         out.append(twice // 2)
     return tuple(out)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from certcut.embedding import (
     build_vectors,
     edge_counts,
     edge_inner,
+    eps_cap,
     exact_expected_cut,
     hyperplane_round,
     plan_lower_bound,
@@ -34,6 +36,7 @@ from certcut.graphcore import Graph, count_triangles, degeneracy_order
 from certcut.verify import random_plan
 from oracles import (
     edge_inner_bound,
+    plan_sets,
     reference_edge_terms,
     reference_inner,
     reference_plan_lower_bound,
@@ -46,22 +49,37 @@ ULP = 2.0**-52  # the largest gap allowed between two sums of the same terms
 
 def k2_plan():
     # vertex 1 points at vertex 0 with full weight
-    return EpsilonPlan((frozenset(), frozenset({0})), (1.0, 1.0))
+    return EpsilonPlan.from_sets((frozenset(), frozenset({0})), (1.0, 1.0))
 
 
 def antipodal_plan():
     # on K2, v_0 = (e_0 - e_1)/sqrt(2) and v_1 = -v_0
-    return EpsilonPlan((frozenset({1}), frozenset({0})), (1.0, 1.0))
+    return EpsilonPlan.from_sets((frozenset({1}), frozenset({0})), (1.0, 1.0))
 
 
 def identity_plan(g):
-    return EpsilonPlan(tuple(frozenset() for _ in range(g.n)), (0.0,) * g.n)
+    return EpsilonPlan.from_sets(tuple(frozenset() for _ in range(g.n)), (0.0,) * g.n)
+
+
+class Pairs(NamedTuple):
+    """Pair arrays handed to ``EpsilonPlan`` directly, not through ``from_sets``."""
+
+    owner: list[int]
+    cols: list[int]
+
+
+def make_plan(sets, eps):
+    """``EpsilonPlan`` from a ``Pairs`` row as given, or from a row of sets."""
+    if isinstance(sets, Pairs):
+        return EpsilonPlan(np.array(sets.owner, dtype=np.intp), np.array(sets.cols, dtype=np.intp),
+                           np.array(eps, dtype=float))
+    return EpsilonPlan.from_sets(tuple(map(frozenset, sets)), tuple(eps))
 
 
 class TestEpsilonPlan:
     def test_rejects_epsilon_above_cap(self):
         g = complete(3)
-        plan = EpsilonPlan(
+        plan = EpsilonPlan.from_sets(
             (frozenset(), frozenset({0}), frozenset({0, 1})),
             (0.0, 1.0, 0.9),  # 0.9 > 1/sqrt(2)
         )
@@ -70,20 +88,21 @@ class TestEpsilonPlan:
 
     def test_rejects_non_neighbor_set(self):
         g = Graph.from_edges(3, [(0, 1)])
-        plan = EpsilonPlan((frozenset(), frozenset({2}), frozenset()), (0.0, 1.0, 0.0))
+        plan = EpsilonPlan.from_sets((frozenset(), frozenset({2}), frozenset()), (0.0, 1.0, 0.0))
         with pytest.raises(InvalidEpsilon):
             build_vectors(g, plan)
 
     def test_rejects_negative_epsilon(self):
         g = complete(2)
         with pytest.raises(InvalidEpsilon):
-            build_vectors(g, EpsilonPlan((frozenset(), frozenset({0})), (0.0, -0.1)))
+            build_vectors(g, EpsilonPlan.from_sets((frozenset(), frozenset({0})), (0.0, -0.1)))
 
     @pytest.mark.parametrize(
         "g, sets, eps, message",
         [
             (complete(2), [set()], [0.0], "plan covers 1 of 2 vertices"),
-            (complete(2), [set(), set()], [0.0], "plan covers 2 of 2 vertices"),
+            # from_sets refuses the length mismatch, naming both lengths
+            (complete(2), [set(), set()], [0.0], "plan has 2 sets and 1 eps values"),
             (complete(2), [{0}, set()], [0.5, 0.0], "V_0 is not a subset of the neighbors of 0"),
             (Graph.from_edges(3, [(0, 1)]), [set(), {5}, set()], [0.0, 0.5, 0.0],
              "V_1 is not a subset of the neighbors of 1"),
@@ -100,12 +119,19 @@ class TestEpsilonPlan:
             (complete(3), [set(), {0}, {0, 1}], [0.0, math.nan, -1.0], "eps_1 = nan is not finite"),
             (complete(3), [set(), {0}, set()], [0.0, -0.25, 2.0], "eps_1 = -0.25 is negative"),
             (complete(3), [set(), set(), set()], [0.0, 1.5, 0.0], "eps_1 = 1.5 exceeds 1/sqrt(|V_1|) = 1.0"),
+            # malformed arrays, refused before any vertex is checked
+            (complete(2), Pairs([], []), [0.0], "plan covers 1 of 2 vertices"),
+            (complete(2), Pairs([2], [0]), [0.0, 0.5], "pair owner 2 outside [0, 2)"),
+            (complete(2), Pairs([1, -1], [0, 1]), [0.0, 0.5], "pair owner -1 outside [0, 2)"),
+            (complete(2), Pairs([1, 0], [0]), [0.5, 0.5], "plan has 2 owners but 1 members"),
+            (complete(3), Pairs([2, 1, 2, 1], [1, 0, 0, 0]), [0.0, 0.5, 0.5], "V_1 lists 0 twice"),
+            (complete(3), Pairs([2, 1, 2, 2], [7, 0, 0, 0]), [0.0, 0.5, 0.5],
+             "V_2 is not a subset of the neighbors of 2"),
         ],
     )
     def test_first_bad_vertex_and_check_named(self, g, sets, eps, message):
-        plan = EpsilonPlan(tuple(map(frozenset, sets)), tuple(eps))
         with pytest.raises(InvalidEpsilon) as err:
-            plan.validate(g)
+            make_plan(sets, eps).validate(g)
         assert str(err.value) == message
 
     def test_back_neighbor_plan_zeroes_empty_sets(self):
@@ -114,6 +140,15 @@ class TestEpsilonPlan:
         first = degeneracy_order(g).order[0]
         assert plan.eps[first] == 0.0
         assert any(e == 0.5 for e in plan.eps)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_back_neighbor_plan_has_one_pair_per_edge(self, seed):
+        g = gnp(30, 0.1 + 0.1 * seed, seed)
+        plan = back_neighbor_plan(g, eps_cap(g))
+        pairs = sorted((min(i, j), max(i, j)) for i, j in zip(plan.owner.tolist(), plan.cols.tolist()))
+        assert pairs == list(g.edges)
+        pos = degeneracy_order(g).position
+        assert bool(np.all(pos[plan.cols] < pos[plan.owner]))
 
     def test_back_neighbor_plan_epsilon_cap(self):
         with pytest.raises(EpsilonTooLarge):
@@ -128,15 +163,24 @@ def seeded_plans(seed):
     rng = make_rng(seed, 31)
     g = gnp(int(rng.integers(2, 24)), float(rng.random()) * 0.6 + 0.1, seed)
     plan = random_plan(g, rng)
-    plans = [plan, EpsilonPlan(plan.sets, (0.0,) * g.n)]
+    plans = [plan, EpsilonPlan.from_sets(plan_sets(plan), (0.0,) * g.n)]
     if g.m:
         plans.append(back_neighbor_plan(g, 1 / math.sqrt(degeneracy_order(g).degeneracy)))
     return g, plans
 
 
 class TestBuildVectors:
-    def test_fields_are_graph_and_plan(self):
-        assert [f.name for f in dataclasses.fields(Embedding)] == ["graph", "plan"]
+    def test_fields_are_graph_plan_and_pair_edge(self):
+        assert [f.name for f in dataclasses.fields(Embedding)] == ["graph", "plan", "pair_edge"]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pair_edge_is_the_edge_of_each_pair(self, seed):
+        g, plans = seeded_plans(seed)
+        for plan in plans:
+            emb = build_vectors(g, plan)
+            assert len(emb.pair_edge) == len(plan.owner)
+            for k, (i, j) in enumerate(zip(plan.owner.tolist(), plan.cols.tolist())):
+                assert g.edges[emb.pair_edge[k]] == (min(i, j), max(i, j))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_inner_matches_reference_vectors(self, seed):
@@ -166,7 +210,7 @@ class TestBuildVectors:
         g = complete(3)
         plan = back_neighbor_plan(g, 1 / math.sqrt(2))
         emb = build_vectors(g, plan)
-        heavy = next(v for v in range(3) if len(plan.sets[v]) == 2)
+        heavy = next(v for v in range(3) if len(plan_sets(plan)[v]) == 2)
         assert reference_vector(emb, heavy)[heavy] ** -2 == pytest.approx(2.0)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -178,18 +222,18 @@ class TestBuildVectors:
             vec = reference_vector(emb, v)
             norm_sq = sum(x * x for x in vec.values())
             assert abs(norm_sq - 1.0) <= 1e-12
-            assert set(vec) == {v} | set(plan.sets[v])
+            assert set(vec) == {v} | set(plan_sets(plan)[v])
             assert 1.0 <= vec[v] ** -2 <= 2.0 + 1e-12
 
 
 def inner_products(g, plan) -> list[float]:
     """<v_u, v_v> for every edge, as the certificate computes it."""
-    return edge_inner(g, plan, edge_counts(g, plan)).tolist()
+    return edge_inner(g, plan, edge_counts(build_vectors(g, plan))).tolist()
 
 
 def term_counts(g, plan) -> list[int]:
     """Terms of each edge's inner product: [u in V_v] + [v in V_u] + |V_u ^ V_v|."""
-    return [a + b + c for a, b, c in zip(*(x.tolist() for x in edge_counts(g, plan)))]
+    return [a + b + c for a, b, c in zip(*(x.tolist() for x in edge_counts(build_vectors(g, plan))))]
 
 
 def assert_same_sum(got: float, want: float, terms: int, where) -> None:
@@ -215,11 +259,12 @@ def random_plans(seed: int, count: int = 25):
 class TestEdgeCounts:
     @staticmethod
     def assert_counts(g, plan):
-        u_in_v, v_in_u, common = edge_counts(g, plan)
+        u_in_v, v_in_u, common = edge_counts(build_vectors(g, plan))
         assert u_in_v.dtype == v_in_u.dtype == bool and len(common) == g.m
         got = list(zip(u_in_v.tolist(), v_in_u.tolist(), common.tolist()))
+        sets = plan_sets(plan)
         want = [
-            (u in plan.sets[v], v in plan.sets[u], len(plan.sets[u] & plan.sets[v]))
+            (u in sets[v], v in sets[u], len(sets[u] & sets[v]))
             for u, v in g.edges
         ]
         assert got == want
@@ -322,11 +367,12 @@ class TestInnerProductBound:
         eps = 1 / math.sqrt(order.degeneracy)
         plan = back_neighbor_plan(g, eps)
         inner = inner_products(g, plan)
+        sets = plan_sets(plan)
         for k, (u, v) in enumerate(g.edges):
             literal = (
-                -plan.eps[u] / 4 * (u in plan.sets[v])
-                - plan.eps[v] / 4 * (v in plan.sets[u])
-                + plan.eps[u] * plan.eps[v] * len(plan.sets[u] & plan.sets[v])
+                -plan.eps[u] / 4 * (u in sets[v])
+                - plan.eps[v] / 4 * (v in sets[u])
+                + plan.eps[u] * plan.eps[v] * len(sets[u] & sets[v])
             )
             assert inner[k] <= literal + 1e-12
 
@@ -461,7 +507,7 @@ class TestNonFiniteEpsilon:
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_plan_validate_rejects(self, eps):
-        plan = EpsilonPlan((frozenset(), frozenset({0})), (0.0, eps))
+        plan = EpsilonPlan.from_sets((frozenset(), frozenset({0})), (0.0, eps))
         with pytest.raises(InvalidEpsilon):
             plan.validate(complete(2))
 

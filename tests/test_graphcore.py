@@ -25,13 +25,16 @@ from certcut.graphcore import (
     edwards_bound,
     find_clique,
     induced_subgraph,
+    peel,
 )
 from conftest import graphs
 from oracles import (
+    back_sets,
     brute_cliques,
     brute_degeneracy,
     brute_max_cut,
     brute_triangles,
+    reference_degeneracy_order,
     reference_from_edges,
 )
 
@@ -125,8 +128,8 @@ class TestDegeneracyOrder:
     def test_isolated_vertices_get_empty_back_sets(self):
         g = Graph.from_edges(4, [(0, 1)])
         order = degeneracy_order(g)
-        assert order.back_neighbors[2] == frozenset()
-        assert order.back_neighbors[3] == frozenset()
+        assert back_sets(g, order)[2] == frozenset()
+        assert back_sets(g, order)[3] == frozenset()
 
     def test_graph_caches_its_order_and_triangles(self):
         g = gnp(30, 0.3, 4)
@@ -137,18 +140,37 @@ class TestDegeneracyOrder:
     def test_canonical_k4_order(self):
         order = degeneracy_order(complete(4))
         assert order.order == (3, 2, 1, 0)
-        assert order.back_neighbors[0] == frozenset({1, 2, 3})
+        assert back_sets(complete(4), order)[0] == frozenset({1, 2, 3})
 
     @given(graphs())
     @settings(deadline=None, max_examples=60)
     def test_matches_brute_force_and_sums_to_m(self, g):
         order = degeneracy_order(g)
+        back = back_sets(g, order)
         assert sorted(order.order) == list(range(g.n))
-        assert sum(len(order.back_neighbors[v]) for v in range(g.n)) == g.m
+        assert sum(len(back[v]) for v in range(g.n)) == g.m
         assert order.degeneracy == max(
-            (len(order.back_neighbors[v]) for v in range(g.n)), default=0
+            (len(back[v]) for v in range(g.n)), default=0
         )
         assert order.degeneracy == brute_degeneracy(g)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_back_pairs_give_the_reference_back_sets(self, data):
+        # on every vertex and on a random vertex subset, mapped up from the
+        # reference peel of the induced subgraph
+        g = data.draw(graphs())
+        some = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool)
+        for alive in (np.ones(g.n, dtype=bool), some):
+            sub, vmap = induced_subgraph(g, np.flatnonzero(alive).tolist())
+            want = reference_degeneracy_order(sub)
+            up = vmap.to_parent
+            back = [frozenset()] * g.n
+            for i, b in enumerate(want.back_neighbors):
+                back[up[i]] = frozenset(up[w] for w in b)
+            got = peel(g, alive)
+            assert got.order == tuple(up[v] for v in want.order)
+            assert back_sets(g, got) == tuple(back)
 
 
 class TestTriangles:
@@ -187,7 +209,7 @@ class TestTriangles:
         back = tuple(
             frozenset(w for w in adj[v] if pos[w] < pos[v]) for v in range(12)
         )
-        order = DegeneracyOrder(perm, back, max(len(b) for b in back))
+        order = DegeneracyOrder(12, perm, max(len(b) for b in back))
         assert sum(count_back_triangles(g, order)) == count_triangles(g)
 
 

@@ -134,13 +134,13 @@ class TestMaxTCutExact:
 class TestMonteCarlo:
     def test_antipodal_pair_always_cut(self):
         g = Graph.from_edges(2, [(0, 1)])
-        emb = build_vectors(g, EpsilonPlan((frozenset({1}), frozenset({0})), (1.0, 1.0)))
+        emb = build_vectors(g, EpsilonPlan.from_sets((frozenset({1}), frozenset({0})), (1.0, 1.0)))
         mean, stderr = monte_carlo_cut_mean(emb, 200, make_rng(0))
         assert mean == 1.0 and stderr == 0.0
 
     def test_orthogonal_single_edge_is_fair(self):
         g = Graph.from_edges(2, [(0, 1)])
-        plan = EpsilonPlan((frozenset(), frozenset()), (0.0, 0.0))
+        plan = EpsilonPlan.from_sets((frozenset(), frozenset()), (0.0, 0.0))
         emb = build_vectors(g, plan)
         mean, _ = monte_carlo_cut_mean(emb, 10_000, make_rng(1))
         assert 0.48 <= mean <= 0.52
@@ -154,12 +154,12 @@ class TestMonteCarlo:
 
     def test_rejects_zero_trials(self):
         g = Graph.from_edges(2, [(0, 1)])
-        emb = build_vectors(g, EpsilonPlan((frozenset(), frozenset()), (0.0, 0.0)))
+        emb = build_vectors(g, EpsilonPlan.from_sets((frozenset(), frozenset()), (0.0, 0.0)))
         with pytest.raises(ValueError):
             monte_carlo_cut_mean(emb, 0, make_rng(0))
 
     def test_zero_trials_is_an_invalid_parameter(self):
         g = Graph.from_edges(2, [(0, 1)])
-        emb = build_vectors(g, EpsilonPlan((frozenset(), frozenset()), (0.0, 0.0)))
+        emb = build_vectors(g, EpsilonPlan.from_sets((frozenset(), frozenset()), (0.0, 0.0)))
         with pytest.raises(InvalidParameter):
             monte_carlo_cut_mean(emb, 0, make_rng(0))

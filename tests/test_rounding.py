@@ -28,6 +28,7 @@ from certcut.generators import complete, cycle, gnp, petersen, random_regular, s
 from certcut.graphcore import Cut, Graph, cut_value, degeneracy_order
 from certcut.verify import random_plan
 from oracles import (
+    plan_sets,
     reference_best_rounding,
     reference_hyperplane_round,
     reference_max_t_cut,
@@ -102,7 +103,7 @@ def test_hyperplane_round_matches_reference_on_full_neighborhoods(name):
     # back-neighbor plan
     g = CORPUS[name]
     sets = tuple(frozenset(row) for row in g.rows())
-    plan = EpsilonPlan(sets, tuple(1.0 / math.sqrt(len(s)) if s else 0.0 for s in sets))
+    plan = EpsilonPlan.from_sets(sets, tuple(1.0 / math.sqrt(len(s)) if s else 0.0 for s in sets))
     emb = build_vectors(g, plan)
     for k in range(20):
         cut = hyperplane_round(emb, make_rng(11, k))
@@ -125,8 +126,9 @@ def test_zero_and_nan_directions_land_as_before():
 def zero_eps_plan(g: Graph, rng) -> EpsilonPlan:
     """``random_plan`` with eps_i = 0 on every other nonempty V_i."""
     plan = random_plan(g, rng)
-    eps = tuple(0.0 if s and i % 2 else e for i, (s, e) in enumerate(zip(plan.sets, plan.eps)))
-    return EpsilonPlan(plan.sets, eps)
+    sets = plan_sets(plan)
+    eps = tuple(0.0 if s and i % 2 else e for i, (s, e) in enumerate(zip(sets, plan.eps)))
+    return EpsilonPlan.from_sets(sets, eps)
 
 
 def directions(n: int, rng):
@@ -153,7 +155,7 @@ def test_factored_sign_matches_term_by_term_sum(make_plan):
 
 def test_nan_in_v_i_puts_i_on_side_1_even_at_zero_eps():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    emb = build_vectors(g, EpsilonPlan((frozenset({1, 2, 3}),) + (frozenset(),) * 3, (0.0,) * 4))
+    emb = build_vectors(g, EpsilonPlan.from_sets((frozenset({1, 2, 3}),) + (frozenset(),) * 3, (0.0,) * 4))
     w = np.array([1.0, np.nan, 1.0, 1.0])
     assert hyperplane_round(emb, FixedDirection(w)).side == (1, 1, 0, 0)
     assert reference_hyperplane_round(emb, FixedDirection(w))[0] == (1, 1, 0, 0)
