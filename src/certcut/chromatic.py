@@ -170,81 +170,56 @@ def split_probability(t: int) -> Fraction:
 def coloring_cut(g: Graph, col: Coloring) -> tuple[Cut, CutCertificate]:
     """Derandomized class split into groups of ceil(t/2) and floor(t/2) classes.
 
-    Classes are assigned one at a time (heaviest incident weight first) to
-    whichever capacity-feasible group maximizes the exact conditional
-    expectation of the final cut, so the result is always at least the random
-    split's expectation m * floor(t/2) * ceil(t/2) / C(t,2).
+    Classes are placed one at a time, heaviest incident weight first, in the
+    group with the larger exact conditional expectation of the final cut
+    (A on a tie, the other group once one is full), so the result is always
+    at least the random split's expectation m * floor(t/2) * ceil(t/2) / C(t,2).
+
+    With a and b open slots in A and B (f = a + b), x and y the weight from
+    class c to A and to B, z its weight to the other unplaced classes, S_A
+    and S_B the weight from all unplaced classes to A and to B, and W the
+    weight among them, E[cut | c in A] - E[cut | c in B] is
+    (y - x) + ((S_A - x) - (S_B - y) + z(b - a))/(f - 1)
+    + 2(a - b)(W - z)/((f - 1)(f - 2)), whose last term is 0 when a = b = 1.
+    Times (f - 1) max(f - 2, 1) it is an integer, and its sign decides.
     """
     if len(col.color) != g.n:
         raise ImproperColoring(f"coloring covers {len(col.color)} of {g.n} vertices")
-    edges = g.edges
-    for u, v in edges:
-        if col.color[u] == col.color[v]:
-            raise ImproperColoring(f"edge ({u}, {v}) is monochromatic")
+    color = np.asarray(col.color, dtype=np.int64)
+    cu, cv = color[g.eu], color[g.ev]
+    mono = np.flatnonzero(cu == cv)
+    if len(mono):
+        raise ImproperColoring(f"edge ({g.eu[mono[0]]}, {g.ev[mono[0]]}) is monochromatic")
     t = col.classes
     if t <= 1:
         cut = cut_value(g, [0] * g.n)
         return cut, CutCertificate(0.0, None, "coloring_bound", 0.0)
 
-    weights = [[0] * t for _ in range(t)]
-    for u, v in edges:
-        cu, cv = col.color[u], col.color[v]
-        weights[cu][cv] += 1
-        weights[cv][cu] += 1
-    cap_a, cap_b = (t + 1) // 2, t // 2
-    assign: list[int | None] = [None] * t
-    # running aggregates: weight between the two assigned groups, each
-    # unassigned class's weight to either group, and weight among unassigned
-    w_ab = 0
-    w_to_a = [0] * t
-    w_to_b = [0] * t
-    w_free = sum(weights[x][y] for x in range(t) for y in range(x + 1, t))
-    a_rem, b_rem = cap_a, cap_b
-
-    def expectation_after(c: int, grp: int) -> Fraction:
-        a2 = a_rem - (1 if grp == 0 else 0)
-        b2 = b_rem - (1 if grp == 1 else 0)
-        free = a2 + b2
-        fixed = w_ab + (w_to_b[c] if grp == 0 else w_to_a[c])
-        cross_c = 0
-        mixed = 0
-        for y in range(t):
-            if assign[y] is None and y != c:
-                cross_c += weights[c][y]
-                wa = w_to_a[y] + (weights[c][y] if grp == 0 else 0)
-                wb = w_to_b[y] + (weights[c][y] if grp == 1 else 0)
-                mixed += wa * b2 + wb * a2
-        total = Fraction(fixed)
-        if free:
-            total += Fraction(mixed, free)
-        if free >= 2:
-            total += (w_free - cross_c) * Fraction(2 * a2 * b2, free * (free - 1))
-        return total
-
-    order = sorted(range(t), key=lambda c: (-sum(weights[c]), c))
-    for c in order:
-        options = []
-        if a_rem:
-            options.append((expectation_after(c, 0), 0))
-        if b_rem:
-            options.append((expectation_after(c, 1), 1))
-        grp = max(options, key=lambda o: (o[0], -o[1]))[1]
-        assign[c] = grp
-        if grp == 0:
-            w_ab += w_to_b[c]
-            a_rem -= 1
+    weights = np.zeros((t, t), dtype=np.int64)
+    np.add.at(weights, (cu, cv), 1)
+    weights += weights.T
+    total = weights.sum(axis=1)
+    # running: to_a/to_b (read while a class is unplaced), S_A, S_B and W
+    to_a = np.zeros(t, dtype=np.int64)
+    to_b = np.zeros(t, dtype=np.int64)
+    in_a = np.zeros(t, dtype=bool)
+    a, b = (t + 1) // 2, t // 2
+    s_a = s_b = 0
+    w = g.m
+    for c in np.argsort(-total, kind="stable"):
+        x, y = int(to_a[c]), int(to_b[c])
+        z = int(total[c]) - x - y
+        f = a + b
+        lead = (y - x) * (f - 1) + (s_a - x) - (s_b - y) + z * (b - a)
+        if not b or (a and lead * max(f - 2, 1) + 2 * (a - b) * (w - z) >= 0):
+            in_a[c] = True
+            a, s_a, s_b = a - 1, s_a - x + z, s_b - y
+            to_a += weights[c]
         else:
-            w_ab += w_to_a[c]
-            b_rem -= 1
-        for y in range(t):
-            if assign[y] is None:
-                w_free -= weights[c][y]
-                if grp == 0:
-                    w_to_a[y] += weights[c][y]
-                else:
-                    w_to_b[y] += weights[c][y]
-    side = [assign[col.color[v]] for v in range(g.n)]
-    cut = cut_value(g, side)
+            b, s_a, s_b = b - 1, s_a - x, s_b - y + z
+            to_b += weights[c]
+        w -= z
+    cut = cut_value(g, ~in_a[color])
     cert = float(g.m * split_probability(t))
     return cut, CutCertificate(cert, None, "coloring_bound", cert)
 

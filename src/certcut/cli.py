@@ -5,8 +5,9 @@ Subcommands: ``gen`` (instance factories, canonical edge-list output),
 family over sizes/degrees, emit surplus-vs-d CSV rows), ``verify`` (run the
 randomized invariant suites).
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 budget exceeded, 1 anything else (including failed verify suites).
+Exit codes: 0 success, 2 parse error (non-UTF-8 input included),
+3 precondition violation, 4 budget exceeded, 1 anything else (including
+failed verify suites and files that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .verify import SUITES, run_suite
 ALGOS = ("exact", "sdp", "composite", "kr", "chromatic", "tcut", "sampled")
 
 
-def _read_input(path: str) -> str:
+def _read_input(path: str) -> bytes:
+    """The raw input; ``parse_graph`` decodes it."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
         return fh.read()
 
 
@@ -301,7 +303,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
-    except CertcutError as exc:
+    except (CertcutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,15 +27,26 @@ def parse_graph(data: bytes | str) -> Graph:
     ("p edge n m", "e u v" 1-indexed). The format is auto-detected from the
     first token; validation errors carry the offending line number. A
     header declaring more than ``MAX_HEADER_VERTICES`` vertices raises
-    BudgetExceeded.
+    BudgetExceeded. Bytes must be UTF-8; otherwise ParseError names the
+    line that holds the first undecodable byte.
     """
-    text = data.decode() if isinstance(data, (bytes, bytearray)) else data
+    text = _decode(data) if isinstance(data, (bytes, bytearray)) else data
     lines = text.splitlines()
     first = next((ln for ln in lines if ln.strip()), "")
     token = first.split()[0] if first.split() else ""
     if token in ("p", "c", "e"):
         return _parse_dimacs(lines)
     return _parse_edge_list(lines)
+
+
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # the bytes before err.start decode; "x" stands in for the bad byte,
+        # so the line count is that byte's line as splitlines numbers lines
+        no = len((data[: err.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"input is not UTF-8 (byte 0x{data[err.start]:02x})", no) from None
 
 
 def _int_pair(tokens, what, no) -> tuple[int, int]:

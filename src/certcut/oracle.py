@@ -15,8 +15,6 @@ from .embedding import Embedding
 from .errors import BudgetExceeded, InvalidParameter
 from .graphcore import Cut, Graph
 
-_CHUNK = 1 << 18
-
 
 @dataclass(frozen=True)
 class OracleBudget:
@@ -73,10 +71,22 @@ def max_cut_exact(g: Graph, budget: OracleBudget | None = None) -> Cut:
 
 
 def max_t_cut_exact(g: Graph, t: int, budget: OracleBudget | None = None) -> TPartition:
-    """Optimal t-partition by chunked enumeration with vertex 0 in part 0.
+    """Optimal t-partition by prefix extension with vertex 0 in part 0.
 
-    Codes are read most-significant digit first, so ties resolve to the
-    lexicographically smallest part sequence.
+    Vertices 1..n-1 are placed in order, one digit each. After vertex v,
+    entry i of ``values`` is the number of separated edges among 0..v for
+    the labeling whose digits, most significant first, are the parts of
+    1..v. Placing v gives part c the old value plus v's earlier degree
+    minus its earlier neighbours in part c, subtracted per neighbour
+    through a strided view of the new table. Vertex v takes only parts
+    below min(t, v + 1): renumbering the parts in order of first use keeps
+    the value and never makes the part sequence larger, so the
+    lexicographically smallest optimum needs no other part, and the table
+    holds at most min(t, n)^(n-1) entries. Index order is the
+    lexicographic order of the parts, so the first maximum is that
+    optimum. The step cap keeps its m * t^(n-1) form, the cost of a pass
+    per edge over every code, so a budget refuses exactly the graphs it
+    refused before.
     """
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
@@ -89,26 +99,23 @@ def max_t_cut_exact(g: Graph, t: int, budget: OracleBudget | None = None) -> TPa
     total = t**free
     if total * max(g.m, 1) > budget.max_steps:
         raise BudgetExceeded("enumeration work exceeds the step cap")
-    place = [t ** (free - v) for v in range(1, g.n)]  # digit weight of vertex v
-    best_val = -1
-    best_code = 0
-    edges = g.edges
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = [None] + [(codes // place[v - 1]) % t for v in range(1, g.n)]
-        values = np.zeros(codes.shape, dtype=np.uint16)
-        for u, v in edges:
-            du = digits[u] if u else 0
-            values += (du != digits[v]).astype(np.uint16)
-        idx = int(values.argmax())
-        val = int(values[idx])
-        if val > best_val:
-            best_val = val
-            best_code = start + idx
-    part = [0] * g.n
+    radix = [min(t, v + 1) for v in range(g.n)]  # vertex 0's single digit is part 0
+    earlier = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        earlier[v].append(u)
+    values = np.zeros(1, dtype=np.uint16)
     for v in range(1, g.n):
-        part[v] = (best_code // place[v - 1]) % t
-    return TPartition(tuple(part), best_val)
+        nxt = np.empty((len(values), radix[v]), dtype=np.uint16)
+        np.add(values[:, None], len(earlier[v]), out=nxt)
+        for u in earlier[v]:
+            # axes: the digits of 0..u-1, of u, of u+1..v-1 and of v
+            view = nxt.reshape(math.prod(radix[:u]), radix[u], -1, radix[v])
+            for c in range(radix[u]):  # u < v, so radix[u] <= radix[v]
+                view[:, c, :, c] -= 1
+        values = nxt.reshape(-1)
+    code = int(values.argmax())
+    part = np.unravel_index(code, radix[1:])
+    return TPartition((0, *map(int, part)), int(values[code]))
 
 
 def monte_carlo_cut_mean(emb: Embedding, trials: int, rng) -> tuple[float, float]:

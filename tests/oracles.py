@@ -7,14 +7,27 @@ to a dozen-ish vertices.
 
 import heapq
 import math
+from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
 import numpy as np
 
 from certcut._rng import make_rng
-from certcut.errors import BudgetExceeded, CliqueFound, DuplicateEdge, SelfLoop, TooFewVertices, VertexOutOfRange
-from certcut.graphcore import Cut, DegeneracyOrder, Graph, back_pairs, induced_subgraph
+from certcut.chromatic import Coloring, TPartition, split_probability
+from certcut.embedding import CutCertificate
+from certcut.errors import (
+    BudgetExceeded,
+    CliqueFound,
+    DuplicateEdge,
+    ImproperColoring,
+    InvalidParameter,
+    SelfLoop,
+    TooFewVertices,
+    VertexOutOfRange,
+)
+from certcut.graphcore import Cut, DegeneracyOrder, Graph, back_pairs, cut_value, induced_subgraph
+from certcut.oracle import T_CUT_BUDGET, OracleBudget
 
 
 def reference_from_edges(n: int, edges) -> tuple[tuple, tuple]:
@@ -468,3 +481,121 @@ def reference_ramsey(adj, verts, r: int, s: int) -> set[int]:
     nbr_set = set(nbrs)
     non = [v for v in verts if v != pivot and v not in nbr_set]
     return reference_ramsey(adj, non, r, s - 1) | {pivot}
+
+
+def reference_coloring_cut(g: Graph, col: Coloring) -> tuple[Cut, CutCertificate]:
+    """The derandomized class split as it was first written: each class
+    goes to the capacity-feasible group of larger exact conditional
+    expectation (A on a tie), both expectations rebuilt in Fractions by a
+    loop over every unplaced class."""
+    if len(col.color) != g.n:
+        raise ImproperColoring(f"coloring covers {len(col.color)} of {g.n} vertices")
+    edges = g.edges
+    for u, v in edges:
+        if col.color[u] == col.color[v]:
+            raise ImproperColoring(f"edge ({u}, {v}) is monochromatic")
+    t = col.classes
+    if t <= 1:
+        cut = cut_value(g, [0] * g.n)
+        return cut, CutCertificate(0.0, None, "coloring_bound", 0.0)
+
+    weights = [[0] * t for _ in range(t)]
+    for u, v in edges:
+        cu, cv = col.color[u], col.color[v]
+        weights[cu][cv] += 1
+        weights[cv][cu] += 1
+    cap_a, cap_b = (t + 1) // 2, t // 2
+    assign: list[int | None] = [None] * t
+    # running aggregates: weight between the two assigned groups, each
+    # unassigned class's weight to either group, and weight among unassigned
+    w_ab = 0
+    w_to_a = [0] * t
+    w_to_b = [0] * t
+    w_free = sum(weights[x][y] for x in range(t) for y in range(x + 1, t))
+    a_rem, b_rem = cap_a, cap_b
+
+    def expectation_after(c: int, grp: int) -> Fraction:
+        a2 = a_rem - (1 if grp == 0 else 0)
+        b2 = b_rem - (1 if grp == 1 else 0)
+        free = a2 + b2
+        fixed = w_ab + (w_to_b[c] if grp == 0 else w_to_a[c])
+        cross_c = 0
+        mixed = 0
+        for y in range(t):
+            if assign[y] is None and y != c:
+                cross_c += weights[c][y]
+                wa = w_to_a[y] + (weights[c][y] if grp == 0 else 0)
+                wb = w_to_b[y] + (weights[c][y] if grp == 1 else 0)
+                mixed += wa * b2 + wb * a2
+        total = Fraction(fixed)
+        if free:
+            total += Fraction(mixed, free)
+        if free >= 2:
+            total += (w_free - cross_c) * Fraction(2 * a2 * b2, free * (free - 1))
+        return total
+
+    order = sorted(range(t), key=lambda c: (-sum(weights[c]), c))
+    for c in order:
+        options = []
+        if a_rem:
+            options.append((expectation_after(c, 0), 0))
+        if b_rem:
+            options.append((expectation_after(c, 1), 1))
+        grp = max(options, key=lambda o: (o[0], -o[1]))[1]
+        assign[c] = grp
+        if grp == 0:
+            w_ab += w_to_b[c]
+            a_rem -= 1
+        else:
+            w_ab += w_to_a[c]
+            b_rem -= 1
+        for y in range(t):
+            if assign[y] is None:
+                w_free -= weights[c][y]
+                if grp == 0:
+                    w_to_a[y] += weights[c][y]
+                else:
+                    w_to_b[y] += weights[c][y]
+    side = [assign[col.color[v]] for v in range(g.n)]
+    cut = cut_value(g, side)
+    cert = float(g.m * split_probability(t))
+    return cut, CutCertificate(cert, None, "coloring_bound", cert)
+
+
+def reference_max_t_cut_exact(g: Graph, t: int, budget: OracleBudget | None = None) -> TPartition:
+    """Optimal t-partition by chunked enumeration of every base-t code with
+    vertex 0 in part 0, one pass per edge over each chunk of 2^18 codes;
+    codes are read most-significant digit first, so ties resolve to the
+    lexicographically smallest part sequence."""
+    if t < 1:
+        raise InvalidParameter(f"t must be >= 1, got {t}")
+    budget = budget or T_CUT_BUDGET
+    if g.n > budget.max_vertices:
+        raise BudgetExceeded(f"{g.n} vertices exceed the cap {budget.max_vertices}")
+    if g.n == 0:
+        return TPartition((), 0)
+    free = g.n - 1
+    total = t**free
+    if total * max(g.m, 1) > budget.max_steps:
+        raise BudgetExceeded("enumeration work exceeds the step cap")
+    place = [t ** (free - v) for v in range(1, g.n)]  # digit weight of vertex v
+    best_val = -1
+    best_code = 0
+    edges = g.edges
+    chunk = 1 << 18
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = [None] + [(codes // place[v - 1]) % t for v in range(1, g.n)]
+        values = np.zeros(codes.shape, dtype=np.uint16)
+        for u, v in edges:
+            du = digits[u] if u else 0
+            values += (du != digits[v]).astype(np.uint16)
+        idx = int(values.argmax())
+        val = int(values[idx])
+        if val > best_val:
+            best_val = val
+            best_code = start + idx
+    part = [0] * g.n
+    for v in range(1, g.n):
+        part[v] = (best_code // place[v - 1]) % t
+    return TPartition(tuple(part), best_val)

@@ -18,6 +18,7 @@ from certcut.generators import (
     complete,
     complete_bipartite,
     cycle,
+    disjoint_cliques,
     gnp,
     make_cr_free,
     path,
@@ -29,7 +30,7 @@ from certcut.generators import (
 )
 from certcut.graphcore import Graph, cut_value, find_clique
 from certcut.verify import tcut_expectation_oracle
-from oracles import brute_independence_number, reference_ramsey
+from oracles import brute_independence_number, reference_coloring_cut, reference_ramsey
 
 TOL = 1e-9
 
@@ -263,6 +264,69 @@ class TestColoringCut:
             _, cert = coloring_cut(g, col)
             floor = (0.5 + 1 / (8 * g.n ** ((r - 2) / (r - 1)))) * g.m
             assert cert.expected_value >= floor - TOL
+
+
+def random_proper_coloring(g, rng, k):
+    """A proper coloring from a greedy pass in random order that picks a
+    random free class among k (a new one when none is free), renumbered so
+    that every class is nonempty."""
+    rows = g.rows()
+    color = [-1] * g.n
+    for v in rng.permutation(g.n).tolist():
+        used = {color[u] for u in rows[v]}
+        free = [c for c in range(k) if c not in used]
+        color[v] = free[int(rng.integers(len(free)))] if free else k + max(used) + 1
+    ids = {c: i for i, c in enumerate(sorted(set(color)))}
+    return Coloring(tuple(ids[c] for c in color), len(ids))
+
+
+class TestSplitMatchesReference:
+    """coloring_cut's integer rule against the Fraction expectations it replaced."""
+
+    @staticmethod
+    def assert_same(g, col):
+        assert coloring_cut(g, col) == reference_coloring_cut(g, col)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_proper_colorings(self, seed):
+        rng = make_rng(seed + 700)
+        for _ in range(5):
+            n = int(rng.integers(0, 41))
+            g = gnp(n, float(rng.random()), int(rng.integers(0, 2**31)))
+            self.assert_same(g, random_proper_coloring(g, rng, int(rng.integers(1, 12))))
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 3])
+    def test_few_classes(self, t):
+        rng = make_rng(t + 750)
+        for n in range(t, 25) if t else [0]:
+            g = gnp(n, 0.5, int(rng.integers(0, 2**31)))
+            # t classes by residue, with the edges inside a class removed
+            color = tuple(v % t for v in range(n))
+            g = Graph.from_edges(n, [(u, v) for u, v in g.edges if color[u] != color[v]])
+            self.assert_same(g, Coloring(color, t))
+
+    @pytest.mark.parametrize("n, p", [(300, 0.0), (300, 0.02), (303, 0.01), (303, 0.05)])
+    def test_identity_colorings_with_many_classes(self, n, p):
+        self.assert_same(g := gnp(n, p, n), Coloring(tuple(range(g.n)), g.n))
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_clique_free_colorings(self, r):
+        pool = [turan(25, r - 1), turan(36, r - 1), make_cr_free(random_regular(40, 3, r), 3)]
+        pool += [make_cr_free(gnp(60, 0.2, seed), r) for seed in range(4)]
+        for g in pool:
+            self.assert_same(g, kr_free_coloring(g, r))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 13])
+    def test_tie_heavy_inputs(self, k):
+        edgeless = Graph.from_edges(9 * k, [])
+        self.assert_same(edgeless, Coloring(tuple(range(9 * k)), 9 * k))
+        self.assert_same(edgeless, Coloring(tuple(v % k for v in range(9 * k)), k))
+        cliques = disjoint_cliques(k, 4)
+        self.assert_same(cliques, Coloring(tuple(v % 4 for v in range(cliques.n)), 4))
+        self.assert_same(cliques, Coloring(tuple(range(cliques.n)), cliques.n))
+        multi = turan(3 * k, k)
+        self.assert_same(multi, Coloring(tuple(v % k for v in range(multi.n)), k))
+        self.assert_same(multi, Coloring(tuple(range(multi.n)), multi.n))
 
 
 class TestTCutExpectedValue:

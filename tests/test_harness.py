@@ -1,6 +1,11 @@
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +66,25 @@ class TestParseGraph:
         with pytest.raises(error) as err:
             parse_graph(text)
         assert err.value.line == line and needle in str(err.value)
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"2 1\n0 \xff\n", 2),
+            (b"\xfe2 1\n0 1\n", 1),
+            (b"c caf\xc3\xa9\np edge 2 1\ne 1 2\n\xc3", 4),  # a valid two-byte char, then a cut-off one
+            (b"2 1\r0 1\r\x80", 3),
+        ],
+        ids=["edge_line", "header", "dimacs_truncated", "cr_breaks"],
+    )
+    def test_non_utf8_bytes_are_a_parse_error(self, data, line):
+        with pytest.raises(ParseError) as err:
+            parse_graph(data)
+        assert err.value.line == line and "not UTF-8" in str(err.value)
+
+    def test_bytes_and_text_parse_alike(self):
+        text = "c \u00e9\np edge 3 2\ne 1 2\ne 2 3\n"
+        assert parse_graph(text.encode()).edges == parse_graph(text).edges == ((0, 1), (1, 2))
 
     def test_bad_header(self):
         with pytest.raises(ParseError) as err:
@@ -311,6 +335,51 @@ class TestCli:
         assert parse_graph(target.read_text()).m == 9
 
 
+def run_process(argv, data=b""):
+    """(exit code, stdout, stderr) of ``argv`` in a fresh interpreter that
+    imports the same certcut package as this one."""
+    import certcut
+
+    env = dict(os.environ)
+    package_root = str(Path(certcut.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *argv], input=data, capture_output=True, env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+class TestEntryPoint:
+    """The ``[project.scripts]`` target, run as the installed ``certcut`` runs it."""
+
+    @pytest.fixture(scope="class")
+    def script(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        module, func = re.search(r'^certcut = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+        return ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+    def test_gen_piped_into_cut(self, script):
+        code, edges, _ = run_process([*script, "gen", "--model", "regular", "--n", "20", "--d", "3", "--seed", "1"])
+        assert code == 0 and edges.startswith(b"20 30\n")
+        code, out, err = run_process([*script, "cut", "--algo", "sdp"], edges)
+        report = json.loads(out)
+        assert code == 0 and err == ""
+        assert (report["graph"], report["n"], report["m"]) == ("<stdin>", 20, 30) and report["value"] > 15
+
+    def test_verify_suite(self, script):
+        code, out, _ = run_process([*script, "verify", "--suite", "tcut-expectation", "--trials", "5"])
+        assert code == 0 and out == b"tcut-expectation: PASS (5 (graph, base, t) cases)\n"
+
+    @pytest.mark.parametrize("argv, data, exit_code, prefix", [
+        (("cut", "--algo", "sdp", "--in", "{absent}"), b"", 1, "error: "),
+        (("cut", "--algo", "sdp", "--out", "{absent}/r.json"), b"2 1\n0 1\n", 1, "error: "),
+        (("cut", "--algo", "sdp"), b"2 1\n0 \xff\n", 2, "parse error: line 2: input is not UTF-8"),
+    ], ids=["missing_input", "missing_output_dir", "non_utf8_stdin"])
+    def test_faults_leave_no_traceback(self, script, tmp_path, argv, data, exit_code, prefix):
+        argv = [a.format(absent=tmp_path / "absent") for a in argv]
+        code, out, err = run_process([*script, *argv], data)
+        assert (code, out) == (exit_code, b"")
+        assert err.startswith(prefix) and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 class TestCliRefusals:
     """Bad parameters exit 3 (or 4 for a budget) with a message, never a traceback."""
 
@@ -420,6 +489,33 @@ class TestCliRefusals:
                      ("--algo", "sdp", "--repeats", "1"), ("--algo", "tcut", "--t", str(2**63 - 1))):
             code, out, _ = run_cli(capsys, "cut", *args, "--in", petersen_file)
             assert code == 0 and json.loads(out)["value"] > 0
+
+
+    @pytest.mark.parametrize("argv", [
+        ("cut", "--algo", "sdp", "--in", "{absent}/g.txt"),
+        ("cut", "--algo", "sdp", "--in", "{tmp}"),
+        ("cut", "--algo", "sdp", "--in", "{graph}", "--out", "{absent}/r.json"),
+        ("cut", "--algo", "sdp", "--in", "{graph}", "--format", "csv", "--out", "{tmp}"),
+        ("gen", "--model", "turan", "--n", "4", "--out", "{absent}/g.txt"),
+        ("bench", "--family", "regular", "--nlist", "12", "--dlist", "3", "--out", "{absent}/b.csv"),
+    ], ids=["missing_input", "input_is_a_directory", "missing_output_dir", "output_is_a_directory",
+            "gen_missing_output_dir", "bench_missing_output_dir"])
+    def test_io_fault_exits_1(self, capsys, tmp_path, petersen_file, argv):
+        paths = {"absent": tmp_path / "absent", "tmp": tmp_path, "graph": petersen_file}
+        code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_non_utf8_input_exits_2(self, capsys, monkeypatch, tmp_path):
+        data = b"3 2\n0 1\n1 \xe92\n"
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(data)
+        code, out, err = run_cli(capsys, "cut", "--algo", "sdp", "--in", str(p))
+        assert (code, out) == (2, "") and err.startswith("parse error: line 3:")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = run_cli(capsys, "cut", "--algo", "sdp")
+        assert (code, out) == (2, "") and err.startswith("parse error: line 3:")
+        assert "Traceback" not in err
 
 
 class TestPerGraphFacts:

@@ -10,7 +10,7 @@ from certcut.generators import complete, complete_bipartite, cycle, gnp, peterse
 from certcut.graphcore import Graph, edwards_bound
 from certcut.oracle import OracleBudget, max_cut_exact, max_t_cut_exact, monte_carlo_cut_mean
 from conftest import graphs
-from oracles import brute_max_cut, brute_max_t_cut, reference_max_cut_exact
+from oracles import brute_max_cut, brute_max_t_cut, reference_max_cut_exact, reference_max_t_cut_exact
 
 
 class TestMaxCutExact:
@@ -129,6 +129,62 @@ class TestMaxTCutExact:
             max_t_cut_exact(complete(3), t)
         with pytest.raises(ValueError):
             max_t_cut_exact(complete(3), t)
+
+
+class TestTCutPrefixExtension:
+    """max_t_cut_exact against the chunked per-edge enumeration it replaced."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_edge_enumeration(self, t, seed):
+        rng = make_rng(seed + 900, t)
+        for n in range(11):
+            if t ** max(n - 2, 0) > 1 << 15:  # keep the reference quick
+                break
+            g = gnp(n, float(rng.random()), int(rng.integers(0, 2**31)))
+            assert max_t_cut_exact(g, t) == reference_max_t_cut_exact(g, t)
+
+    @pytest.mark.parametrize(
+        "g, t",
+        [
+            (Graph.from_edges(10, []), 3),  # every labeling ties
+            (complete(8), 4),
+            (complete(6), 9),  # t above n - 1
+            (Graph.from_edges(2, [(0, 1)]), 100_000),
+            (Graph.from_edges(2, []), 100_000),
+            (_shifted(gnp(8, 0.5, 6)), 3),
+        ],
+        ids=["edgeless10", "k8", "k6_t9", "k2_huge_t", "two_isolated_huge_t", "isolated0"],
+    )
+    def test_special_cases(self, g, t):
+        assert max_t_cut_exact(g, t) == reference_max_t_cut_exact(g, t)
+
+    @pytest.mark.parametrize(
+        "g, t, budget",
+        [
+            (gnp(13, 0.3, 0), 2, None),
+            (gnp(12, 0.5, 1), 7, None),
+            (gnp(8, 0.5, 2), 3, OracleBudget(max_vertices=12, max_steps=100)),
+        ],
+        ids=["vertex_cap", "step_cap", "custom_steps"],
+    )
+    def test_budget_refusals_unchanged(self, g, t, budget):
+        with pytest.raises(BudgetExceeded) as new:
+            max_t_cut_exact(g, t, budget)
+        with pytest.raises(BudgetExceeded) as old:
+            reference_max_t_cut_exact(g, t, budget)
+        assert str(new.value) == str(old.value)
+
+    def test_peak_memory(self):
+        # no int64 digit array per vertex: the chunked enumeration peaks near 50 MB here
+        g = gnp(12, 0.5, 1)
+        tracemalloc.start()
+        try:
+            max_t_cut_exact(g, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, peak
 
 
 class TestMonteCarlo:
