@@ -85,30 +85,35 @@ def _find_cycle(adj: dict, n: int, r: int, steps: list, budget: int, first: int)
     # first r-cycle in lexicographic path order among start vertices >= first:
     # the start vertex is the cycle's minimum, interior vertices are explored
     # in increasing id order
-    for start in range(first, n):
-        path = [start]
-        on_path = {start}
+    try:
+        for start in range(first, n):
+            path = [start]
+            on_path = {start}
 
-        def dfs():
-            steps[0] += 1
-            if steps[0] > budget:
-                raise BudgetExceeded(f"cycle search exceeded {budget} steps")
-            v = path[-1]
-            if len(path) == r:
-                return start in adj[v]
-            for w in sorted(adj[v]):
-                if w > start and w not in on_path:
-                    path.append(w)
-                    on_path.add(w)
-                    if dfs():
-                        return True
-                    path.pop()
-                    on_path.remove(w)
-            return False
+            def dfs():
+                steps[0] += 1
+                if steps[0] > budget:
+                    raise BudgetExceeded(f"cycle search exceeded {budget} steps")
+                v = path[-1]
+                if len(path) == r:
+                    return start in adj[v]
+                for w in sorted(adj[v]):
+                    if w > start and w not in on_path:
+                        path.append(w)
+                        on_path.add(w)
+                        if dfs():
+                            return True
+                        path.pop()
+                        on_path.remove(w)
+                return False
 
-        if len(adj[start]) >= 2 and dfs():
-            return path
-    return None
+            if len(adj[start]) >= 2 and dfs():
+                return path
+        return None
+    finally:
+        # dfs holds itself through its closure; breaking that cycle frees
+        # adj's sets when the search returns, not at the next cyclic collection
+        dfs = None
 
 
 def make_cr_free(g: Graph, r: int, budget: int = 10**8) -> Graph:

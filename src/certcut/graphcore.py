@@ -363,11 +363,16 @@ def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
                 return hit
         return None
 
-    for v in range(g.n):
-        hit = extend((v,), fwd[v])
-        if hit is not None:
-            return hit
-    return None
+    try:
+        for v in range(g.n):
+            hit = extend((v,), fwd[v])
+            if hit is not None:
+                return hit
+        return None
+    finally:
+        # extend holds itself through its closure; breaking that cycle frees
+        # fwd when the search returns, not at the next cyclic collection
+        extend = None
 
 
 def cut_value(g: Graph, side) -> Cut:

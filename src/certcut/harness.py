@@ -9,12 +9,20 @@ import io
 import json
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 from .errors import BudgetExceeded, DuplicateEdge, ParseError, SelfLoop, VertexOutOfRange
 from .graphcore import Graph
 
 # largest vertex count a header may declare; every declared vertex costs
 # the graph a CSR row pointer and a run of per-vertex work, edges or not
 MAX_HEADER_VERTICES = 10**6
+
+# the bytes of a plain edge list: digits, '-', and space, tab and '\n' as
+# the only separators (the only ones among them at or below b" ")
+_PLAIN_BYTES = b"0123456789- \t\n"
+# an id of at most 18 digits is below 2**63, so int64 holds it exactly
+_MAX_DIGITS = 18
 
 CSV_HEADER = (
     "graph,n,m,degeneracy,triangles,algo,params,seed,value,"
@@ -30,6 +38,57 @@ def parse_graph(data: bytes | str) -> Graph:
     BudgetExceeded. Bytes must be UTF-8; otherwise ParseError names the
     line that holds the first undecodable byte.
     """
+    g = _parse_plain(data)
+    return g if g is not None else _parse_lines(data)
+
+
+def _parse_plain(data: bytes | str) -> Graph | None:
+    """The graph of a plain edge list, read in array passes over its bytes,
+    or None for any other input, which the line parser then reads and, if
+    it is bad, refuses. Plain means: only the bytes in ``_PLAIN_BYTES``;
+    exactly two ids ``-?[0-9]{1,18}`` on every nonblank line; a header with
+    n in [0, MAX_HEADER_VERTICES] and m equal to the number of edge lines;
+    and edges that ``Graph.from_edges`` accepts. On such input ``str.split``
+    and ``int`` read the same ids as ``np.fromstring``.
+    """
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    data = bytes(data)
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    b = np.frombuffer(data, np.uint8)
+    sep = np.ones(len(b) + 2, bool)  # sep[j] is True when byte j - 1 separates
+    np.less_equal(b, ord(" "), out=sep[1:-1])
+    # tokens run from a separator-to-byte edge to the next byte-to-separator one
+    edges = np.flatnonzero(sep[1:] != sep[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    if len(starts) < 2 or len(starts) % 2:
+        return None
+    neg = b[starts] == ord("-")
+    digits = ends - starts - neg
+    # a '-' only opens a token, and every token has 1 to 18 digits
+    if not sep[np.flatnonzero(b == ord("-"))].all() or digits.min() < 1 or digits.max() > _MAX_DIGITS:
+        return None
+    # each token's line is the number of newlines before it; the two tokens
+    # of a pair share a line, and the next pair starts on a later one
+    line = np.searchsorted(np.flatnonzero(b == ord("\n")), starts)
+    if (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
+        return None
+    ids = np.fromstring(data, np.int64, sep=" ")
+    n, m = ids[:2].tolist()
+    if not 0 <= n <= MAX_HEADER_VERTICES or m != len(ids) // 2 - 1:
+        return None
+    try:
+        return Graph.from_edges(n, ids[2:].reshape(-1, 2))
+    except (VertexOutOfRange, SelfLoop, DuplicateEdge):
+        return None
+
+
+def _parse_lines(data: bytes | str) -> Graph:
+    """``parse_graph`` line by line: every input, and the only source of
+    its errors."""
     text = _decode(data) if isinstance(data, (bytes, bytearray)) else data
     lines = text.splitlines()
     first = next((ln for ln in lines if ln.strip()), "")

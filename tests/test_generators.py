@@ -1,4 +1,5 @@
 import bisect
+import gc
 import math
 import tracemalloc
 
@@ -173,6 +174,17 @@ class TestMakeCrFree:
         g = make_cr_free(g0, 3)
         assert count_triangles(g) == 0
         assert g0.m - g.m <= count_r_cycles(g0, 3)
+
+    def test_cycle_search_leaves_no_reference_cycle(self):
+        # a cycle would keep the adjacency sets alive until the next collection
+        g0 = random_regular(16, 3, 0)
+        gc.collect()
+        gc.disable()
+        try:
+            make_cr_free(g0, 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_five_cycles_destroyed(self, seed):

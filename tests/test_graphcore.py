@@ -240,6 +240,17 @@ class TestCliques:
         assert find_clique(complete(4), 3) == (0, 1, 2)
         assert find_clique(complete(4), 4) == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize("r", [3, 9])  # found, and not found
+    def test_find_clique_leaves_no_reference_cycle(self, r):
+        # a cycle would keep the search's sets alive until the next collection
+        gc.collect()
+        gc.disable()
+        try:
+            find_clique(gnp(30, 0.3, 1), r)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestCutValue:
     def test_bipartition_of_k33(self):

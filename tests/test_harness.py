@@ -8,6 +8,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certcut import graphcore
 from certcut._rng import make_rng
@@ -15,6 +17,7 @@ from certcut.chromatic import kr_free_coloring, max_t_cut
 from certcut.cli import main, make_report
 from certcut.decompose import kr_cut, sampled_sdp_cut
 from certcut.errors import (
+    BudgetExceeded,
     DuplicateEdge,
     InvalidParameter,
     ParseError,
@@ -24,7 +27,16 @@ from certcut.errors import (
 )
 from certcut.graphcore import cut_value
 from certcut.generators import complete, gnp, petersen, random_regular
-from certcut.harness import CSV_HEADER, MAX_HEADER_VERTICES, RunReport, format_edge_list, parse_graph
+from certcut.harness import (
+    CSV_HEADER,
+    MAX_HEADER_VERTICES,
+    RunReport,
+    _parse_lines,
+    _parse_plain,
+    format_edge_list,
+    parse_graph,
+)
+from conftest import graphs
 
 
 class TestParseGraph:
@@ -118,6 +130,150 @@ class TestParseGraph:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_graph("")
+
+
+def _outcome(parse, data):
+    """What a parser makes of ``data``: the graph's arrays, or the error's
+    type, message and line."""
+    try:
+        g = parse(data)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "line", None)
+    return g.n, g.eu.tolist(), g.ev.tolist()
+
+
+def _same_as_line_parser(data):
+    """parse_graph agrees with the line parser on ``data``, as str and as
+    UTF-8 bytes (or as given, for bytes); True when the array path read it."""
+    forms = [data] if isinstance(data, bytes) else [data, data.encode("utf-8")]
+    plain = {_parse_plain(form) is not None for form in forms}
+    for form in forms:
+        assert _outcome(parse_graph, form) == _outcome(_parse_lines, form)
+    assert len(plain) == 1  # str and bytes take the same path
+    return plain.pop()
+
+
+ID_18 = "1" + "0" * 17
+ID_19 = "1" + "0" * 18
+
+
+class TestPlainParse:
+    """The array path for plain edge lists reads what the line parser reads;
+    everything else, errors included, comes from the line parser."""
+
+    @pytest.mark.parametrize("text", [
+        "3 2\n0 1\n1 2\n",
+        "3 2\n0 1\n1 2",  # no final newline
+        "\n\n3 2\n\n0 1\n   \n\t\n1 2\n\n",  # blank and whitespace-only lines
+        "3\t2\n\t0 \t1\t\n 1   2 ",  # tabs and runs of spaces
+        "003 0002\n00 01\n0001 002\n",  # leading zeros
+        "3 1\n-0 1\n",  # -0 is vertex 0
+        "4 0\n",
+        "0 0\n",
+        f"{MAX_HEADER_VERTICES} 1\n0 {MAX_HEADER_VERTICES - 1}\n",
+        "3 1\n000000000000000002 1\n",  # 18 digits
+    ])
+    def test_plain_inputs_take_the_array_path(self, text):
+        assert _same_as_line_parser(text)
+
+    @pytest.mark.parametrize("text, error, line", [
+        ("-3 0\n", ParseError, 1),  # negative header counts
+        ("3 -1\n", ParseError, 1),
+        ("3 1\n-1 2\n", VertexOutOfRange, 2),  # a negative id
+        ("3 1\n0 -0001\n", VertexOutOfRange, 2),
+        (f"{MAX_HEADER_VERTICES + 1} 0\n", BudgetExceeded, None),
+        ("3 3\n0 1\n1 2\n", ParseError, 1),  # m too large
+        ("3 1\n0 1\n1 2\n", ParseError, 1),  # m too small
+        ("3 1\n0\n", ParseError, 2),  # one token
+        ("3 1\n0 1 2\n", ParseError, 2),  # three tokens
+        ("3\n", ParseError, 1),
+        ("3 1 0\n0 1\n", ParseError, 1),
+        ("3 1 0 1\n", ParseError, 1),  # two pairs on one line
+        ("3 2\n0 1 1 2\n", ParseError, 2),
+        ("3\n1\n0 1\n", ParseError, 1),  # one pair over two lines
+        ("3 1\n0\n1\n", ParseError, 2),
+        ("3 2\n0 1\n1 0\n", DuplicateEdge, 3),
+        ("3 2\n0 1\n\n0001 0\n", DuplicateEdge, 4),
+        ("3 1\n2 2\n", SelfLoop, 2),
+        ("3 1\n0 3\n", VertexOutOfRange, 2),
+        (f"3 1\n0 {ID_18}\n", VertexOutOfRange, 2),  # 18 digits, out of range
+        (f"3 1\n0 {ID_19}\n", VertexOutOfRange, 2),  # 19 digits: the line parser
+        (f"3 1\n0 {'9' * 25}\n", VertexOutOfRange, 2),  # 25 digits
+        (f"3 1\n-{'9' * 25} 1\n", VertexOutOfRange, 2),
+        ("3 1\n0 1-2\n", ParseError, 2),
+        ("3 1\n0 --1\n", ParseError, 2),
+        ("3 1\n0 -\n", ParseError, 2),
+        ("", ParseError, 1),
+        (" \n\t\n", ParseError, 1),
+    ])
+    def test_bad_inputs_keep_the_line_parsers_error(self, text, error, line):
+        assert not _same_as_line_parser(text)
+        with pytest.raises(error) as err:
+            parse_graph(text)
+        assert getattr(err.value, "line", None) == line
+
+    @pytest.mark.parametrize("data, edges", [
+        ("3 2\r\n0 1\r\n1 2\r\n", [(0, 1), (1, 2)]),  # CRLF
+        ("3 2\r0 1\r1 2\r", [(0, 1), (1, 2)]),  # a lone CR ends a line
+        ("3 2\n0 1\x0c1 2\n", [(0, 1), (1, 2)]),  # so does a form feed
+        ("3 1\n0\u00a01\n", [(0, 1)]),  # NBSP separates
+        ("3 1\n+0 +1\n", [(0, 1)]),
+        ("3 1\n2 0_1\n", [(1, 2)]),  # int() reads 0_1 as 1
+        ("3 1\n\u0661 2\n", [(1, 2)]),  # an Arabic-Indic one
+        (f"3 1\n{'0' * 18}1 2\n", [(1, 2)]),  # an id of 19 digits
+        ("p edge 3 2\ne 1 2\ne 2 3\n", [(0, 1), (1, 2)]),  # DIMACS
+    ])
+    def test_other_inputs_take_the_line_path(self, data, edges):
+        assert not _same_as_line_parser(data)
+        g = parse_graph(data)
+        assert g.n == 3 and g.edges == tuple(edges)
+
+    @pytest.mark.parametrize("data, line", [
+        ("\ufeff3 1\n0 1\n", 1),  # a UTF-8 byte-order mark is not a digit
+        (b"3 1\n0 \xff1\n", 2),  # not UTF-8
+    ])
+    def test_other_bad_inputs_take_the_line_path(self, data, line):
+        assert not _same_as_line_parser(data)
+        with pytest.raises(ParseError) as err:
+            parse_graph(data)
+        assert err.value.line == line
+
+    # texts near the plain grammar: every byte it admits, its neighbours
+    # outside it, and ids of 18 or more digits
+    PIECES = ["0", "1", "7", "-", " ", "\t", "\n", "\n\n", "  ", "00", "-0", "\r", "\r\n",
+              "\x0c", "\x0b", "+", "_", "\u00a0", "\u0661", "\ufeff", "x", ID_18, ID_19,
+              "9" * 25]
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(max_n=8), st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10**6),
+                                               st.sampled_from(PIECES)), max_size=4))
+    def test_mutated_edge_lists_parse_alike(self, g, edits):
+        text = list(format_edge_list(g))
+        for op, at, piece in edits:
+            at %= len(text) + 1
+            if op == 0:
+                text.insert(at, piece)
+            elif at < len(text):
+                text[at:at + 1] = [] if op == 1 else [piece]
+        _same_as_line_parser("".join(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_token_lines_parse_alike(self, data):
+        # lines of 0 to 3 tokens, mostly plain ones, under a header whose m is
+        # the number of nonblank lines or one off it
+        token = st.one_of(st.integers(-2, 9).map(str), st.sampled_from(self.PIECES))
+        sep = st.sampled_from([" ", " ", "\t", "  ", "\u00a0", "\x0b"])
+        end = st.sampled_from(["\n", "\n", "\n", " \n", "\n\n", "\r\n", "\r", "\x0c"])
+        body = data.draw(st.lists(st.lists(token, max_size=3), max_size=6))
+        m = sum(1 for ln in body if ln) + data.draw(st.sampled_from([0, 0, 0, 1, -1]))
+        lines = [[str(data.draw(st.integers(0, 9))), str(m)]] + body
+        _same_as_line_parser("".join(data.draw(sep).join(ln) + data.draw(end) for ln in lines))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=40))
+    def test_arbitrary_bytes_parse_alike(self, data):
+        _same_as_line_parser(data)
 
 
 class TestEdgeListFormat:
