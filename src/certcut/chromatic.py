@@ -160,6 +160,11 @@ def coloring_class_bound(n: int, r: int) -> float:
     return 4.0 * n ** ((r - 2) / (r - 1))
 
 
+def coloring_pipeline_floor(n: int, m: int, r: int) -> float:
+    """The K_r-free coloring-cut floor (1/2 + 1/(8 n^((r-2)/(r-1)))) m; 0 if n = 0."""
+    return (0.5 + 1.0 / (8.0 * n ** ((r - 2) / (r - 1)))) * m if n else 0.0
+
+
 def split_probability(t: int) -> Fraction:
     """Probability a class pair is separated by a random floor/ceil grouping."""
     if t < 2:

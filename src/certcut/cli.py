@@ -18,9 +18,9 @@ import sys
 import time
 
 from ._rng import derive_seed, make_rng
-from .chromatic import coloring_cut, kr_free_coloring, max_t_cut
+from .chromatic import coloring_cut, coloring_pipeline_floor, kr_free_coloring, max_t_cut
 from .decompose import SAMPLE_P, composite_cut, kr_cut, sampled_sdp_cut
-from .embedding import eps_cap, sdp_cut
+from .embedding import default_eps, sdp_cut
 from .errors import BudgetExceeded, CertcutError, InvalidEpsilon, ParseError, PreconditionError
 from .generators import (
     GenSpec,
@@ -52,9 +52,9 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _resolve_eps(text: str, g: Graph) -> float:
-    """The eps that ``--epsilon`` selects on ``g``; ``auto`` is min(1, eps_cap(g))."""
+    """The eps that ``--epsilon`` selects on ``g``; ``auto`` is ``default_eps(g)``."""
     if text == "auto":
-        return min(1.0, eps_cap(g))
+        return default_eps(g)
     try:
         eps = float(text)
     except ValueError:
@@ -83,8 +83,7 @@ def run_cut_algorithm(g: Graph, algo: str, *, seed: int, epsilon: str, repeats: 
     if algo == "chromatic":
         col = kr_free_coloring(g, r)
         cut, cert = coloring_cut(g, col)
-        bound = (0.5 + 1.0 / (8.0 * g.n ** ((r - 2) / (r - 1)))) * g.m if g.n else 0.0
-        return cut, cert, bound, f"r={r};classes={col.classes}"
+        return cut, cert, coloring_pipeline_floor(g.n, g.m, r), f"r={r};classes={col.classes}"
     if algo == "sdp":
         cut, cert = sdp_cut(g, eps, repeats, seed)
         params = f"eps={eps:.10g};repeats={repeats}"

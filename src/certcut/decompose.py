@@ -16,18 +16,21 @@ import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .chromatic import coloring_cut, kr_free_coloring
-from .embedding import CutCertificate, check_eps, eps_cap, sdp_cut
+from .embedding import CutCertificate, check_eps, default_eps, sdp_cut
 from .errors import (
     InvalidParameter,
     NotACutOfInducedSubgraph,
     NotAPartition,
     NotEnoughTriangles,
     NotKrFree,
+    OutOfRangeVertex,
 )
 from .graphcore import (
     Cut,
     DegeneracyOrder,
     Graph,
+    _binary_labels,
+    _vertex_ids,
     back_pairs,
     count_back_triangles,
     cut_value,
@@ -43,17 +46,18 @@ KR_SURPLUS_CONSTANT = 1.0 / 388.0
 SAMPLE_P = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Partition into dense parts V_1..V_k plus a triangle-sparse remainder.
 
-    Each part has at most d vertices (d = graph degeneracy), all adjacent to
-    its witness vertex, and spans at least |V_i|/eps_used internal edges; the
-    remainder induces at most m/eps_used triangles.
+    Each is a sorted read-only intp array of ids. A part has at most d
+    vertices (d = graph degeneracy), all adjacent to its witness vertex, and
+    spans at least |V_i|/eps_used internal edges; the remainder induces at
+    most m/eps_used triangles.
     """
 
-    parts: tuple[frozenset[int], ...]
-    remainder: frozenset[int]
+    parts: tuple[np.ndarray, ...]
+    remainder: np.ndarray
     eps_used: float
     witnesses: tuple[int, ...]
 
@@ -69,18 +73,19 @@ def find_dense_subset(g: Graph, order: DegeneracyOrder, eps: float):
 
     ``order`` may cover only some vertices (a :func:`peel` of a vertex
     subset); the search then runs inside the graph those vertices induce.
-    Returns (vertex set, witness). Requires a triangle-rich graph; raises
-    NotEnoughTriangles when no vertex qualifies.
+    Returns (sorted read-only id array, witness). Requires a triangle-rich
+    graph; raises NotEnoughTriangles when no vertex qualifies.
     """
     _check_partition_eps(eps)
     owner, cols = back_pairs(g, order)
-    ordered = np.fromiter(order.order, np.intp, len(order.order))
-    dv = np.bincount(owner, minlength=g.n)[ordered]
-    t_back = np.array(count_back_triangles(g, order), dtype=np.int64)[ordered]
+    dv = np.bincount(owner, minlength=g.n)[order.order]
+    t_back = np.array(count_back_triangles(g, order), dtype=np.int64)[order.order]
     hit = (dv >= 1) & (t_back * eps >= dv)
     if hit.any():
-        v = int(ordered[hit.argmax()])
-        return frozenset(cols[owner == v].tolist()), v
+        v = int(order.order[hit.argmax()])
+        dense = cols[owner == v]  # ascending: back_pairs lists them so
+        dense.flags.writeable = False
+        return dense, v
     raise NotEnoughTriangles(
         f"no vertex closes back-degree/{eps} triangles inside its back-neighbor set"
     )
@@ -99,7 +104,7 @@ def partition_triangle_sparse(g: Graph, eps: float) -> Decomposition:
     _check_partition_eps(eps)
     ta, tb, tc = g.triangle_list.T
     alive = np.ones(g.n, dtype=bool)
-    parts: list[frozenset[int]] = []
+    parts: list[np.ndarray] = []
     witnesses: list[int] = []
     while True:
         t = int(np.count_nonzero(alive[ta] & alive[tb] & alive[tc]))
@@ -114,23 +119,30 @@ def partition_triangle_sparse(g: Graph, eps: float) -> Decomposition:
             break
         parts.append(dense)
         witnesses.append(w)
-        alive[list(dense)] = False
-    remainder = frozenset(np.flatnonzero(alive).tolist())
+        alive[dense] = False
+    remainder = np.flatnonzero(alive)
+    remainder.flags.writeable = False
     return Decomposition(tuple(parts), remainder, eps, tuple(witnesses))
 
 
-def _check_block_cut(g: Graph, vs, cut: Cut):
-    sub, vmap = induced_subgraph(g, vs)
-    if len(cut.side) != sub.n:
+def _check_block_cut(g: Graph, ids: np.ndarray, cut: Cut) -> tuple[np.ndarray, int]:
+    """Check ``cut`` against the subgraph induced by ``ids``, on ``g``'s own
+    edges. Returns its labels as an n-array (2 outside the block) and the
+    number of edges inside the block."""
+    if len(cut.side) != len(ids):
         raise NotACutOfInducedSubgraph(
-            f"cut labels {len(cut.side)} vertices, induced subgraph has {sub.n}"
+            f"cut labels {len(cut.side)} vertices, induced subgraph has {len(ids)}"
         )
-    check = cut_value(sub, cut.side)
-    if check.value != cut.value:
+    lab = np.full(g.n, 2, dtype=np.uint8)
+    lab[ids] = _binary_labels(cut.side)
+    a, b = lab[g.eu], lab[g.ev]
+    inside = (a < 2) & (b < 2)
+    value = int(np.count_nonzero(inside & (a != b)))
+    if value != cut.value:
         raise NotACutOfInducedSubgraph(
-            f"cut claims value {cut.value}, recount gives {check.value}"
+            f"cut claims value {cut.value}, recount gives {value}"
         )
-    return sub, vmap
+    return lab, int(np.count_nonzero(inside))
 
 
 def combine_subcuts(g: Graph, blocks) -> tuple[Cut, CutCertificate]:
@@ -142,33 +154,34 @@ def combine_subcuts(g: Graph, blocks) -> tuple[Cut, CutCertificate]:
     orientation expectation (m - sum m_i)/2 + sum of block cut values, which
     is returned as the certificate.
     """
-    seen: set[int] = set()
-    for vs, _ in blocks:
-        vs = set(vs)
-        if vs & seen:
+    block = np.full(g.n, -1, dtype=np.intp)  # index of every vertex's block
+    for k, (vs, _) in enumerate(blocks):
+        try:
+            ids = _vertex_ids(g.n, vs)
+        except OutOfRangeVertex:
+            raise NotAPartition("blocks do not cover the vertex set") from None
+        if (block[ids] >= 0).any():
             raise NotAPartition("blocks overlap")
-        seen |= vs
-    if seen != set(range(g.n)):
+        block[ids] = k
+    if (block < 0).any():
         raise NotAPartition("blocks do not cover the vertex set")
 
-    adj = g.rows()
-    side = [0] * g.n
-    placed = [False] * g.n
+    bu, bv = block[g.eu], block[g.ev]
+    later, earlier = np.maximum(bu, bv), np.minimum(bu, bv)
+    side = np.zeros(g.n, dtype=np.uint8)
     internal_edges = 0
-    internal_value = 0
-    for vs, cut in blocks:
-        sub, vmap = _check_block_cut(g, vs, cut)
-        internal_edges += sub.m
-        internal_value += cut.value
-        # edges to placed vertices that the block's own labels leave uncut
-        uncut = [cut.side[local] == side[w]
-                 for local, v in enumerate(vmap.to_parent) for w in adj[v] if placed[w]]
-        orient = 0 if 2 * sum(uncut) <= len(uncut) else 1
-        for local, v in enumerate(vmap.to_parent):
-            side[v] = cut.side[local] ^ orient
-            placed[v] = True
+    for k, (_, cut) in enumerate(blocks):
+        ids = np.flatnonzero(block == k)
+        lab, inside = _check_block_cut(g, ids, cut)
+        internal_edges += inside
+        side[ids] = lab[ids]
+        # flip the block if its own labels leave most edges to placed vertices uncut
+        to_placed = (later == k) & (earlier < k)
+        uncut = np.count_nonzero(side[g.eu[to_placed]] == side[g.ev[to_placed]])
+        if 2 * uncut > np.count_nonzero(to_placed):
+            side[ids] ^= 1
     final = cut_value(g, side)
-    cert = (g.m - internal_edges) / 2 + internal_value
+    cert = (g.m - internal_edges) / 2 + sum(cut.value for _, cut in blocks)
     return final, CutCertificate(cert, None, "block_combination", cert)
 
 
@@ -179,20 +192,15 @@ def extend_cut(g: Graph, u, cut_u: Cut) -> tuple[Cut, CutCertificate]:
     cutting more of their already-placed edges (ties to side 0), so the value
     is always at least the certificate (m - m(u))/2 + cut_u.value.
     """
-    sub, vmap = _check_block_cut(g, u, cut_u)
-    side = [0] * g.n
-    placed = [False] * g.n
-    for local, v in enumerate(vmap.to_parent):
-        side[v] = cut_u.side[local]
-        placed[v] = True
+    lab, inside = _check_block_cut(g, _vertex_ids(g.n, u), cut_u)
+    side = lab.tolist()  # 2 marks a vertex not placed yet
     for v, row in enumerate(g.rows()):
-        if placed[v]:
+        if side[v] < 2:
             continue
-        near = [side[w] for w in row if placed[w]]
+        near = [side[w] for w in row if side[w] < 2]
         side[v] = 0 if 2 * sum(near) >= len(near) else 1
-        placed[v] = True
     final = cut_value(g, side)
-    cert = (g.m - sub.m) / 2 + cut_u.value
+    cert = (g.m - inside) / 2 + cut_u.value
     return final, CutCertificate(cert, None, "extension", cert)
 
 
@@ -230,10 +238,9 @@ def composite_cut(
     blocks.append((decomp.remainder, rem_cut))
     cut_a, cert_a = combine_subcuts(g, blocks)
 
-    left = set()
-    for part in decomp.parts:
-        left |= part
-    cut_b = cut_value(g, [0 if v in left else 1 for v in range(g.n)])
+    in_remainder = np.zeros(g.n, dtype=bool)
+    in_remainder[decomp.remainder] = True
+    cut_b = cut_value(g, in_remainder)
     cert_b = CutCertificate(float(cut_b.value), None, "parts_vs_remainder", float(cut_b.value))
 
     cut_c, cert_c = sdp_cut(g, eps, repeats, derive_seed(seed, 2))
@@ -313,14 +320,12 @@ def sampled_sdp_cut(
     if rng is None:
         rng = make_rng(0)
     if eps is None:
-        eps = min(1.0, eps_cap(g))
+        eps = default_eps(g)
     check_eps(g, eps)
     best_cut = None
     best_cert = -math.inf
     for _ in range(max(1, repeats)):
-        keep = rng.random(g.n) < p if g.n else []
-        vs = [v for v in range(g.n) if keep[v]]
-        sample_graph, _ = induced_subgraph(g, vs)
+        sample_graph, vs = induced_subgraph(g, np.flatnonzero(rng.random(g.n) < p))
         inner_seed = int(rng.integers(0, 2**63))
         sample_cut, sample_cert = sdp_cut(sample_graph, eps, 32, inner_seed)
         extended, _ = extend_cut(g, vs, sample_cut)

@@ -115,6 +115,11 @@ def eps_cap(g: Graph) -> float:
     return 1.0 / math.sqrt(d) if d else math.inf
 
 
+def default_eps(g: Graph) -> float:
+    """The default constant eps, min(1, eps_cap(g)): 1.0 when edgeless."""
+    return min(1.0, eps_cap(g))
+
+
 def check_eps(g: Graph, eps: float) -> None:
     """Refuse a constant eps that is not finite, not positive, or above
     ``eps_cap(g)``; the cap is vacuous for edgeless graphs."""
@@ -262,11 +267,11 @@ def sdp_cut(
 
     Returns the best sampled cut together with the exact-expectation
     certificate, which always dominates the closed-form plan bound. ``eps``
-    defaults to min(1, eps_cap(g)). Repeat k draws from the independent
+    defaults to :func:`default_eps`. Repeat k draws from the independent
     sub-stream (seed, k).
     """
     if eps is None:
-        eps = min(1.0, eps_cap(g))
+        eps = default_eps(g)
     plan = back_neighbor_plan(g, eps)
     emb = build_vectors(g, plan)
     cert = exact_expected_cut(g, emb)

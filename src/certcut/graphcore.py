@@ -152,18 +152,18 @@ class Cut:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegeneracyOrder:
     """A vertex order in which every vertex has few earlier neighbors.
 
-    ``order`` lists some or all of the ``n`` vertices. The back-neighbors of
-    a vertex are its neighbors earlier in ``order`` (see :func:`back_pairs`);
-    ``degeneracy`` is the maximum back-degree, which for the canonical order
-    equals the graph degeneracy exactly.
+    ``order``, a read-only intp array, lists some or all of the ``n``
+    vertices. The back-neighbors of a vertex are its neighbors earlier in
+    ``order`` (see :func:`back_pairs`); ``degeneracy`` is the maximum
+    back-degree, equal to the graph degeneracy for the canonical order.
     """
 
     n: int
-    order: tuple[int, ...]
+    order: np.ndarray
     degeneracy: int
 
     @cached_property
@@ -171,7 +171,7 @@ class DegeneracyOrder:
         """Read-only index of every vertex in ``order``; -1 for vertices
         outside it."""
         pos = np.full(self.n, -1, dtype=np.intp)
-        pos[np.fromiter(self.order, np.intp, len(self.order))] = np.arange(len(self.order))
+        pos[self.order] = np.arange(len(self.order))
         pos.flags.writeable = False
         return pos
 
@@ -241,7 +241,9 @@ def peel(g: Graph, alive=None) -> DegeneracyOrder:
                 push(buckets[k], w)
         if d:
             d -= 1
-    return DegeneracyOrder(n, tuple(reversed(removal)), degeneracy)
+    order = np.array(removal[::-1], dtype=np.intp)
+    order.flags.writeable = False
+    return DegeneracyOrder(n, order, degeneracy)
 
 
 def degeneracy_order(g: Graph) -> DegeneracyOrder:
@@ -309,8 +311,7 @@ def count_back_triangles(g: Graph, order: DegeneracyOrder) -> tuple[int, ...]:
     """
     pa, pb, pc = order.position[g.triangle_list.T]
     last = np.maximum(np.maximum(pa, pb), pc)[(pa >= 0) & (pb >= 0) & (pc >= 0)]
-    ordered = np.asarray(order.order, dtype=np.intp)
-    return tuple(np.bincount(ordered[last], minlength=g.n).tolist())
+    return tuple(np.bincount(order.order[last], minlength=g.n).tolist())
 
 
 def _forward_sets(g: Graph) -> list[frozenset[int]]:
@@ -375,14 +376,20 @@ def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
         extend = None
 
 
+def _binary_labels(side) -> np.ndarray:
+    """``side`` as a uint8 array; ValueError unless every label is 0 or 1."""
+    labels = np.asarray(side)
+    if labels.ndim != 1 or not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return labels.astype(np.uint8)
+
+
 def cut_value(g: Graph, side) -> Cut:
     """Cut with the exact crossing count for a full 0/1 labeling."""
-    side = tuple(int(s) for s in side)
     if len(side) != g.n:
         raise LabelSizeMismatch(f"labeling covers {len(side)} of {g.n} vertices")
-    if any(s not in (0, 1) for s in side):
-        raise ValueError("labels must be 0 or 1")
-    return Cut(side, g.crossing_count(np.asarray(side)))
+    labels = _binary_labels(side)
+    return Cut(tuple(labels.tolist()), g.crossing_count(labels))
 
 
 def edwards_bound(m: int) -> float:
@@ -392,30 +399,32 @@ def edwards_bound(m: int) -> float:
     return m / 2 + (math.sqrt(8 * m + 1) - 1) / 8
 
 
-@dataclass(frozen=True)
-class VertexMap:
-    """Vertex relabeling of an induced subgraph: local id i is parent id
-    ``to_parent[i]``."""
+def _vertex_ids(n: int, vs) -> np.ndarray:
+    """The distinct vertices of ``vs``, ascending, as a read-only intp array;
+    OutOfRangeVertex for an id outside [0, n) or not integral."""
+    raw = vs if isinstance(vs, np.ndarray) else np.array(list(vs))
+    if raw.size and not (0 <= raw.min() and raw.max() < n):
+        raise OutOfRangeVertex(f"vertex set not contained in [0, {n})")
+    if (raw % 1 != 0).any():
+        raise OutOfRangeVertex("vertex ids must be integers")
+    keep = np.zeros(n, dtype=bool)
+    keep[raw.astype(np.intp)] = True
+    ids = np.flatnonzero(keep)
+    ids.flags.writeable = False
+    return ids
 
-    to_parent: tuple[int, ...]
 
-
-def induced_subgraph(g: Graph, vs) -> tuple[Graph, VertexMap]:
-    """Compact relabeled subgraph induced by ``vs`` plus the vertex map.
-
-    The relabeling is monotone: sorted parent ids map to 0..|vs|-1, so the
-    kept edges stay in sorted order. When ``vs`` covers every vertex that
-    relabeling is the identity, and ``g`` itself is returned, so the facts
-    cached on it carry over.
+def induced_subgraph(g: Graph, vs) -> tuple[Graph, np.ndarray]:
+    """Compact relabeled subgraph induced by ``vs`` plus its sorted parent
+    ids: local vertex i is ``ids[i]``, so the kept edges stay sorted. When
+    ``vs`` covers every vertex, ``g`` itself is returned, so the facts cached
+    on it carry over.
     """
-    vs = sorted(set(int(v) for v in vs))
-    if vs and not (0 <= vs[0] and vs[-1] < g.n):
-        raise OutOfRangeVertex(f"vertex set not contained in [0, {g.n})")
-    vmap = VertexMap(tuple(vs))
-    if len(vs) == g.n:
-        return g, vmap
+    ids = _vertex_ids(g.n, vs)
+    if len(ids) == g.n:
+        return g, ids
     keep = np.zeros(g.n, dtype=bool)
-    keep[vs] = True
+    keep[ids] = True
     local = np.cumsum(keep) - 1
     inside = keep[g.eu] & keep[g.ev]
-    return _from_sorted_edges(len(vs), local[g.eu[inside]], local[g.ev[inside]]), vmap
+    return _from_sorted_edges(len(ids), local[g.eu[inside]], local[g.ev[inside]]), ids

@@ -11,10 +11,13 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from ._rng import make_rng
 from .chromatic import (
     coloring_class_bound,
     coloring_cut,
+    coloring_pipeline_floor,
     kr_free_coloring,
     t_cut_expected_value,
 )
@@ -103,22 +106,17 @@ def decomposition_invariants(g: Graph, decomp) -> str | None:
     """Return a violation message, or None if all partition invariants hold."""
     eps = decomp.eps_used
     d = g.degeneracy_order.degeneracy
-    claimed = set(decomp.remainder)
-    total = len(decomp.remainder)
-    for part in decomp.parts:
-        if part & claimed:
-            return "parts overlap"
-        claimed |= part
-        total += len(part)
-    if claimed != set(range(g.n)) or total != g.n:
+    claims = np.bincount(np.concatenate((decomp.remainder, *decomp.parts)), minlength=g.n)
+    if claims.max(initial=0) > 1:
+        return "parts overlap"
+    if len(claims) != g.n or not claims.all():
         return "parts plus remainder do not partition the vertex set"
     if len(decomp.witnesses) != len(decomp.parts):
         return "witness count mismatch"
-    rows = g.rows()
     for part, w in zip(decomp.parts, decomp.witnesses):
         if len(part) > d:
             return f"part of size {len(part)} exceeds degeneracy {d}"
-        if not part.issubset(rows[w]):
+        if not np.isin(part, g.indices[g.indptr[w]:g.indptr[w + 1]]).all():
             return f"part not adjacent to witness {w}"
         sub, _ = induced_subgraph(g, part)
         if sub.m * eps < len(part):
@@ -192,8 +190,7 @@ def check_coloring_cut(count=60, seed=0):
             return False, f"graph {k}: value {cut.value} below certificate"
         if t >= 2 and cert.expected_value < (0.5 + 1.0 / (2 * t)) * g.m - TOL:
             return False, f"graph {k}: certificate below the class-count floor"
-        pipeline_floor = (0.5 + 1.0 / (8.0 * g.n ** ((r - 2) / (r - 1)))) * g.m
-        if cert.expected_value < pipeline_floor - TOL:
+        if cert.expected_value < coloring_pipeline_floor(g.n, g.m, r) - TOL:
             return False, f"graph {k}: certificate below the pipeline floor"
     return True, f"{count} colorings"
 

@@ -428,7 +428,8 @@ def reference_partition(g: Graph, eps: float):
     parts, witnesses = [], []
     residual = list(range(g.n))
     while True:
-        sub, vmap = induced_subgraph(g, residual)
+        sub, ids = induced_subgraph(g, residual)
+        up = ids.tolist()
         t = reference_count_triangles(sub)
         if t == 0 or t * eps < sub.m:
             break
@@ -443,10 +444,28 @@ def reference_partition(g: Graph, eps: float):
         if hit is None:
             break
         dense, w = hit
-        parts.append(frozenset(vmap.to_parent[v] for v in dense))
-        witnesses.append(vmap.to_parent[w])
-        residual = [vmap.to_parent[v] for v in range(sub.n) if v not in dense]
+        parts.append(frozenset(up[v] for v in dense))
+        witnesses.append(up[w])
+        residual = [up[v] for v in range(sub.n) if v not in dense]
     return tuple(parts), tuple(witnesses), frozenset(residual)
+
+
+def reference_combine_subcuts(g: Graph, blocks) -> tuple[int, ...]:
+    """Sides of the greedy block merge, one vertex and one edge at a time:
+    each block, in list order, keeps its own labels unless flipping them
+    cuts more of its edges to the vertices already placed."""
+    adj = g.rows()
+    side = [0] * g.n
+    placed = [False] * g.n
+    for vs, cut in blocks:
+        members = sorted(vs)
+        near = [(cut.side[i], w) for i, v in enumerate(members) for w in adj[v] if placed[w]]
+        uncut = sum(own == side[w] for own, w in near)
+        flip = 0 if 2 * uncut <= len(near) else 1
+        for i, v in enumerate(members):
+            side[v] = cut.side[i] ^ flip
+            placed[v] = True
+    return tuple(side)
 
 
 def _ramsey_bound(r: int, s: int) -> int:

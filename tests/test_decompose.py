@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from certcut.errors import (
     NotAPartition,
     NotEnoughTriangles,
     NotKrFree,
+    OutOfRangeVertex,
 )
 from certcut.generators import (
     complete,
@@ -47,7 +49,7 @@ from certcut.graphcore import (
 from certcut.oracle import max_cut_exact
 from certcut.verify import decomposition_invariants
 from conftest import graphs
-from oracles import brute_max_cut
+from oracles import brute_max_cut, reference_combine_subcuts
 
 
 def exact_subsolver():
@@ -62,10 +64,10 @@ class TestFindDenseSubset:
     def test_k4_trace(self):
         g = complete(4)
         dense, witness = find_dense_subset(g, degeneracy_order(g), 2.0)
-        assert dense == frozenset({2, 3}) and witness == 1
+        assert dense.tolist() == [2, 3] and witness == 1
         sub, _ = induced_subgraph(g, dense)
         assert sub.m * 2.0 >= len(dense)
-        assert dense.issubset(g.rows()[witness])
+        assert set(dense.tolist()) <= set(g.rows()[witness])
 
     def test_triangle_free_raises(self):
         g = petersen()
@@ -75,7 +77,7 @@ class TestFindDenseSubset:
     def test_two_disjoint_k4s_first_component_scanned(self):
         g = disjoint_cliques(2, 4)
         dense, witness = find_dense_subset(g, degeneracy_order(g), 2.0)
-        assert dense == frozenset({6, 7}) and witness == 5
+        assert dense.tolist() == [6, 7] and witness == 5
 
     @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
     def test_refuses_eps_not_positive(self, eps):
@@ -95,7 +97,7 @@ class TestPartitionTriangleSparse:
 
     def test_triangle_free_keeps_everything(self):
         decomp = partition_triangle_sparse(petersen(), 1.0)
-        assert decomp.parts == () and decomp.remainder == frozenset(range(10))
+        assert decomp.parts == () and decomp.remainder.tolist() == list(range(10))
 
     def test_k4_trace(self):
         decomp = partition_triangle_sparse(complete(4), 2.0)
@@ -119,7 +121,17 @@ class TestPartitionTriangleSparse:
 
     def test_empty_graph(self):
         decomp = partition_triangle_sparse(Graph.from_edges(0, []), 1.0)
-        assert decomp.parts == () and decomp.remainder == frozenset()
+        assert decomp.parts == () and decomp.remainder.tolist() == []
+
+    @given(graphs(max_n=14), st.sampled_from([0.25, 1.0, 4.0, 16.0]))
+    @settings(deadline=None, max_examples=80)
+    def test_parts_and_remainder_are_sorted_disjoint_arrays_covering_the_graph(self, g, eps):
+        decomp = partition_triangle_sparse(g, eps)
+        blocks = [*decomp.parts, decomp.remainder]
+        for ids in blocks:
+            assert ids.dtype == np.intp and not ids.flags.writeable
+            assert ids.tolist() == sorted(set(ids.tolist()))
+        assert sorted(v for ids in blocks for v in ids.tolist()) == list(range(g.n))
 
 
 class TestCombineSubcuts:
@@ -157,6 +169,18 @@ class TestCombineSubcuts:
         with pytest.raises(NotAPartition):
             combine_subcuts(g, [({0, 1}, c)])
 
+    @given(graphs(max_n=14), st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_sides_match_the_per_vertex_merge(self, g, data):
+        block_of = data.draw(st.lists(st.integers(0, 7), min_size=g.n, max_size=g.n))
+        blocks = []
+        for b in data.draw(st.permutations(sorted(set(block_of)))):
+            vs = [v for v in range(g.n) if block_of[v] == b]
+            blocks.append((vs, labeled_cut(data, g, vs)))
+        cut, cert = combine_subcuts(g, blocks)
+        assert cut.side == reference_combine_subcuts(g, blocks)
+        assert cut.value >= cert.expected_value
+
     @pytest.mark.parametrize("seed", range(5))
     def test_value_meets_certificate_exactly(self, seed):
         rng = make_rng(seed + 70)
@@ -173,6 +197,60 @@ class TestCombineSubcuts:
             start += size
         cut, cert = combine_subcuts(g, blocks)
         assert cut.value >= cert.expected_value
+
+
+# (blocks, error type, message) on cycle(4), whose edges are 01, 12, 23, 03
+BAD_BLOCKS = [
+    ([({0, 1}, Cut((0, 1), 1)), ({1, 2, 3}, Cut((0, 1, 0), 2))], NotAPartition, "blocks overlap"),
+    ([({0, 1}, Cut((0, 1), 1))], NotAPartition, "blocks do not cover the vertex set"),
+    ([({0, 1}, Cut((0, 1), 1)), ({2, 3, 4}, Cut((0, 1, 0), 1))], NotAPartition,
+     "blocks do not cover the vertex set"),
+    ([({0, 1}, Cut((0, 1, 0), 1)), ({2, 3}, Cut((0, 1), 1))], NotACutOfInducedSubgraph,
+     "cut labels 3 vertices, induced subgraph has 2"),
+    ([({0, 1}, Cut((0, 1), 1)), ({2, 3}, Cut((0, 1), 0))], NotACutOfInducedSubgraph,
+     "cut claims value 0, recount gives 1"),
+    ([({0, 1}, Cut((0, 2), 1)), ({2, 3}, Cut((0, 1), 1))], ValueError, "labels must be 0 or 1"),
+]
+
+# (u, cut of the subgraph induced by u, error type, message) on cycle(4)
+BAD_EXTENSIONS = [
+    ({0, 4}, Cut((0, 1), 0), OutOfRangeVertex, "vertex set not contained in [0, 4)"),
+    ({0, 1}, Cut((0, 1, 0), 1), NotACutOfInducedSubgraph,
+     "cut labels 3 vertices, induced subgraph has 2"),
+    ({0, 1}, Cut((0, 1), 5), NotACutOfInducedSubgraph, "cut claims value 5, recount gives 1"),
+    ({0, 1}, Cut((0, 2), 1), ValueError, "labels must be 0 or 1"),
+]
+
+
+class TestBadBlocks:
+    @pytest.mark.parametrize("blocks,error,message", BAD_BLOCKS)
+    def test_combine_subcuts_refuses(self, blocks, error, message):
+        with pytest.raises(error) as err:
+            combine_subcuts(cycle(4), blocks)
+        assert type(err.value) is error and str(err.value) == message
+
+    @pytest.mark.parametrize("u,cut,error,message", BAD_EXTENSIONS)
+    def test_extend_cut_refuses(self, u, cut, error, message):
+        with pytest.raises(error) as err:
+            extend_cut(cycle(4), u, cut)
+        assert type(err.value) is error and str(err.value) == message
+
+    @pytest.mark.parametrize("side", [(0, 0.5), (0.9, 1.2)])
+    def test_non_integral_labels_are_refused_not_truncated(self, side):
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            combine_subcuts(cycle(4), [({0, 1}, Cut(side, 1)), ({2, 3}, Cut((0, 1), 1))])
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            extend_cut(cycle(4), {0, 1}, Cut(side, 1))
+
+    def test_non_integral_id_is_refused(self):
+        with pytest.raises(NotAPartition, match="^blocks do not cover the vertex set$"):
+            combine_subcuts(cycle(4), [([0, 1.5], Cut((0, 1), 0)), ({1, 2, 3}, Cut((0, 1, 0), 2))])
+        with pytest.raises(OutOfRangeVertex, match="^vertex ids must be integers$"):
+            extend_cut(cycle(4), [0, 1.5], Cut((0, 1), 0))
+
+    def test_repeated_ids_name_one_vertex(self):
+        cut, cert = extend_cut(cycle(4), [1, 0, 1], Cut((0, 1), 1))
+        assert cut.value == 4 and cert.expected_value == 2.5
 
 
 class TestExtendCut:

@@ -14,7 +14,7 @@ from certcut.errors import (
     SelfLoop,
     VertexOutOfRange,
 )
-from certcut.generators import complete, complete_bipartite, cycle, gnp, petersen, star
+from certcut.generators import complete, complete_bipartite, cycle, gnp, path, petersen, star
 from certcut.graphcore import (
     Graph,
     count_back_triangles,
@@ -134,12 +134,14 @@ class TestDegeneracyOrder:
     def test_graph_caches_its_order_and_triangles(self):
         g = gnp(30, 0.3, 4)
         assert g.degeneracy_order is g.degeneracy_order
-        assert g.degeneracy_order == degeneracy_order(g)
+        got, want = g.degeneracy_order, degeneracy_order(g)
+        assert got.n == want.n and got.degeneracy == want.degeneracy
+        assert got.order.tolist() == want.order.tolist()
         assert g.triangles == count_triangles(g)
 
     def test_canonical_k4_order(self):
         order = degeneracy_order(complete(4))
-        assert order.order == (3, 2, 1, 0)
+        assert order.order.tolist() == [3, 2, 1, 0]
         assert back_sets(complete(4), order)[0] == frozenset({1, 2, 3})
 
     @given(graphs())
@@ -162,14 +164,14 @@ class TestDegeneracyOrder:
         g = data.draw(graphs())
         some = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool)
         for alive in (np.ones(g.n, dtype=bool), some):
-            sub, vmap = induced_subgraph(g, np.flatnonzero(alive).tolist())
+            sub, ids = induced_subgraph(g, np.flatnonzero(alive).tolist())
             want = reference_degeneracy_order(sub)
-            up = vmap.to_parent
+            up = ids.tolist()
             back = [frozenset()] * g.n
             for i, b in enumerate(want.back_neighbors):
                 back[up[i]] = frozenset(up[w] for w in b)
             got = peel(g, alive)
-            assert got.order == tuple(up[v] for v in want.order)
+            assert got.order.tolist() == [up[v] for v in want.order]
             assert back_sets(g, got) == tuple(back)
 
 
@@ -209,7 +211,7 @@ class TestTriangles:
         back = tuple(
             frozenset(w for w in adj[v] if pos[w] < pos[v]) for v in range(12)
         )
-        order = DegeneracyOrder(12, perm, max(len(b) for b in back))
+        order = DegeneracyOrder(12, np.array(perm, dtype=np.intp), max(len(b) for b in back))
         assert sum(count_back_triangles(g, order)) == count_triangles(g)
 
 
@@ -269,6 +271,31 @@ class TestCutValue:
         with pytest.raises(LabelSizeMismatch):
             cut_value(cycle(5), [0, 1])
 
+    @pytest.mark.parametrize("side", [
+        [0.9, 1.2, 0],
+        [0, 1.2, 0],
+        [0, 1, -1],
+        [0, 2, 1],
+        np.array([0.0, 0.5, 1.0]),
+        np.array([0, 2, 1], dtype=np.uint8),
+    ])
+    def test_refuses_labels_other_than_0_and_1(self, side):
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            cut_value(path(3), side)
+
+    @pytest.mark.parametrize("side", [
+        [0, 1, 0],
+        (False, True, False),
+        [0.0, 1.0, 0.0],
+        np.array([False, True, False]),
+        np.array([0, 1, 0]),
+        np.array([0, 1, 0], dtype=np.uint8),
+    ])
+    def test_accepted_labels_give_one_int_tuple(self, side):
+        cut = cut_value(path(3), side)
+        assert (cut.side, cut.value) == ((0, 1, 0), 2)
+        assert all(type(s) is int for s in cut.side)
+
     @given(graphs())
     @settings(deadline=None, max_examples=40)
     def test_flip_preserves_value(self, g):
@@ -301,34 +328,55 @@ class TestEdwardsBound:
 
 class TestInducedSubgraph:
     def test_triangle_of_k4(self):
-        sub, vmap = induced_subgraph(complete(4), {0, 1, 2})
+        sub, ids = induced_subgraph(complete(4), {0, 1, 2})
         assert sub.n == 3 and sub.m == 3
-        assert vmap.to_parent == (0, 1, 2)
+        assert ids.tolist() == [0, 1, 2]
 
     def test_empty_set(self):
         sub, _ = induced_subgraph(cycle(5), ())
         assert sub.n == 0 and sub.m == 0
 
     def test_c5_three_vertices_single_edge(self):
-        sub, vmap = induced_subgraph(cycle(5), {0, 1, 3})
+        sub, ids = induced_subgraph(cycle(5), {0, 1, 3})
         assert sub.edges == ((0, 1),)
-        assert vmap.to_parent == (0, 1, 3)
+        assert ids.tolist() == [0, 1, 3]
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeVertex):
             induced_subgraph(cycle(5), {0, 7})
 
+    @pytest.mark.parametrize("vs", [[0.5, 2.7], [0, 2.7], [1.5], np.array([0.0, 0.5])])
+    def test_refuses_non_integral_ids(self, vs):
+        with pytest.raises(OutOfRangeVertex, match="^vertex ids must be integers$"):
+            induced_subgraph(path(3), vs)
+
+    def test_integral_floats_and_bools_name_vertices(self):
+        assert induced_subgraph(path(3), [2.0, 0.0])[1].tolist() == [0, 2]
+        assert induced_subgraph(path(3), [True, False, True])[1].tolist() == [0, 1]
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_ids_are_the_sorted_distinct_vertices(self, data):
+        g = data.draw(graphs())
+        raw = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+        for vs in (raw, set(raw), np.array(raw, dtype=np.int64), tuple(raw),
+                   range(data.draw(st.integers(0, g.n)))):
+            sub, ids = induced_subgraph(g, vs)
+            assert ids.tolist() == sorted(set(vs))
+            assert ids.dtype == np.intp and not ids.flags.writeable
+            assert sub.n == len(ids)
+
     def test_full_vertex_set_returns_the_graph_itself(self):
         g = petersen()
-        sub, vmap = induced_subgraph(g, range(g.n))
+        sub, ids = induced_subgraph(g, range(g.n))
         assert sub is g
-        assert vmap.to_parent == tuple(range(g.n))
+        assert ids.tolist() == list(range(g.n))
 
     def test_maps_are_inverse(self):
         # local edges map onto exactly the parent edges inside the set
         g = petersen()
-        sub, vmap = induced_subgraph(g, {1, 3, 5, 8})
-        up = vmap.to_parent
+        sub, ids = induced_subgraph(g, {1, 3, 5, 8})
+        up = tuple(ids.tolist())
         assert up == (1, 3, 5, 8)
         inside = {(u, v) for u, v in g.edges if u in up and v in up}
         assert {(up[a], up[b]) for a, b in sub.edges} == inside
