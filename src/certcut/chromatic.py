@@ -43,36 +43,40 @@ def _ramsey_bound(r: int, s: int) -> int:
     return math.comb(r + s - 2, s - 1)
 
 
-def _ramsey(adj: list[list[int]], verts: list[int], r: int, s: int) -> set[int]:
+def _ramsey(g: Graph, mask: np.ndarray, r: int, s: int) -> set[int]:
     # each pass either descends into the pivot's neighborhood with r - 1 (the
     # only recursion, so nesting is at most r) or keeps the pivot and goes on
     # in its non-neighborhood with s - 1
     picked = set()
+    eu, ev = g.eu, g.ev
     while s > 0:
-        if len(verts) < _ramsey_bound(r, s):
+        inside = mask[eu] & mask[ev]
+        eu, ev = eu[inside], ev[inside]
+        size = int(np.count_nonzero(mask))
+        if size < _ramsey_bound(r, s):
             raise TooFewVertices(
-                f"{len(verts)} vertices cannot certify an independent set of size {s} "
+                f"{size} vertices cannot certify an independent set of size {s} "
                 f"(need {_ramsey_bound(r, s)})"
             )
-        vset = set(verts)
         if r == 2:
-            for v in verts:
-                for w in adj[v]:
-                    if w > v and w in vset:
-                        raise CliqueFound((v, w))
-            return picked | set(verts[:s])
+            if len(eu):  # the first edge in (eu, ev) order
+                raise CliqueFound((int(eu[0]), int(ev[0])))
+            return picked | set(np.flatnonzero(mask)[:s].tolist())
         if s == 1:
-            return picked | {verts[0]}
-        pivot = max(verts, key=lambda v: (sum(1 for w in adj[v] if w in vset), -v))
-        nbrs = [w for w in adj[pivot] if w in vset]
-        if len(nbrs) >= _ramsey_bound(r - 1, s):
+            return picked | {int(mask.argmax())}
+        deg = np.bincount(eu, minlength=g.n) + np.bincount(ev, minlength=g.n)
+        pivot = int(np.where(mask, deg, -1).argmax())  # lowest id on a tie
+        nbrs = np.zeros(g.n, dtype=bool)
+        nbrs[g.indices[g.indptr[pivot]:g.indptr[pivot + 1]]] = True
+        nbrs &= mask
+        if deg[pivot] >= _ramsey_bound(r - 1, s):
             try:
-                return picked | _ramsey(adj, nbrs, r - 1, s)
+                return picked | _ramsey(g, nbrs, r - 1, s)
             except CliqueFound as found:
                 # a clique inside the pivot's neighborhood extends by the pivot
                 raise CliqueFound((*found.witness, pivot)) from None
-        nbr_set = set(nbrs)
-        verts = [v for v in verts if v != pivot and v not in nbr_set]
+        mask = mask & ~nbrs
+        mask[pivot] = False
         picked.add(pivot)
         s -= 1
     return picked
@@ -91,18 +95,18 @@ def ramsey_independent_set(g: Graph, r: int, s: int) -> frozenset[int]:
         raise ValueError("r must be >= 2")
     if s < 0:
         raise ValueError("s must be >= 0")
-    return frozenset(_ramsey(g.rows(), list(range(g.n)), r, s))
+    return frozenset(_ramsey(g, np.ones(g.n, dtype=bool), r, s))
 
 
-def _grow_maximal(adj: list[list[int]], ind: set[int], verts: list[int]) -> set[int]:
-    # greedy maximal extension inside verts, lowest id first
-    blocked = set()
+def _grow_maximal(g: Graph, ind: set[int], mask: np.ndarray) -> set[int]:
+    # greedy maximal extension inside mask, lowest id first
+    free = mask.copy()
     for v in ind:
-        blocked.update(adj[v])
-    for v in verts:
-        if v not in ind and v not in blocked:
+        free[g.indices[g.indptr[v]:g.indptr[v + 1]]] = False
+    for v in np.flatnonzero(free).tolist():
+        if free[v]:
             ind.add(v)
-            blocked.update(adj[v])
+            free[g.indices[g.indptr[v]:g.indptr[v + 1]]] = False
     return ind
 
 
@@ -127,32 +131,26 @@ def kr_free_coloring(g: Graph, r: int) -> Coloring:
     """
     if r < 2:
         raise InvalidParameter(f"r must be >= 2, got {r}")
-    adj = g.rows()
-    color = [-1] * g.n
-    residual = list(range(g.n))
+    color = np.full(g.n, -1, dtype=np.int64)
+    residual = np.ones(g.n, dtype=bool)
     next_class = 0
     base_threshold = 4 ** (r - 1)
-    while residual:
-        if len(residual) <= base_threshold:
-            top = next_class
-            for v in residual:
-                used = {color[w] for w in adj[v] if color[w] >= next_class}
+    while size := int(np.count_nonzero(residual)):
+        if size <= base_threshold:
+            for v in np.flatnonzero(residual).tolist():
+                used = set(color[g.indices[g.indptr[v]:g.indptr[v + 1]]].tolist())
                 c = next_class
                 while c in used:
                     c += 1
                 color[v] = c
-                top = max(top, c + 1)
-            next_class = top
-            residual = []
-        else:
-            s = _floor_root(len(residual), r - 1)
-            ind = _ramsey(adj, residual, r, s)
-            ind = _grow_maximal(adj, set(ind), residual)
-            for v in ind:
-                color[v] = next_class
-            next_class += 1
-            residual = [v for v in residual if v not in ind]
-    return Coloring(tuple(color), next_class)
+            next_class = int(color.max()) + 1
+            break
+        s = _floor_root(size, r - 1)
+        ind = list(_grow_maximal(g, _ramsey(g, residual, r, s), residual))
+        color[ind] = next_class
+        residual[ind] = False
+        next_class += 1
+    return Coloring(tuple(color.tolist()), next_class)
 
 
 def coloring_class_bound(n: int, r: int) -> float:

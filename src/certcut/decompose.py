@@ -194,10 +194,9 @@ def extend_cut(g: Graph, u, cut_u: Cut) -> tuple[Cut, CutCertificate]:
     """
     lab, inside = _check_block_cut(g, _vertex_ids(g.n, u), cut_u)
     side = lab.tolist()  # 2 marks a vertex not placed yet
-    for v, row in enumerate(g.rows()):
-        if side[v] < 2:
-            continue
-        near = [side[w] for w in row if side[w] < 2]
+    flat, ptr = g.indices.tolist(), g.indptr.tolist()
+    for v in np.flatnonzero(lab == 2).tolist():
+        near = [side[w] for w in flat[ptr[v]:ptr[v + 1]] if side[w] < 2]
         side[v] = 0 if 2 * sum(near) >= len(near) else 1
     final = cut_value(g, side)
     cert = (g.m - inside) / 2 + cut_u.value

@@ -129,7 +129,8 @@ def make_cr_free(g: Graph, r: int, budget: int = 10**8) -> Graph:
     """
     if r < 3:
         raise InvalidParameter(f"cycle length r must be >= 3, got {r}")
-    adj = {v: set(row) for v, row in enumerate(g.rows())}
+    flat, ptr = g.indices.tolist(), g.indptr.tolist()
+    adj = {v: set(flat[ptr[v]:ptr[v + 1]]) for v in range(g.n)}
     steps = [0]
     first = 0
     while True:
@@ -219,8 +220,9 @@ def blowup(base: Graph, k: int) -> Graph:
     with the complete bipartite join of the two sets."""
     if k < 1:
         raise InfeasibleSpec("blowup factor must be >= 1")
-    edges = [(u * k + i, v * k + j) for u, v in base.edges for i in range(k) for j in range(k)]
-    return Graph.from_edges(base.n * k, edges)
+    i, j = np.divmod(np.arange(k * k), k)
+    pairs = np.stack((base.eu[:, None] * k + i, base.ev[:, None] * k + j), axis=-1)
+    return Graph.from_edges(base.n * k, pairs)
 
 
 def disjoint_cliques(count: int, size: int) -> Graph:

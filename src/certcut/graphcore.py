@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, pairwise
@@ -84,12 +83,6 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted ``(u, v)`` Python-int pairs, made from ``eu``/``ev`` per access."""
         return tuple(zip(self.eu.tolist(), self.ev.tolist()))
-
-    def rows(self) -> list[list[int]]:
-        """Every neighbor row as a list of Python ints, ascending. Made on
-        every call, so a Python loop over rows calls it once."""
-        flat = self.indices.tolist()
-        return [flat[a:b] for a, b in pairwise(self.indptr.tolist())]
 
     @cached_property
     def degeneracy_order(self) -> DegeneracyOrder:
@@ -205,7 +198,7 @@ def peel(g: Graph, alive=None) -> DegeneracyOrder:
     ``g``.
     """
     n = g.n
-    adj = g.rows()
+    flat, ptr = g.indices.tolist(), g.indptr.tolist()
     mask = np.ones(n, dtype=bool) if alive is None else np.asarray(alive, dtype=bool)
     both = mask[g.eu] & mask[g.ev]
     deg = (np.bincount(g.eu[both], minlength=n) + np.bincount(g.ev[both], minlength=n)).tolist()
@@ -234,7 +227,7 @@ def peel(g: Graph, alive=None) -> DegeneracyOrder:
         removal.append(v)
         if d > degeneracy:
             degeneracy = d
-        for w in adj[v]:
+        for w in flat[ptr[v]:ptr[v + 1]]:
             if live[w]:
                 k = deg[w] - 1
                 deg[w] = k
@@ -315,8 +308,11 @@ def count_back_triangles(g: Graph, order: DegeneracyOrder) -> tuple[int, ...]:
 
 
 def _forward_sets(g: Graph) -> list[frozenset[int]]:
-    """For each vertex v, the part of its ascending row above v."""
-    return [frozenset(row[bisect_right(row, v):]) for v, row in enumerate(g.rows())]
+    """For each vertex v, its neighbors above v: the run of ``ev`` over the
+    edges with ``eu == v``."""
+    ev = g.ev.tolist()
+    ends = np.searchsorted(g.eu, np.arange(g.n + 1)).tolist()
+    return [frozenset(ev[a:b]) for a, b in pairwise(ends)]
 
 
 def count_cliques(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET) -> int:
@@ -339,7 +335,10 @@ def count_cliques(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET) -> int:
             return len(cand)
         return sum(extend(cand & fwd[v], need - 1) for v in sorted(cand))
 
-    return sum(extend(cand, r - 1) for cand in fwd)
+    try:
+        return sum(extend(cand, r - 1) for cand in fwd)
+    finally:
+        extend = None  # breaks the closure's cycle, as in find_clique
 
 
 def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):

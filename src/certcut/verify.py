@@ -59,14 +59,14 @@ def _random_graph(rng, max_n=60):
 
 def random_plan(g, rng):
     """Feasible plan with each neighbor in V_i at rate 1/2 and eps_i drawn
-    uniformly below its cap, both from ``rng``."""
-    sets, eps = [], []
-    for row in g.rows():
-        chosen = frozenset(w for w in row if rng.random() < 0.5)
-        cap = 1.0 / math.sqrt(len(chosen)) if chosen else 1.0
-        sets.append(chosen)
-        eps.append(float(rng.random()) * cap)
-    return EpsilonPlan.from_sets(sets, eps)
+    uniformly below its cap. Row i reads ``rng.random(2m + n)`` from index
+    indptr[i] + i: one draw per neighbor, ascending, then one for eps_i."""
+    row = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    draws = rng.random(2 * g.m + g.n)
+    chosen = draws[np.arange(2 * g.m) + row] < 0.5
+    sizes = np.bincount(row[chosen], minlength=g.n)
+    eps = draws[g.indptr[1:] + np.arange(g.n)] * (1.0 / np.sqrt(np.maximum(sizes, 1)))
+    return EpsilonPlan(row[chosen], g.indices[chosen], eps)
 
 
 def check_plan_dominance(count=1000, seed=0):
@@ -172,7 +172,8 @@ def check_coloring_classes(count=60, seed=0):
     """Colorings are proper with class count <= 4 n^((r-2)/(r-1))."""
     for k, (g, r) in enumerate(_kr_free_pool(count, seed)):
         col = kr_free_coloring(g, r)
-        if any(col.color[u] == col.color[v] for u, v in g.edges):
+        color = np.asarray(col.color)
+        if (color[g.eu] == color[g.ev]).any():
             return False, f"graph {k}: improper coloring"
         if col.classes > coloring_class_bound(g.n, r) + TOL:
             return False, f"graph {k}: {col.classes} classes exceed the bound"

@@ -8,14 +8,14 @@ to a dozen-ish vertices.
 import heapq
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, pairwise, product
 from typing import NamedTuple
 
 import numpy as np
 
 from certcut._rng import make_rng
 from certcut.chromatic import Coloring, TPartition, split_probability
-from certcut.embedding import CutCertificate
+from certcut.embedding import CutCertificate, EpsilonPlan
 from certcut.errors import (
     BudgetExceeded,
     CliqueFound,
@@ -28,6 +28,12 @@ from certcut.errors import (
 )
 from certcut.graphcore import Cut, DegeneracyOrder, Graph, back_pairs, cut_value, induced_subgraph
 from certcut.oracle import T_CUT_BUDGET, OracleBudget
+
+
+def rows(g: Graph) -> list[list[int]]:
+    """Every neighbor row of ``g``, ascending, as a list of Python ints."""
+    flat = g.indices.tolist()
+    return [flat[a:b] for a, b in pairwise(g.indptr.tolist())]
 
 
 def reference_from_edges(n: int, edges) -> tuple[tuple, tuple]:
@@ -97,7 +103,7 @@ def brute_max_t_cut(g: Graph, t: int) -> int:
 def brute_degeneracy(g: Graph) -> int:
     """max over nonempty induced subgraphs of their minimum degree."""
     worst = 0
-    adj = g.rows()
+    adj = rows(g)
     verts = list(range(g.n))
     for size in range(1, g.n + 1):
         for subset in combinations(verts, size):
@@ -110,7 +116,7 @@ def brute_degeneracy(g: Graph) -> int:
 
 
 def brute_triangle_list(g: Graph) -> list[tuple[int, int, int]]:
-    adj = [frozenset(row) for row in g.rows()]
+    adj = [frozenset(row) for row in rows(g)]
     return [
         (a, b, c)
         for a, b, c in combinations(range(g.n), 3)
@@ -123,7 +129,7 @@ def brute_triangles(g: Graph) -> int:
 
 
 def brute_cliques(g: Graph, r: int) -> int:
-    adj = [frozenset(row) for row in g.rows()]
+    adj = [frozenset(row) for row in rows(g)]
     total = 0
     for group in combinations(range(g.n), r):
         if all(v in adj[u] for u, v in combinations(group, 2)):
@@ -132,7 +138,7 @@ def brute_cliques(g: Graph, r: int) -> int:
 
 
 def brute_independence_number(g: Graph) -> int:
-    adj = [frozenset(row) for row in g.rows()]
+    adj = [frozenset(row) for row in rows(g)]
     best = 0
     for size in range(g.n, 0, -1):
         for group in combinations(range(g.n), size):
@@ -144,7 +150,7 @@ def brute_independence_number(g: Graph) -> int:
 def count_r_cycles(g: Graph, r: int) -> int:
     """Distinct cycles of length exactly r (as vertex sets with a cyclic
     order), counted once each: minimal vertex first, second < last."""
-    adj = [frozenset(row) for row in g.rows()]
+    adj = [frozenset(row) for row in rows(g)]
     total = 0
 
     def walk(path):
@@ -216,7 +222,7 @@ def reference_find_cycle(adj: dict, n: int, r: int, steps: list, budget: int):
 def reference_make_cr_free(g: Graph, r: int, budget: int = 10**8) -> Graph:
     """Delete the smallest edge of the first r-cycle found, rescanning from
     vertex 0 after every deletion, until no r-cycle remains."""
-    adj = {v: set(row) for v, row in enumerate(g.rows())}
+    adj = {v: set(row) for v, row in enumerate(rows(g))}
     steps = [0]
     while True:
         cycle = reference_find_cycle(adj, g.n, r, steps, budget)
@@ -235,6 +241,19 @@ def _sets(n: int, owner, cols) -> tuple[frozenset[int], ...]:
     for i, j in zip(owner.tolist(), cols.tolist()):
         sets[i].add(j)
     return tuple(map(frozenset, sets))
+
+
+def reference_random_plan(g: Graph, rng) -> EpsilonPlan:
+    """``verify.random_plan`` row by row in scalar draws: each neighbor of
+    vertex i, ascending, joins V_i when its draw is below 1/2, then eps_i is
+    one draw times the cap of V_i."""
+    sets, eps = [], []
+    for row in rows(g):
+        chosen = frozenset(w for w in row if rng.random() < 0.5)
+        cap = 1.0 / math.sqrt(len(chosen)) if chosen else 1.0
+        sets.append(chosen)
+        eps.append(float(rng.random()) * cap)
+    return EpsilonPlan.from_sets(sets, eps)
 
 
 def plan_sets(plan) -> tuple[frozenset[int], ...]:
@@ -363,7 +382,7 @@ def reference_back_sets(g: Graph, order) -> tuple[frozenset[int], ...]:
     pos = {v: i for i, v in enumerate(order)}
     return tuple(
         frozenset(w for w in row if pos.get(w, len(pos)) < pos[v]) if v in pos else frozenset()
-        for v, row in enumerate(g.rows())
+        for v, row in enumerate(rows(g))
     )
 
 
@@ -372,7 +391,7 @@ def reference_degeneracy_order(g: Graph) -> ReferenceOrder:
     lowest degree first, lowest id on ties, removal sequence reversed; the
     back sets are read off the order by :func:`reference_back_sets`."""
     n = g.n
-    adj = g.rows()
+    adj = rows(g)
     deg = [len(a) for a in adj]
     removed = [False] * n
     heap = [(deg[v], v) for v in range(n)]
@@ -397,7 +416,7 @@ def reference_degeneracy_order(g: Graph) -> ReferenceOrder:
 def reference_count_triangles(g: Graph) -> int:
     """Triangles by set intersection along every edge, each counted at its
     largest vertex."""
-    adj = [frozenset(row) for row in g.rows()]
+    adj = [frozenset(row) for row in rows(g)]
     total = 0
     for u, v in g.edges:
         a, b = adj[u], adj[v]
@@ -410,7 +429,7 @@ def reference_count_triangles(g: Graph) -> int:
 def reference_back_triangles(g: Graph, order) -> tuple[int, ...]:
     """Per-vertex triangles inside the back set of ``order`` (a
     ``DegeneracyOrder`` or a ``ReferenceOrder``), by set intersection."""
-    adj = [frozenset(row) for row in g.rows()]
+    adj = [frozenset(row) for row in rows(g)]
     backs = reference_back_sets(g, order.order)
     out = []
     for v in range(g.n):
@@ -454,7 +473,7 @@ def reference_combine_subcuts(g: Graph, blocks) -> tuple[int, ...]:
     """Sides of the greedy block merge, one vertex and one edge at a time:
     each block, in list order, keeps its own labels unless flipping them
     cuts more of its edges to the vertices already placed."""
-    adj = g.rows()
+    adj = rows(g)
     side = [0] * g.n
     placed = [False] * g.n
     for vs, cut in blocks:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from certcut import chromatic
@@ -30,14 +31,14 @@ from certcut.generators import (
 )
 from certcut.graphcore import Graph, cut_value, find_clique
 from certcut.verify import tcut_expectation_oracle
-from oracles import brute_independence_number, reference_coloring_cut, reference_ramsey
+from oracles import brute_independence_number, reference_coloring_cut, reference_ramsey, rows
 
 TOL = 1e-9
 
 
 def assert_independent(g, vertices):
     vs = sorted(vertices)
-    adj = g.rows()
+    adj = rows(g)
     for i, u in enumerate(vs):
         for v in vs[i + 1 :]:
             assert v not in adj[u]
@@ -71,7 +72,7 @@ class TestRamseyIndependentSet:
             ramsey_independent_set(g, 3, 4)
         w = err.value.witness
         assert len(w) == 3
-        adj = g.rows()
+        adj = rows(g)
         for i, u in enumerate(w):
             for v in w[i + 1 :]:
                 assert v in adj[u]
@@ -113,9 +114,9 @@ def ramsey_cases():
     return cases
 
 
-def ramsey_outcome(fn, g, r, s):
+def ramsey_outcome(fn, *args):
     try:
-        return "set", fn(g.rows(), list(range(g.n)), r, s)
+        return "set", fn(*args)
     except CliqueFound as found:
         return "clique", found.witness
     except TooFewVertices:
@@ -126,9 +127,25 @@ class TestRamseyLoop:
     def test_matches_the_recursion(self):
         kinds = set()
         for g, r, s in ramsey_cases():
-            got = ramsey_outcome(chromatic._ramsey, g, r, s)
-            assert got == ramsey_outcome(reference_ramsey, g, r, s), (g.n, g.m, r, s)
+            got = ramsey_outcome(chromatic._ramsey, g, np.ones(g.n, dtype=bool), r, s)
+            want = ramsey_outcome(reference_ramsey, rows(g), list(range(g.n)), r, s)
+            assert got == want, (g.n, g.m, r, s)
             kinds.add(got[0])
+        assert kinds == {"set", "clique", "too few"}
+
+    def test_matches_the_recursion_on_vertex_subsets(self):
+        # kr_free_coloring runs _ramsey on shrinking residuals, not on range(n)
+        rng = make_rng(24)
+        kinds = set()
+        for g, r, s in ramsey_cases():
+            for _ in range(3):
+                mask = rng.random(g.n) < 0.5 + 0.5 * rng.random()
+                given = mask.copy()
+                got = ramsey_outcome(chromatic._ramsey, g, mask, r, s)
+                want = ramsey_outcome(reference_ramsey, rows(g), np.flatnonzero(mask).tolist(), r, s)
+                assert got == want, (g.n, g.m, r, s)
+                assert (mask == given).all()
+                kinds.add(got[0])
         assert kinds == {"set", "clique", "too few"}
 
     def test_nesting_is_at_most_r(self, monkeypatch):
@@ -270,10 +287,10 @@ def random_proper_coloring(g, rng, k):
     """A proper coloring from a greedy pass in random order that picks a
     random free class among k (a new one when none is free), renumbered so
     that every class is nonempty."""
-    rows = g.rows()
+    adj = rows(g)
     color = [-1] * g.n
     for v in rng.permutation(g.n).tolist():
-        used = {color[u] for u in rows[v]}
+        used = {color[u] for u in adj[v]}
         free = [c for c in range(k) if c not in used]
         color[v] = free[int(rng.integers(len(free)))] if free else k + max(used) + 1
     ids = {c: i for i, c in enumerate(sorted(set(color)))}

@@ -49,7 +49,7 @@ from certcut.graphcore import (
 from certcut.oracle import max_cut_exact
 from certcut.verify import decomposition_invariants
 from conftest import graphs
-from oracles import brute_max_cut, reference_combine_subcuts
+from oracles import brute_max_cut, reference_combine_subcuts, rows
 
 
 def exact_subsolver():
@@ -67,7 +67,7 @@ class TestFindDenseSubset:
         assert dense.tolist() == [2, 3] and witness == 1
         sub, _ = induced_subgraph(g, dense)
         assert sub.m * 2.0 >= len(dense)
-        assert set(dense.tolist()) <= set(g.rows()[witness])
+        assert set(dense.tolist()) <= set(rows(g)[witness])
 
     def test_triangle_free_raises(self):
         g = petersen()

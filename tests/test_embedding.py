@@ -40,6 +40,7 @@ from oracles import (
     reference_edge_terms,
     reference_inner,
     reference_plan_lower_bound,
+    reference_random_plan,
     reference_vector,
 )
 
@@ -254,6 +255,21 @@ def random_plans(seed: int, count: int = 25):
         n = int(rng.integers(2, 30))
         g = gnp(n, float(rng.random()) * 0.8 + 0.1, seed * 1000 + k)
         yield g, random_plan(g, rng)
+
+
+class TestRandomPlan:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_the_per_row_stream(self, seed):
+        # V_i are compared as sets: the reference lists each owner's pairs in
+        # frozenset order, random_plan in ascending id
+        isolated = Graph.from_edges(9, [(1, 4), (1, 6), (2, 6), (4, 6)])
+        graphs = [g for g, _ in random_plans(seed)] + [Graph.from_edges(6, []), isolated]
+        for k, g in enumerate(graphs):
+            rng, want_rng = make_rng(seed, 33, k), make_rng(seed, 33, k)
+            got, want = random_plan(g, rng), reference_random_plan(g, want_rng)
+            assert plan_sets(got) == plan_sets(want)
+            assert got.eps.tobytes() == want.eps.tobytes()
+            assert rng.random() == want_rng.random()
 
 
 class TestEdgeCounts:

@@ -35,6 +35,7 @@ from oracles import (
     reference_gnp,
     reference_make_cr_free,
     reference_random_bipartite,
+    rows,
 )
 
 
@@ -54,7 +55,7 @@ class TestRandomRegular:
 
     def test_output_is_simple_and_regular(self):
         g = random_regular(20, 3, seed=7)
-        assert all(len(a) == 3 for a in g.rows())
+        assert all(len(a) == 3 for a in rows(g))
         assert len(set(g.edges)) == g.m == 30
 
     def test_reproducible(self):
@@ -256,9 +257,9 @@ class TestFamilies:
         assert count_triangles(g) == 0
 
     def test_star_path_petersen_shapes(self):
-        assert len(star(9).rows()[0]) == 9
+        assert len(rows(star(9))[0]) == 9
         assert petersen().m == 15
-        assert all(len(a) == 3 for a in petersen().rows())
+        assert all(len(a) == 3 for a in rows(petersen()))
 
     def test_random_bipartite_has_no_odd_cycles(self):
         g = random_bipartite(6, 7, 0.5, seed=2)

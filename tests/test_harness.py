@@ -37,6 +37,7 @@ from certcut.harness import (
     parse_graph,
 )
 from conftest import graphs
+from oracles import rows
 
 
 class TestParseGraph:
@@ -459,7 +460,7 @@ class TestCli:
         )
         assert code == 0
         g = parse_graph(out)
-        assert all(len(a) == 5 for a in g.rows())
+        assert all(len(a) == 5 for a in rows(g))
 
     def test_verify_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "tcut-expectation")

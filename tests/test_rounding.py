@@ -32,6 +32,7 @@ from oracles import (
     reference_best_rounding,
     reference_hyperplane_round,
     reference_max_t_cut,
+    rows,
 )
 
 
@@ -102,7 +103,7 @@ def test_hyperplane_round_matches_reference_on_full_neighborhoods(name):
     # a plan on whole neighborhoods gives wider, uneven supports than the
     # back-neighbor plan
     g = CORPUS[name]
-    sets = tuple(frozenset(row) for row in g.rows())
+    sets = tuple(frozenset(row) for row in rows(g))
     plan = EpsilonPlan.from_sets(sets, tuple(1.0 / math.sqrt(len(s)) if s else 0.0 for s in sets))
     emb = build_vectors(g, plan)
     for k in range(20):
