@@ -3,6 +3,12 @@
 Every stream is a PCG64 generator keyed by an integer seed plus an optional
 derivation path, so repeated roundings and parallel workers can use provably
 independent sub-streams: ``make_rng(seed, k)`` is the stream for repeat ``k``.
+
+:func:`normal_blocks` draws the first n standard normals of many streams
+(seed, k) at once. It runs NumPy's ``SeedSequence`` hash and PCG64's seeding
+step, both fixed by NEP 19, over arrays of k, so row k of its output is bit
+for bit ``make_rng(seed, k).standard_normal(n)`` without a generator per
+repeat.
 """
 
 from __future__ import annotations
@@ -10,6 +16,30 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = (1 << 64) - 1
+_U128 = (1 << 128) - 1
+
+# streams whose PCG64 states one hash pass derives
+STATE_BLOCK = 1024
+
+# numpy.random.SeedSequence (pool of four 32-bit words): hashmix number j
+# xors a word with _HASH_A[j] and multiplies it by _HASH_A[j + 1], and output
+# word i is hashed likewise with _HASH_B
+_M32 = 0xFFFFFFFF
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _M32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHERS = tuple([d for d in range(4) if d != s] for s in range(4))
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _entropy(seed, path):
@@ -25,3 +55,69 @@ def derive_seed(seed, *path) -> int:
     """Stable 64-bit sub-seed for (seed, *path)."""
     ss = np.random.SeedSequence(_entropy(seed, path))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _hash(words: np.ndarray, consts: np.ndarray, j: int, rows: int) -> np.ndarray:
+    """Hashmix ``rows`` rows, row r of ``words`` (broadcast) with constants
+    j + r and j + r + 1."""
+    words = words ^ consts[j:j + rows]
+    words *= consts[j + 1:j + 1 + rows]
+    words ^= words >> 16
+    return words
+
+
+def _pcg64_states(seed: int, k0: int, count: int) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64 seeded by ``SeedSequence([seed, k])`` for k = k0,
+    ..., k0 + count - 1, each taken modulo 2^64 as ``make_rng`` does.
+
+    The entropy words are the seed's little-endian 32-bit words (one, or two
+    when it is 2^32 or more), then k's. At most four words fit the pool, and
+    an absent word hashes as 0, so k always takes two words, the second 0
+    below 2^32. The hash runs on uint32 arrays, which wrap silently, one row
+    per pool word; the 128-bit seeding step runs on Python ints.
+    """
+    seed = int(seed) & _U64
+    ks = np.arange(count, dtype=np.uint64) + np.uint64(k0 & _U64)
+    seed_words = [seed & _M32] + ([seed >> 32] if seed >> 32 else [])
+    at = len(seed_words)
+    words = np.zeros((4, count), dtype=np.uint32)
+    words[:at] = np.array(seed_words, dtype=np.uint32)[:, None]
+    words[at] = ks & _M32
+    words[at + 1] = ks >> 32
+    pool = _hash(words, _HASH_A, 0, 4)
+    # mix every word into each other one; the three targets of a source
+    # read it before any of them changes, so they update together
+    for src, dst in enumerate(_OTHERS):
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hash(pool[src], _HASH_A, 4 + 3 * src, 3)
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    # generate_state(4, np.uint64): eight words cycling over the pool, read
+    # as four little-endian 64-bit words (seed high, seed low, inc high, inc low)
+    out = _hash(np.concatenate((pool, pool)), _HASH_B, 0, 8).astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+    states = []
+    for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo):
+        # pcg_setseq_128_srandom_r: state 0, one step, add the seed, one step
+        inc = ((ih << 64 | il) << 1 | 1) & _U128
+        states.append((((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _U128, inc))
+    return states
+
+
+def normal_blocks(seed: int, count: int, n: int, rows: int, k0: int = 0):
+    """Yield (rows', n) float blocks of at most ``rows`` rows, in order, whose
+    rows together are ``make_rng(seed, k).standard_normal(n)`` for k = k0,
+    ..., k0 + count - 1. States are derived ``STATE_BLOCK`` streams at a
+    time, so memory does not grow with ``count``."""
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for start in range(k0, k0 + count, STATE_BLOCK):
+        states = _pcg64_states(seed, start, min(STATE_BLOCK, k0 + count - start))
+        for first in range(0, len(states), rows):
+            chunk = states[first:first + rows]
+            block = np.empty((len(chunk), n))
+            for row, (s, inc) in zip(block, chunk):
+                state["state"] = {"state": s, "inc": inc}
+                bitgen.state = state
+                gen.standard_normal(out=row)
+            yield block

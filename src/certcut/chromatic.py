@@ -19,7 +19,7 @@ from .errors import (
     TooFewVertices,
 )
 from .embedding import CutCertificate
-from .graphcore import Cut, Graph, cut_value
+from .graphcore import Cut, Graph, block_rows, cut_value
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,9 @@ def max_t_cut(
     2/(2s+1) and to the shared part 2s with probability 1/(2s+1) (side B
     symmetrically on parts s..2s-1), using exact integer draws. The
     certificate is the exact closed-form expectation; the headline reference
-    is ((t-1)/t) m.
+    is ((t-1)/t) m. Repeats are drawn and counted in blocks of
+    :func:`block_rows` rows, which consume ``rng`` as one draw per repeat
+    would.
     """
     if not 2 <= t <= np.iinfo(np.int64).max:
         raise InvalidParameter(f"t must lie in [2, 2^63 - 1], got {t}")
@@ -267,18 +269,16 @@ def max_t_cut(
     cert = t_cut_expected_value(g.m, base.value, t)
     # first part of each vertex's own block: 0 on side 0, s on any other side
     offset = s * (np.asarray(base.side, dtype=np.int64) != 0)
-    no_draws = np.zeros(0, dtype=np.int64)
+    repeats, rows = max(1, repeats), block_rows(g.n, g.m)
     best_part, best_val = None, -1
-    for _ in range(max(1, repeats)):
-        if odd:
-            draws = rng.integers(0, t, size=g.n) if g.n else no_draws
-            part = np.where(draws >= 2 * s, 2 * s, draws // 2 + offset)
-        else:
-            draws = rng.integers(0, s, size=g.n) if g.n else no_draws
-            part = draws + offset
-        val = g.crossing_count(part)
-        if val > best_val:
-            best_part, best_val = part, val
+    for start in range(0, repeats, rows):
+        shape = (min(rows, repeats - start), g.n)
+        draws = rng.integers(0, t if odd else s, size=shape)
+        parts = np.where(draws >= 2 * s, 2 * s, draws // 2 + offset) if odd else draws + offset
+        values = g.crossing_count(parts)
+        j = int(values.argmax())
+        if values[j] > best_val:
+            best_part, best_val = parts[j], int(values[j])
     return (
         TPartition(tuple(best_part.tolist()), best_val),
         CutCertificate(cert, None, "tcut_headline", (t - 1) / t * g.m),

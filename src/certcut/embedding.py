@@ -26,9 +26,9 @@ from itertools import chain
 
 import numpy as np
 
-from ._rng import make_rng
+from ._rng import make_rng, normal_blocks
 from .errors import EpsilonTooLarge, InvalidEpsilon
-from .graphcore import Cut, Graph, back_pairs
+from .graphcore import Cut, Graph, back_pairs, block_rows
 from .graphcore import cut_value  # noqa: F401  (kept importable from this module)
 
 _EPS_TOL = 1e-12
@@ -161,9 +161,18 @@ class Embedding:
         """Boolean side of every vertex for direction ``w``: True (side 1)
         where w_i - eps_i * (sum of w over V_i) is negative or NaN, False
         where it is >= 0. That value is norm_i * <v_i, w>, so the sides match
-        a term-by-term dot product except within rounding error of zero."""
+        a term-by-term dot product except within rounding error of zero.
+
+        An (r, n) block of directions gives an (r, n) block of sides, row by
+        row the same: pair k of row j reads and adds at j*n + k on the flat
+        block, so each bin sums its pairs in the same order."""
         plan = self.plan
-        sums = np.bincount(plan.owner, weights=w[plan.cols], minlength=self.n)
+        flat = w.reshape(-1)
+        owner, cols = plan.owner, plan.cols
+        if w.ndim == 2 and len(w) > 1:
+            at = self.n * np.arange(len(w))[:, None]
+            owner, cols = (owner + at).reshape(-1), (cols + at).reshape(-1)
+        sums = np.bincount(owner, weights=flat[cols], minlength=flat.size).reshape(w.shape)
         # ~(... >= 0) rather than < 0, so that NaN lands on side 1
         return ~(w - plan.eps * sums >= 0.0)
 
@@ -268,16 +277,21 @@ def sdp_cut(
     Returns the best sampled cut together with the exact-expectation
     certificate, which always dominates the closed-form plan bound. ``eps``
     defaults to :func:`default_eps`. Repeat k draws from the independent
-    sub-stream (seed, k).
+    sub-stream (seed, k). Repeats are rounded and counted in blocks of
+    :func:`block_rows` rows; the first repeat of the largest value wins and
+    only it is rounded once more into a :class:`Cut`.
     """
     if eps is None:
         eps = default_eps(g)
     plan = back_neighbor_plan(g, eps)
     emb = build_vectors(g, plan)
     cert = exact_expected_cut(g, emb)
-    best = None
-    for k in range(max(1, repeats)):
-        cut = hyperplane_round(emb, make_rng(seed, k))
-        if best is None or cut.value > best.value:
-            best = cut
-    return best, cert
+    rows = block_rows(g.n, len(plan.owner), g.m)
+    best_k, best_value, k = 0, -1, 0
+    for w in normal_blocks(seed, max(1, repeats), g.n, rows):
+        values = g.crossing_count(emb.round_sides(w))
+        j = int(values.argmax())
+        if values[j] > best_value:
+            best_k, best_value = k + j, int(values[j])
+        k += len(w)
+    return hyperplane_round(emb, make_rng(seed, best_k)), cert

@@ -99,9 +99,17 @@ class Graph:
         """Number of 3-cliques, counted once per graph."""
         return count_triangles(self)
 
-    def crossing_count(self, labels: np.ndarray) -> int:
-        """Number of edges whose endpoints carry different ``labels``."""
-        return int(np.count_nonzero(labels[self.eu] != labels[self.ev]))
+    def crossing_count(self, labels: np.ndarray) -> int | np.ndarray:
+        """Number of edges whose endpoints carry different ``labels``; for an
+        (r, n) block of labelings, an int array of each row's count, read at
+        j*n + endpoint on the flat block for row j."""
+        flat, eu, ev = labels.reshape(-1), self.eu, self.ev
+        if labels.ndim == 1:
+            return int(np.count_nonzero(flat[eu] != flat[ev]))
+        if len(labels) > 1:
+            at = self.n * np.arange(len(labels))[:, None]
+            eu, ev = eu + at, ev + at
+        return np.count_nonzero((flat[eu] != flat[ev]).reshape(len(labels), self.m), axis=1)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -246,6 +254,14 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
 
 # wedges generated and checked per numpy pass; bounds the scratch arrays
 TRIANGLE_CHUNK = 1 << 15
+# entries per row block of rounding: rows * (the longest per-row array)
+ROUND_CHUNK = 1 << 14
+
+
+def block_rows(*sizes: int) -> int:
+    """Rows of a block whose longest per-row array has max(``sizes``)
+    entries: at least one, and ``ROUND_CHUNK`` entries in all."""
+    return max(1, ROUND_CHUNK // max(*sizes, 1))
 
 
 def triangle_list(g: Graph) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 from .chromatic import TPartition
 from .embedding import Embedding
 from .errors import BudgetExceeded, InvalidParameter
-from .graphcore import Cut, Graph
+from .graphcore import Cut, Graph, block_rows
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,11 @@ def monte_carlo_cut_mean(emb: Embedding, trials: int, rng) -> tuple[float, float
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     g = emb.graph
-    values = np.array([g.crossing_count(emb.round_sides(rng.standard_normal(g.n))) for _ in range(trials)])
+    rows = block_rows(g.n, len(emb.plan.owner), g.m)
+    values = np.concatenate([
+        g.crossing_count(emb.round_sides(rng.standard_normal((min(rows, trials - start), g.n))))
+        for start in range(0, trials, rows)
+    ])
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

@@ -1,13 +1,15 @@
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from certcut._rng import make_rng
-from certcut.embedding import EpsilonPlan, back_neighbor_plan, build_vectors, exact_expected_cut
+from certcut.embedding import EpsilonPlan, back_neighbor_plan, build_vectors, default_eps, exact_expected_cut
 from certcut.errors import BudgetExceeded, InvalidParameter
 from certcut.generators import complete, complete_bipartite, cycle, gnp, petersen, random_regular
-from certcut.graphcore import Graph, edwards_bound
+from certcut.graphcore import Graph, block_rows, edwards_bound
 from certcut.oracle import OracleBudget, max_cut_exact, max_t_cut_exact, monte_carlo_cut_mean
 from conftest import graphs
 from oracles import brute_max_cut, brute_max_t_cut, reference_max_cut_exact, reference_max_t_cut_exact
@@ -207,6 +209,20 @@ class TestMonteCarlo:
         exact = exact_expected_cut(g, emb).expected_value
         mean, stderr = monte_carlo_cut_mean(emb, 10_000, make_rng(2))
         assert abs(mean - exact) <= 3 * max(stderr, 1e-9)
+
+    @pytest.mark.parametrize("n", [1, 5, 33, 200])
+    def test_blocks_draw_as_one_trial_at_a_time(self, n):
+        g = gnp(n, 0.1, seed=n)
+        emb = build_vectors(g, back_neighbor_plan(g, default_eps(g)))
+        # several blocks where the graph is large enough, one partial block otherwise
+        trials = min(2 * block_rows(g.n, len(emb.plan.owner), g.m) + 3, 1500)
+        rng, ref = make_rng(31, n), make_rng(31, n)
+        values = [g.crossing_count(emb.round_sides(ref.standard_normal(n))) for _ in range(trials)]
+        mean, stderr = monte_carlo_cut_mean(emb, trials, rng)
+        assert mean == float(np.mean(values))
+        assert stderr == float(np.std(values, ddof=1) / math.sqrt(trials))
+        # both consumed the same draws
+        assert rng.random() == ref.random()
 
     def test_rejects_zero_trials(self):
         g = Graph.from_edges(2, [(0, 1)])

@@ -3,10 +3,12 @@
 ``sdp_cut``, ``hyperplane_round`` and ``max_t_cut`` must return the same
 sides, parts and values as the loops in ``oracles``, which follow the
 definitions one vertex and one edge at a time. ``max_t_cut`` matches bit for
-bit. Rounding takes the sign of w_i - eps_i * (sum of w over V_i), which is
-norm_i * <v_i, w>, so its sides match the reference's term-by-term dot
-product except within rounding error of a zero dot product; no case here
-comes that close.
+bit. ``sdp_cut`` rounds its repeats in blocks of rows drawn by
+``normal_blocks``, whose row k must be the stream ``make_rng(seed, k)``, and
+block rounding must match one row at a time. Rounding takes the sign of
+w_i - eps_i * (sum of w over V_i), which is norm_i * <v_i, w>, so its sides
+match the reference's term-by-term dot product except within rounding error
+of a zero dot product; no case here comes that close.
 """
 
 import math
@@ -14,8 +16,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from certcut._rng import make_rng
+from certcut import _rng
+from certcut._rng import make_rng, normal_blocks
 from certcut.chromatic import max_t_cut
 from certcut.embedding import (
     EpsilonPlan,
@@ -25,7 +30,7 @@ from certcut.embedding import (
     sdp_cut,
 )
 from certcut.generators import complete, cycle, gnp, petersen, random_regular, star
-from certcut.graphcore import Cut, Graph, cut_value, degeneracy_order
+from certcut.graphcore import Cut, Graph, block_rows, cut_value, degeneracy_order
 from certcut.verify import random_plan
 from oracles import (
     plan_sets,
@@ -56,6 +61,8 @@ def corpus():
 
 
 CORPUS = corpus()
+# 1800 edges: 9 rows per rounding block, so 32 or 33 repeats take 4 blocks
+MANY_BLOCKS = random_regular(1200, 3, seed=5)
 
 
 def eps_cap(g: Graph) -> float:
@@ -74,10 +81,10 @@ class FixedDirection:
         return self.w.copy()
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-@pytest.mark.parametrize("repeats", [1, 2, 32])
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["many_blocks"])
+@pytest.mark.parametrize("repeats", [1, 2, 5, 32, 33])
 def test_sdp_cut_matches_reference(name, repeats):
-    g = CORPUS[name]
+    g = CORPUS.get(name, MANY_BLOCKS)
     for seed in (0, 7):
         cut, _ = sdp_cut(g, None, repeats, seed)
         emb = build_vectors(g, back_neighbor_plan(g, eps_cap(g)))
@@ -109,6 +116,98 @@ def test_hyperplane_round_matches_reference_on_full_neighborhoods(name):
     for k in range(20):
         cut = hyperplane_round(emb, make_rng(11, k))
         assert (cut.side, cut.value) == reference_hyperplane_round(emb, make_rng(11, k))
+
+
+# three edges on 2000 vertices: 8 rows per block, and most repeats tie, so
+# the winner must be the first maximum across blocks, not within one
+SPARSE_TIES = Graph.from_edges(2000, [(0, 1), (2, 3), (4, 5)])
+
+
+def test_block_graphs_need_several_blocks():
+    assert 3 * block_rows(MANY_BLOCKS.n, MANY_BLOCKS.m) < 32
+    assert block_rows(SPARSE_TIES.n, SPARSE_TIES.m) == 8
+
+
+@pytest.mark.parametrize("seed", [0, 7, 8])
+def test_ties_across_blocks_keep_the_first_repeat(seed):
+    g = SPARSE_TIES
+    cut, _ = sdp_cut(g, None, 20, seed)
+    emb = build_vectors(g, back_neighbor_plan(g, eps_cap(g)))
+    assert (cut.side, cut.value) == reference_best_rounding(emb, 20, seed)
+    base = cut_value(g, [v % 2 for v in range(g.n)])
+    for t in (2, 3):
+        part, _ = max_t_cut(g, base, t, make_rng(seed, t), 20)
+        assert (part.part, part.value) == reference_max_t_cut(g, base.side, t, make_rng(seed, t), 20)
+
+
+SEEDS = st.one_of(st.integers(-2**63, 2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]))
+KS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**32]))
+
+
+@given(SEEDS, KS, st.integers(1, 9), st.integers(0, 12), st.integers(1, 4))
+@example(0, 0, 1, 0, 1)
+@example(2**64 - 1, 2**32 - 1, 3, 5, 2)
+@example(2**32, 2**32, 2, 3, 1)
+@example(2**32 - 1, 2**64 - 2, 4, 7, 3)
+@settings(deadline=None, max_examples=200)
+def test_normal_blocks_rows_are_the_repeat_streams(seed, k0, count, n, rows):
+    blocks = list(normal_blocks(seed, count, n, rows, k0))
+    assert all(1 <= len(b) <= rows and b.shape[1:] == (n,) for b in blocks)
+    drawn = np.concatenate(blocks)
+    assert len(drawn) == count
+    for j, row in enumerate(drawn):
+        assert np.array_equal(row, make_rng(seed, k0 + j).standard_normal(n))
+
+
+def test_normal_blocks_cross_state_blocks(monkeypatch):
+    monkeypatch.setattr(_rng, "STATE_BLOCK", 4)
+    drawn = list(normal_blocks(9, 11, 6, 3, 2**32 - 5))
+    assert [len(b) for b in drawn] == [3, 1, 3, 1, 3]
+    for j, row in enumerate(np.concatenate(drawn)):
+        assert np.array_equal(row, make_rng(9, 2**32 - 5 + j).standard_normal(6))
+
+
+def block_cases():
+    rng = make_rng(23)
+    yield Graph.from_edges(0, []), back_neighbor_plan(Graph.from_edges(0, []), 1.0)
+    for k in range(20):
+        g = gnp(int(rng.integers(1, 40)), float(rng.random()), seed=200 + k)
+        yield g, (random_plan if k % 2 else zero_eps_plan)(g, rng)
+    g = CORPUS["petersen"]
+    yield g, back_neighbor_plan(g, eps_cap(g))
+
+
+def test_block_rounding_matches_one_row_at_a_time():
+    rng = make_rng(29)
+    for g, plan in block_cases():
+        emb = build_vectors(g, plan)
+        block = np.stack([*directions(g.n, rng), rng.standard_normal(g.n)])
+        sides = emb.round_sides(block)
+        values = g.crossing_count(sides)
+        assert sides.shape == block.shape and values.shape == (len(block),)
+        for w, side, value in zip(block, sides, values):
+            assert np.array_equal(side, emb.round_sides(w))
+            assert value == g.crossing_count(emb.round_sides(w))
+        single = emb.round_sides(block[:1])
+        assert single.shape == (1, g.n) and np.array_equal(single[0], sides[0])
+        assert g.crossing_count(single).tolist() == [values[0]]
+
+
+def test_sdp_cut_memory_does_not_grow_with_repeats(monkeypatch):
+    # states are derived STATE_BLOCK streams at a time, shrunk here so that
+    # 40 repeats cross three state blocks: 4,096 repeats of 200,000 normals
+    # each would take about 17 s
+    monkeypatch.setattr(_rng, "STATE_BLOCK", 16)
+    peaks = []
+    for repeats in (4, 40):
+        g = Graph.from_edges(200_000, [])
+        tracemalloc.start()
+        try:
+            sdp_cut(g, None, repeats, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] == peaks[1] < 20 * 2**20, peaks
 
 
 def test_zero_and_nan_directions_land_as_before():
@@ -210,11 +309,11 @@ def test_edge_index_and_crossing_count():
     assert empty.crossing_count(np.zeros(0, dtype=bool)) == 0
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["many_blocks"])
 @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
-@pytest.mark.parametrize("repeats", [1, 32])
+@pytest.mark.parametrize("repeats", [1, 5, 32, 33])
 def test_max_t_cut_matches_reference(name, t, repeats):
-    g = CORPUS[name]
+    g = CORPUS.get(name, MANY_BLOCKS)
     base = cut_value(g, [(v * 7 + 3) % 5 < 2 for v in range(g.n)])
     rng_new, rng_ref = make_rng(5, t), make_rng(5, t)
     part, _ = max_t_cut(g, base, t, rng_new, repeats)
