@@ -19,7 +19,7 @@ from .errors import (
     TooFewVertices,
 )
 from .embedding import CutCertificate
-from .graphcore import Cut, Graph, block_rows, cut_value
+from .graphcore import Cut, Graph, best_row, block_rows, cut_value
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,7 @@ def max_t_cut(
     certificate is the exact closed-form expectation; the headline reference
     is ((t-1)/t) m. Repeats are drawn and counted in blocks of
     :func:`block_rows` rows, which consume ``rng`` as one draw per repeat
-    would.
+    would; the first repeat of the largest value wins (:func:`best_row`).
     """
     if not 2 <= t <= np.iinfo(np.int64).max:
         raise InvalidParameter(f"t must lie in [2, 2^63 - 1], got {t}")
@@ -270,15 +270,10 @@ def max_t_cut(
     # first part of each vertex's own block: 0 on side 0, s on any other side
     offset = s * (np.asarray(base.side, dtype=np.int64) != 0)
     repeats, rows = max(1, repeats), block_rows(g.n, g.m)
-    best_part, best_val = None, -1
-    for start in range(0, repeats, rows):
-        shape = (min(rows, repeats - start), g.n)
-        draws = rng.integers(0, t if odd else s, size=shape)
-        parts = np.where(draws >= 2 * s, 2 * s, draws // 2 + offset) if odd else draws + offset
-        values = g.crossing_count(parts)
-        j = int(values.argmax())
-        if values[j] > best_val:
-            best_part, best_val = parts[j], int(values[j])
+    draws = (rng.integers(0, t if odd else s, size=(min(rows, repeats - start), g.n))
+             for start in range(0, repeats, rows))
+    parts = (np.where(d >= 2 * s, 2 * s, d // 2 + offset) if odd else d + offset for d in draws)
+    best_part, best_val = best_row((p, g.crossing_count(p)) for p in parts)
     return (
         TPartition(tuple(best_part.tolist()), best_val),
         CutCertificate(cert, None, "tcut_headline", (t - 1) / t * g.m),

@@ -13,9 +13,13 @@ stores its graph, its plan and the edge of every pair, looked up once when
 the plan is validated. With own_i = 1/norm_i and
 off_i = -eps_i/norm_i, an edge (u, v) has <v_u, v_v> = own_u off_v [u in V_v]
 + off_u own_v [v in V_u] + off_u off_v |V_u ^ V_v|: the certificate reads
-three integers per edge and depends on no set's iteration order. Rounding
-takes the sign of w_i - eps_i * (sum of w over V_i), which is
-norm_i * <v_i, w>; repeat k of ``sdp_cut`` draws w from the stream (seed, k).
+three integers per edge and depends on no set's iteration order; one pass
+over them gives the exact expectation and the plan bound, on the graph the
+embedding holds. Rounding takes the sign of w_i - eps_i * (sum of w over
+V_i), which is norm_i * <v_i, w>, for an (r, n) block of directions w at
+once. Repeat k of ``sdp_cut`` is row k of the draws from the streams
+(seed, k), and the winning row's sides become the cut as rounded, without a
+second draw.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from itertools import chain
 
 import numpy as np
 
-from ._rng import make_rng, normal_blocks
+from ._rng import normal_blocks
 from .errors import EpsilonTooLarge, InvalidEpsilon
-from .graphcore import Cut, Graph, back_pairs, block_rows
+from .graphcore import Cut, Graph, back_pairs, best_row, block_rows
 from .graphcore import cut_value  # noqa: F401  (kept importable from this module)
 
 _EPS_TOL = 1e-12
@@ -153,29 +157,6 @@ class Embedding:
     plan: EpsilonPlan
     pair_edge: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def round_sides(self, w: np.ndarray) -> np.ndarray:
-        """Boolean side of every vertex for direction ``w``: True (side 1)
-        where w_i - eps_i * (sum of w over V_i) is negative or NaN, False
-        where it is >= 0. That value is norm_i * <v_i, w>, so the sides match
-        a term-by-term dot product except within rounding error of zero.
-
-        An (r, n) block of directions gives an (r, n) block of sides, row by
-        row the same: pair k of row j reads and adds at j*n + k on the flat
-        block, so each bin sums its pairs in the same order."""
-        plan = self.plan
-        flat = w.reshape(-1)
-        owner, cols = plan.owner, plan.cols
-        if w.ndim == 2 and len(w) > 1:
-            at = self.n * np.arange(len(w))[:, None]
-            owner, cols = (owner + at).reshape(-1), (cols + at).reshape(-1)
-        sums = np.bincount(owner, weights=flat[cols], minlength=flat.size).reshape(w.shape)
-        # ~(... >= 0) rather than < 0, so that NaN lands on side 1
-        return ~(w - plan.eps * sums >= 0.0)
-
 
 @dataclass(frozen=True)
 class CutCertificate:
@@ -232,38 +213,42 @@ def edge_inner(g: Graph, plan: EpsilonPlan, counts: tuple[np.ndarray, ...]) -> n
     return own[g.eu] * off_v * u_in_v + off_u * own[g.ev] * v_in_u + off_u * off_v * common
 
 
-def exact_expected_cut(g: Graph, emb: Embedding) -> CutCertificate:
-    """Exact expected cut of hyperplane rounding, sum_E arccos(<v_u, v_v>)/pi;
-    one :func:`edge_counts` pass gives the terms and the plan bound."""
-    h = emb.graph
-    if h is not g and not (h.n == g.n and np.array_equal(h.eu, g.eu) and np.array_equal(h.ev, g.ev)):
-        raise ValueError("embedding was built for a different graph")
+def exact_expected_cut(emb: Embedding) -> CutCertificate:
+    """Exact expected cut of hyperplane rounding, sum_E arccos(<v_u, v_v>)/pi,
+    on the embedding's graph. One :func:`edge_counts` pass gives the terms
+    and the closed-form plan bound m/2 + sum eps_i |V_i|/(4 pi)
+    - sum_E eps_u eps_v |V_u ^ V_v|/2, the certificate's ``bound_value``."""
+    g, plan = emb.graph, emb.plan
     counts = edge_counts(emb)
-    x = np.minimum(np.maximum(edge_inner(g, emb.plan, counts), -1.0), 1.0)
+    x = np.minimum(np.maximum(edge_inner(g, plan, counts), -1.0), 1.0)
     probs = [math.acos(t) / math.pi for t in x.tolist()]
+    eps = plan.eps
+    gain = math.fsum((eps * np.bincount(plan.owner, minlength=g.n)).tolist()) / (4.0 * math.pi)
+    loss = math.fsum((eps[g.eu] * eps[g.ev] * counts[2]).tolist()) / 2.0
     return CutCertificate(expected_value=math.fsum(probs), per_edge_terms=tuple(probs),
-                          bound_reference="plan_bound", bound_value=_plan_bound(g, emb.plan, counts[2]))
+                          bound_reference="plan_bound", bound_value=g.m / 2.0 + gain - loss)
 
 
 def plan_lower_bound(g: Graph, plan: EpsilonPlan) -> float:
-    """Closed-form cut bound m/2 + sum eps_i |V_i|/(4 pi) - sum_E eps_u eps_v |V_u ^ V_v|/2
-    of a feasible plan."""
-    return _plan_bound(g, plan, edge_counts(build_vectors(g, plan))[2])
+    """Closed-form cut bound of a feasible plan (see :func:`exact_expected_cut`)."""
+    return exact_expected_cut(build_vectors(g, plan)).bound_value
 
 
-def _plan_bound(g: Graph, plan: EpsilonPlan, common: np.ndarray) -> float:
-    """:func:`plan_lower_bound` from the per-edge |V_u ^ V_v| in ``common``."""
-    eps = plan.eps
-    gain = math.fsum((eps * np.bincount(plan.owner, minlength=g.n)).tolist()) / (4.0 * math.pi)
-    loss = math.fsum((eps[g.eu] * eps[g.ev] * common).tolist()) / 2.0
-    return g.m / 2.0 + gain - loss
+def hyperplane_round(emb: Embedding, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sides and crossing counts of an (r, n) block of directions ``w``.
 
-
-def hyperplane_round(emb: Embedding, rng) -> Cut:
-    """Split by the sign of each vector's dot product with a standard normal
-    direction; exact-zero dot products land on side 0."""
-    side = emb.round_sides(rng.standard_normal(emb.n))
-    return Cut(tuple(side.view(np.uint8).tolist()), emb.graph.crossing_count(side))
+    Vertex i of row j is on side 1 (True) where w_ji - eps_i * (sum of w_j
+    over V_i) = norm_i * <v_i, w_j> is negative or NaN; this matches a
+    term-by-term dot product except within rounding error of zero. Pair k of
+    row j reads and adds at j*n + k on the flat block, so each row rounds
+    the same in any block."""
+    g, plan = emb.graph, emb.plan
+    flat, at = w.reshape(-1), g.n * np.arange(len(w))[:, None]
+    owner, cols = (plan.owner + at).reshape(-1), (plan.cols + at).reshape(-1)
+    sums = np.bincount(owner, weights=flat[cols], minlength=flat.size).reshape(w.shape)
+    # ~(... >= 0) rather than < 0, so that NaN lands on side 1
+    sides = ~(w - plan.eps * sums >= 0.0)
+    return sides, g.crossing_count(sides)
 
 
 def sdp_cut(
@@ -278,20 +263,13 @@ def sdp_cut(
     certificate, which always dominates the closed-form plan bound. ``eps``
     defaults to :func:`default_eps`. Repeat k draws from the independent
     sub-stream (seed, k). Repeats are rounded and counted in blocks of
-    :func:`block_rows` rows; the first repeat of the largest value wins and
-    only it is rounded once more into a :class:`Cut`.
+    :func:`block_rows` rows, and the first repeat of the largest value wins
+    (:func:`best_row`). No later repeat can beat one that cuts all m edges,
+    so no block is drawn after it.
     """
-    if eps is None:
-        eps = default_eps(g)
-    plan = back_neighbor_plan(g, eps)
-    emb = build_vectors(g, plan)
-    cert = exact_expected_cut(g, emb)
-    rows = block_rows(g.n, len(plan.owner), g.m)
-    best_k, best_value, k = 0, -1, 0
-    for w in normal_blocks(seed, max(1, repeats), g.n, rows):
-        values = g.crossing_count(emb.round_sides(w))
-        j = int(values.argmax())
-        if values[j] > best_value:
-            best_k, best_value = k + j, int(values[j])
-        k += len(w)
-    return hyperplane_round(emb, make_rng(seed, best_k)), cert
+    emb = build_vectors(g, back_neighbor_plan(g, default_eps(g) if eps is None else eps))
+    cert = exact_expected_cut(emb)
+    rows = block_rows(g.n, len(emb.plan.owner), g.m)
+    blocks = (hyperplane_round(emb, w) for w in normal_blocks(seed, max(1, repeats), g.n, rows))
+    side, value = best_row(blocks, top=g.m)
+    return Cut(tuple(side.view(np.uint8).tolist()), value), cert

@@ -21,6 +21,7 @@ from .errors import (
     SelfLoop,
 )
 from .graphcore import Graph
+from .harness import MAX_HEADER_VERTICES
 
 
 def random_regular(n: int, d: int, seed: int = 0, max_restarts: int = 1000) -> Graph:
@@ -241,11 +242,24 @@ class GenSpec:
     seed: int = 0
 
 
+# vertex count of each model's graph; blowup builds its base cycle before checking k
+_VERTICES = {"regular": lambda p: p["n"], "gnp": lambda p: p["n"], "turan": lambda p: p["n"],
+             "bipartite": lambda p: p["a"] + p["b"],
+             "blowup": lambda p: max(p["cycle"], 0) * max(p["k"], 1),
+             "disjoint-cliques": lambda p: max(p["count"], 0) * max(p["size"], 0)}
+
+
 def family(spec: GenSpec) -> Graph:
     """Dispatch a GenSpec to its factory; unknown models or bad parameters
-    raise InfeasibleSpec."""
+    raise InfeasibleSpec. A spec of more than ``MAX_HEADER_VERTICES``
+    vertices, which no edge-list reader accepts, raises BudgetExceeded
+    before anything is built."""
     p = dict(spec.params)
     try:
+        vertices = _VERTICES[spec.model](p) if spec.model in _VERTICES else 0
+        if vertices > MAX_HEADER_VERTICES:
+            raise BudgetExceeded(f"model {spec.model!r} makes {vertices} vertices, "
+                                 f"above the cap {MAX_HEADER_VERTICES}")
         if spec.model == "regular":
             return random_regular(p.pop("n"), p.pop("d"), spec.seed, **p)
         if spec.model == "gnp":

@@ -101,15 +101,13 @@ class Graph:
 
     def crossing_count(self, labels: np.ndarray) -> int | np.ndarray:
         """Number of edges whose endpoints carry different ``labels``; for an
-        (r, n) block of labelings, an int array of each row's count, read at
-        j*n + endpoint on the flat block for row j."""
-        flat, eu, ev = labels.reshape(-1), self.eu, self.ev
-        if labels.ndim == 1:
-            return int(np.count_nonzero(flat[eu] != flat[ev]))
-        if len(labels) > 1:
-            at = self.n * np.arange(len(labels))[:, None]
-            eu, ev = eu + at, ev + at
-        return np.count_nonzero((flat[eu] != flat[ev]).reshape(len(labels), self.m), axis=1)
+        (r, n) block of labelings, an int array of each row's count. Row j
+        is read at j*n + endpoint on the flat block; a 1-D labeling is one
+        row, and its count comes back as an int."""
+        block = labels if labels.ndim == 2 else labels[None]
+        flat, at = block.reshape(-1), self.n * np.arange(len(block))[:, None]
+        counts = np.count_nonzero(flat[self.eu + at] != flat[self.ev + at], axis=1)
+        return counts if labels.ndim == 2 else int(counts[0])
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -262,6 +260,20 @@ def block_rows(*sizes: int) -> int:
     """Rows of a block whose longest per-row array has max(``sizes``)
     entries: at least one, and ``ROUND_CHUNK`` entries in all."""
     return max(1, ROUND_CHUNK // max(*sizes, 1))
+
+
+def best_row(blocks, top: int | None = None) -> tuple[np.ndarray, int]:
+    """The first row with the largest count over ``(rows, counts)`` blocks,
+    and that count. Reading stops at a row whose count reaches ``top``: no
+    later row can beat it, and a tie never replaces the first maximum."""
+    best, value = None, -1
+    for rows, counts in blocks:
+        j = int(counts.argmax())
+        if counts[j] > value:
+            best, value = rows[j], int(counts[j])
+            if value == top:
+                break
+    return best, value
 
 
 def triangle_list(g: Graph) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chromatic import TPartition
-from .embedding import Embedding
+from .embedding import Embedding, hyperplane_round
 from .errors import BudgetExceeded, InvalidParameter
 from .graphcore import Cut, Graph, block_rows
 
@@ -125,7 +125,7 @@ def monte_carlo_cut_mean(emb: Embedding, trials: int, rng) -> tuple[float, float
     g = emb.graph
     rows = block_rows(g.n, len(emb.plan.owner), g.m)
     values = np.concatenate([
-        g.crossing_count(emb.round_sides(rng.standard_normal((min(rows, trials - start), g.n))))
+        hyperplane_round(emb, rng.standard_normal((min(rows, trials - start), g.n)))[1]
         for start in range(0, trials, rows)
     ])
     mean = float(values.mean())

@@ -75,7 +75,7 @@ def check_plan_dominance(count=1000, seed=0):
     worst = math.inf
     for _ in range(count):
         g = _random_graph(rng)
-        cert = exact_expected_cut(g, build_vectors(g, random_plan(g, rng)))
+        cert = exact_expected_cut(build_vectors(g, random_plan(g, rng)))
         margin = cert.expected_value - cert.bound_value
         worst = min(worst, margin)
         if margin < -TOL:

@@ -322,9 +322,10 @@ def reference_plan_lower_bound(g, plan) -> float:
 def reference_hyperplane_round(emb, rng) -> tuple[tuple[int, ...], int]:
     """Per-vertex rounding straight from the definition: side 1 unless the
     dot product, summed term by term in the vector's own order, is >= 0."""
-    w = rng.standard_normal(emb.n)
+    n = emb.graph.n
+    w = rng.standard_normal(n)
     side = []
-    for i in range(emb.n):
+    for i in range(n):
         d = sum(val * w[j] for j, val in reference_vector(emb, i).items())
         side.append(0 if d >= 0.0 else 1)
     value = sum(1 for u, v in emb.graph.edges if side[u] != side[v])

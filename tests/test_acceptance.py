@@ -204,7 +204,7 @@ def test_monte_carlo_rounding_consistency():
         else:
             plan = random_plan(g, rng)
         emb = build_vectors(g, plan)
-        exact = exact_expected_cut(g, emb).expected_value
+        exact = exact_expected_cut(emb).expected_value
         mean, stderr = monte_carlo_cut_mean(emb, 10_000, make_rng(1008, k))
         assert abs(mean - exact) <= 4 * stderr + 1e-12
     report("Monte-Carlo vs closed form", "(20 embeddings, 1e4 trials each)")

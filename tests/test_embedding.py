@@ -305,32 +305,32 @@ class TestExactExpectedCut:
     def test_orthogonal_gives_half(self):
         g = gnp(9, 0.5, 1)
         emb = build_vectors(g, identity_plan(g))
-        assert exact_expected_cut(g, emb).expected_value == pytest.approx(g.m / 2)
+        assert exact_expected_cut(emb).expected_value == pytest.approx(g.m / 2)
 
     def test_k2_three_quarters(self):
         g = complete(2)
-        cert = exact_expected_cut(g, build_vectors(g, k2_plan()))
+        cert = exact_expected_cut(build_vectors(g, k2_plan()))
         assert cert.expected_value == pytest.approx(0.75)
         assert cert.per_edge_terms == (pytest.approx(0.75),)
 
     def test_antipodal_probability_one(self):
         g = complete(2)
         emb = build_vectors(g, antipodal_plan())
-        assert exact_expected_cut(g, emb).expected_value == pytest.approx(1.0)
+        assert exact_expected_cut(emb).expected_value == pytest.approx(1.0)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_terms_match_reference_vectors(self, seed):
         g, plans = seeded_plans(seed)
         for plan in plans:
             emb = build_vectors(g, plan)
-            got = exact_expected_cut(g, emb).per_edge_terms
+            got = exact_expected_cut(emb).per_edge_terms
             terms = term_counts(g, plan)
             for k, want in enumerate(reference_edge_terms(emb)):
                 assert_same_sum(got[k], want, terms[k], k)
 
     def test_terms_sum_to_expected_value(self):
         g = gnp(10, 0.5, 2)
-        cert = exact_expected_cut(g, build_vectors(g, random_plan(g, make_rng(5))))
+        cert = exact_expected_cut(build_vectors(g, random_plan(g, make_rng(5))))
         assert cert.expected_value == pytest.approx(math.fsum(cert.per_edge_terms))
         assert all(0.0 <= p <= 1.0 for p in cert.per_edge_terms)
 
@@ -341,7 +341,7 @@ class TestPlanLowerBound:
         g, plans = seeded_plans(seed)
         for plan in plans:
             assert repr(plan_lower_bound(g, plan)) == repr(reference_plan_lower_bound(g, plan))
-            cert = exact_expected_cut(g, build_vectors(g, plan))
+            cert = exact_expected_cut(build_vectors(g, plan))
             assert repr(cert.bound_value) == repr(reference_plan_lower_bound(g, plan))
 
     def test_zero_epsilon_gives_half(self):
@@ -359,7 +359,7 @@ class TestPlanLowerBound:
         plan = back_neighbor_plan(g, 1 / math.sqrt(2))
         expected = 1.5 + 3 / (math.sqrt(2) * 4 * math.pi) - 0.25
         assert plan_lower_bound(g, plan) == pytest.approx(expected)
-        cert = exact_expected_cut(g, build_vectors(g, plan))
+        cert = exact_expected_cut(build_vectors(g, plan))
         assert cert.expected_value >= expected - TOL
 
 
@@ -408,7 +408,7 @@ class TestDominance:
         n = int(rng.integers(2, 40))
         g = gnp(n, min(1.0, 4.0 / n), int(rng.integers(0, 2**62)))
         plan = random_plan(g, rng)
-        cert = exact_expected_cut(g, build_vectors(g, plan))
+        cert = exact_expected_cut(build_vectors(g, plan))
         assert cert.expected_value >= plan_lower_bound(g, plan) - TOL
         assert cert.bound_value == pytest.approx(plan_lower_bound(g, plan))
 
@@ -419,34 +419,42 @@ class TestDominance:
         n = int(rng.integers(2, 16))
         g = gnp(n, 0.5, int(rng.integers(0, 2**62)))
         plan = random_plan(g, rng)
-        cert = exact_expected_cut(g, build_vectors(g, plan))
+        cert = exact_expected_cut(build_vectors(g, plan))
         assert cert.expected_value >= plan_lower_bound(g, plan) - TOL
+
+
+def directions(seed: int, count: int, n: int) -> np.ndarray:
+    """Row k is the direction of stream (seed, k)."""
+    return np.stack([make_rng(seed, k).standard_normal(n) for k in range(count)])
 
 
 class TestHyperplaneRound:
     def test_orthogonal_k2_is_fair(self):
         g = complete(2)
         emb = build_vectors(g, identity_plan(g))
-        vals = [hyperplane_round(emb, make_rng(0, k)).value for k in range(10_000)]
-        assert abs(sum(vals) / len(vals) - 0.5) <= 0.02
+        _, vals = hyperplane_round(emb, directions(0, 10_000, g.n))
+        assert abs(vals.mean() - 0.5) <= 0.02
 
     def test_antipodal_always_cut(self):
         g = complete(2)
         emb = build_vectors(g, antipodal_plan())
-        assert all(hyperplane_round(emb, make_rng(1, k)).value == 1 for k in range(50))
+        _, vals = hyperplane_round(emb, directions(1, 50, g.n))
+        assert (vals == 1).all()
 
     def test_k33_monte_carlo_within_four_root_m(self):
         g = complete_bipartite(3, 3)
         emb = build_vectors(g, back_neighbor_plan(g, 1 / math.sqrt(3)))
-        exact = exact_expected_cut(g, emb).expected_value
+        exact = exact_expected_cut(emb).expected_value
         trials = 10_000
-        mean = sum(hyperplane_round(emb, make_rng(7, k)).value for k in range(trials)) / trials
-        assert abs(mean - exact) <= 4 * math.sqrt(g.m) / math.sqrt(trials)
+        _, vals = hyperplane_round(emb, directions(7, trials, g.n))
+        assert abs(vals.mean() - exact) <= 4 * math.sqrt(g.m) / math.sqrt(trials)
 
     def test_deterministic_given_stream(self):
         g = petersen()
         emb = build_vectors(g, back_neighbor_plan(g, 0.5))
-        assert hyperplane_round(emb, make_rng(3)).side == hyperplane_round(emb, make_rng(3)).side
+        first, _ = hyperplane_round(emb, make_rng(3).standard_normal((1, g.n)))
+        again, _ = hyperplane_round(emb, make_rng(3).standard_normal((1, g.n)))
+        assert np.array_equal(first, again)
 
 
 class TestSdpCut:

@@ -30,6 +30,7 @@ from certcut.generators import (
     turan,
 )
 from certcut.graphcore import count_cliques, count_triangles
+from certcut.harness import MAX_HEADER_VERTICES as CAP
 from oracles import (
     count_r_cycles,
     reference_gnp,
@@ -302,6 +303,34 @@ class TestFamilyDispatch:
     def test_bipartite_p_above_one_is_refused(self):
         with pytest.raises(InfeasibleSpec, match="p must lie"):
             family(GenSpec("bipartite", {"a": 2, "b": 2, "p": 1.5}))
+
+    @pytest.mark.parametrize("model, params", [
+        ("regular", {"n": CAP + 1, "d": 0}),
+        ("gnp", {"n": CAP + 1, "p": 0.0}),
+        ("bipartite", {"a": CAP, "b": 1}),
+        ("turan", {"n": CAP + 1, "classes": 2}),
+        ("blowup", {"cycle": CAP // 2 + 1, "k": 2}),
+        ("blowup", {"cycle": CAP + 1, "k": 0}),
+        ("disjoint-cliques", {"count": CAP + 1, "size": 1}),
+    ])
+    def test_more_vertices_than_a_reader_accepts_is_refused_unbuilt(self, monkeypatch, model, params):
+        def build(*args, **kwargs):
+            raise AssertionError("built a graph above the cap")
+
+        for name in ("random_regular", "gnp", "random_bipartite", "turan", "blowup", "cycle", "disjoint_cliques"):
+            monkeypatch.setattr(generators, name, build)
+        with pytest.raises(BudgetExceeded, match=f"above the cap {CAP}"):
+            family(GenSpec(model, params))
+
+    def test_the_cap_itself_is_allowed(self):
+        assert family(GenSpec("regular", {"n": CAP, "d": 0})).n == CAP
+
+    def test_negative_sizes_stay_infeasible_above_the_cap(self):
+        # a product of two negative sizes is no vertex count
+        for model, params in (("disjoint-cliques", {"count": -2, "size": -CAP}),
+                              ("blowup", {"cycle": -3, "k": -CAP})):
+            with pytest.raises(InfeasibleSpec):
+                family(GenSpec(model, params))
 
     def test_bipartite_at_p_one_keeps_every_pair(self):
         for a in range(0, 41, 5):

@@ -633,6 +633,16 @@ class TestCliRefusals:
         assert code == 3 and out == ""
         assert err.startswith("precondition violated:") and needle in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--model", "regular", "--n", str(2 * MAX_HEADER_VERTICES), "--d", "0"),
+        ("gen", "--model", "turan", "--n", str(MAX_HEADER_VERTICES + 1), "--classes", "2"),
+        ("bench", "--family", "gnp", "--nlist", f"12,{MAX_HEADER_VERTICES + 1}", "--dlist", "0"),
+    ])
+    def test_gen_and_bench_refuse_what_cut_could_not_read(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("budget exceeded:") and f"above the cap {MAX_HEADER_VERTICES}" in err
+
     def test_max_vertices_zero_is_a_cap_of_zero(self, capsys, tmp_path):
         p = tmp_path / "k5.txt"
         p.write_text(format_edge_list(complete(5)))

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 from certcut._rng import make_rng
-from certcut.embedding import EpsilonPlan, back_neighbor_plan, build_vectors, default_eps, exact_expected_cut
+from certcut.embedding import (
+    EpsilonPlan,
+    back_neighbor_plan,
+    build_vectors,
+    default_eps,
+    exact_expected_cut,
+    hyperplane_round,
+)
 from certcut.errors import BudgetExceeded, InvalidParameter
 from certcut.generators import complete, complete_bipartite, cycle, gnp, petersen, random_regular
 from certcut.graphcore import Graph, block_rows, edwards_bound
@@ -206,7 +213,7 @@ class TestMonteCarlo:
     def test_k33_mean_matches_exact_expectation(self):
         g = complete_bipartite(3, 3)
         emb = build_vectors(g, back_neighbor_plan(g, 1.0 / 3**0.5))
-        exact = exact_expected_cut(g, emb).expected_value
+        exact = exact_expected_cut(emb).expected_value
         mean, stderr = monte_carlo_cut_mean(emb, 10_000, make_rng(2))
         assert abs(mean - exact) <= 3 * max(stderr, 1e-9)
 
@@ -217,7 +224,7 @@ class TestMonteCarlo:
         # several blocks where the graph is large enough, one partial block otherwise
         trials = min(2 * block_rows(g.n, len(emb.plan.owner), g.m) + 3, 1500)
         rng, ref = make_rng(31, n), make_rng(31, n)
-        values = [g.crossing_count(emb.round_sides(ref.standard_normal(n))) for _ in range(trials)]
+        values = [hyperplane_round(emb, ref.standard_normal((1, n)))[1][0] for _ in range(trials)]
         mean, stderr = monte_carlo_cut_mean(emb, trials, rng)
         assert mean == float(np.mean(values))
         assert stderr == float(np.std(values, ddof=1) / math.sqrt(trials))

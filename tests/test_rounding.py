@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from certcut import _rng
+from certcut import _rng, embedding
 from certcut._rng import make_rng, normal_blocks
 from certcut.chromatic import max_t_cut
 from certcut.embedding import (
@@ -30,7 +30,7 @@ from certcut.embedding import (
     sdp_cut,
 )
 from certcut.generators import complete, cycle, gnp, petersen, random_regular, star
-from certcut.graphcore import Cut, Graph, block_rows, cut_value, degeneracy_order
+from certcut.graphcore import Cut, Graph, best_row, block_rows, cut_value, degeneracy_order
 from certcut.verify import random_plan
 from oracles import (
     plan_sets,
@@ -81,6 +81,13 @@ class FixedDirection:
         return self.w.copy()
 
 
+def round_one(emb, w) -> tuple[tuple[int, ...], int]:
+    """Sides and value of ``hyperplane_round`` on the one direction ``w``."""
+    sides, counts = hyperplane_round(emb, np.asarray(w, dtype=float)[None])
+    assert sides.shape == (1, emb.graph.n) and counts.shape == (1,)
+    return tuple(sides[0].view(np.uint8).tolist()), int(counts[0])
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS) + ["many_blocks"])
 @pytest.mark.parametrize("repeats", [1, 2, 5, 32, 33])
 def test_sdp_cut_matches_reference(name, repeats):
@@ -114,8 +121,8 @@ def test_hyperplane_round_matches_reference_on_full_neighborhoods(name):
     plan = EpsilonPlan.from_sets(sets, tuple(1.0 / math.sqrt(len(s)) if s else 0.0 for s in sets))
     emb = build_vectors(g, plan)
     for k in range(20):
-        cut = hyperplane_round(emb, make_rng(11, k))
-        assert (cut.side, cut.value) == reference_hyperplane_round(emb, make_rng(11, k))
+        w = make_rng(11, k).standard_normal(g.n)
+        assert round_one(emb, w) == reference_hyperplane_round(emb, make_rng(11, k))
 
 
 # three edges on 2000 vertices: 8 rows per block, and most repeats tie, so
@@ -138,6 +145,78 @@ def test_ties_across_blocks_keep_the_first_repeat(seed):
     for t in (2, 3):
         part, _ = max_t_cut(g, base, t, make_rng(seed, t), 20)
         assert (part.part, part.value) == reference_max_t_cut(g, base.side, t, make_rng(seed, t), 20)
+
+
+def drawn_rows(monkeypatch) -> list[int]:
+    """Wrap ``embedding.normal_blocks``; the list gets each block's row count."""
+    rows, draw = [], embedding.normal_blocks
+
+    def counting(*args):
+        for block in draw(*args):
+            rows.append(len(block))
+            yield block
+
+    monkeypatch.setattr(embedding, "normal_blocks", counting)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["c7", "petersen", "gnp90_3", "many_blocks"])
+@pytest.mark.parametrize("repeats", [1, 5, 33])
+def test_sdp_cut_draws_each_repeat_once(monkeypatch, name, repeats):
+    # none of these graphs is bipartite, so no repeat cuts every edge
+    g = CORPUS.get(name, MANY_BLOCKS)
+    rows, rounded, round_block = drawn_rows(monkeypatch), [], embedding.hyperplane_round
+    monkeypatch.setattr(embedding, "hyperplane_round", lambda emb, w: rounded.append(len(w)) or round_block(emb, w))
+    sdp_cut(g, None, repeats, 5)
+    assert sum(rows) == repeats
+    assert max(rows) <= block_rows(g.n, g.m)
+    # every drawn block is rounded once, and nothing else is
+    assert rounded == rows
+
+
+def test_edgeless_sdp_cut_draws_one_row(monkeypatch):
+    g = Graph.from_edges(20_000, [])
+    rows = drawn_rows(monkeypatch)
+    cut, _ = sdp_cut(g, None, 3, 2)
+    assert rows == [1]
+    emb = build_vectors(g, back_neighbor_plan(g, 1.0))
+    assert (cut.side, cut.value) == reference_best_rounding(emb, 3, 2)
+
+
+# a star K_(1,4) among isolated vertices: 8 rows per block, and some row of
+# the first block cuts all four edges
+STAR_AMONG_ISOLATED = Graph.from_edges(2000, [(0, v) for v in range(1, 5)])
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sdp_cut_stops_at_a_block_that_cuts_every_edge(monkeypatch, seed):
+    g = STAR_AMONG_ISOLATED
+    rows = drawn_rows(monkeypatch)
+    cut, _ = sdp_cut(g, None, 32, seed)
+    assert rows == [block_rows(g.n, g.m)] == [8]
+    assert cut.value == g.m
+    emb = build_vectors(g, back_neighbor_plan(g, eps_cap(g)))
+    assert (cut.side, cut.value) == reference_best_rounding(emb, 32, seed)
+
+
+def test_best_row_keeps_the_first_maximum_over_later_ties():
+    blocks = [(np.array([[0], [1], [2]]), np.array([1, 3, 2])), (np.array([[3], [4]]), np.array([3, 3]))]
+    row, value = best_row(iter(blocks))
+    assert row.tolist() == [1] and value == 3
+    # a later strict maximum still wins
+    row, value = best_row(iter(blocks + [(np.array([[5]]), np.array([4]))]))
+    assert row.tolist() == [5] and value == 4
+
+
+def test_best_row_reads_no_block_after_reaching_top():
+    def blocks():
+        yield np.array([[0], [1]]), np.array([2, 1])
+        yield np.array([[2], [3]]), np.array([1, 5])
+        raise AssertionError("read past the top count")
+
+    assert best_row(blocks(), top=5)[1] == 5
+    with pytest.raises(AssertionError):
+        best_row(blocks())
 
 
 SEEDS = st.one_of(st.integers(-2**63, 2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]))
@@ -182,15 +261,11 @@ def test_block_rounding_matches_one_row_at_a_time():
     for g, plan in block_cases():
         emb = build_vectors(g, plan)
         block = np.stack([*directions(g.n, rng), rng.standard_normal(g.n)])
-        sides = emb.round_sides(block)
-        values = g.crossing_count(sides)
+        sides, values = hyperplane_round(emb, block)
         assert sides.shape == block.shape and values.shape == (len(block),)
         for w, side, value in zip(block, sides, values):
-            assert np.array_equal(side, emb.round_sides(w))
-            assert value == g.crossing_count(emb.round_sides(w))
-        single = emb.round_sides(block[:1])
-        assert single.shape == (1, g.n) and np.array_equal(single[0], sides[0])
-        assert g.crossing_count(single).tolist() == [values[0]]
+            assert round_one(emb, w) == (tuple(side.view(np.uint8).tolist()), value)
+            assert g.crossing_count(side) == value
 
 
 def test_sdp_cut_memory_does_not_grow_with_repeats(monkeypatch):
@@ -218,9 +293,8 @@ def test_zero_and_nan_directions_land_as_before():
     with_nan = np.linspace(-1.0, 1.0, g.n)
     with_nan[3] = np.nan
     for w in (zero, signed_zero, with_nan):
-        cut = hyperplane_round(emb, FixedDirection(w))
-        assert (cut.side, cut.value) == reference_hyperplane_round(emb, FixedDirection(w))
-    assert hyperplane_round(emb, FixedDirection(zero)).side == (0,) * g.n
+        assert round_one(emb, w) == reference_hyperplane_round(emb, FixedDirection(w))
+    assert round_one(emb, zero)[0] == (0,) * g.n
 
 
 def zero_eps_plan(g: Graph, rng) -> EpsilonPlan:
@@ -249,15 +323,14 @@ def test_factored_sign_matches_term_by_term_sum(make_plan):
         g = gnp(n, float(rng.random()), seed=k)
         emb = build_vectors(g, make_plan(g, rng))
         for w in directions(n, rng):
-            cut = hyperplane_round(emb, FixedDirection(w))
-            assert (cut.side, cut.value) == reference_hyperplane_round(emb, FixedDirection(w))
+            assert round_one(emb, w) == reference_hyperplane_round(emb, FixedDirection(w))
 
 
 def test_nan_in_v_i_puts_i_on_side_1_even_at_zero_eps():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     emb = build_vectors(g, EpsilonPlan.from_sets((frozenset({1, 2, 3}),) + (frozenset(),) * 3, (0.0,) * 4))
     w = np.array([1.0, np.nan, 1.0, 1.0])
-    assert hyperplane_round(emb, FixedDirection(w)).side == (1, 1, 0, 0)
+    assert round_one(emb, w)[0] == (1, 1, 0, 0)
     assert reference_hyperplane_round(emb, FixedDirection(w))[0] == (1, 1, 0, 0)
 
 
@@ -269,11 +342,11 @@ def test_first_rounding_memory_is_linear_and_small():
     w = make_rng(3).standard_normal(g.n)
     tracemalloc.start()
     try:
-        side = emb.round_sides(w)
+        sides, _ = hyperplane_round(emb, w[None])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(side, w < 0.0)
+    assert np.array_equal(sides[0], w < 0.0)
     assert peak < 12 * 2**20, peak
 
 
@@ -294,8 +367,8 @@ def test_skewed_supports_match_reference():
     for eps in (cap, cap / 2.0):
         emb = build_vectors(g, back_neighbor_plan(g, eps))
         for k in range(8):
-            cut = hyperplane_round(emb, make_rng(13, k))
-            assert (cut.side, cut.value) == reference_hyperplane_round(emb, make_rng(13, k))
+            w = make_rng(13, k).standard_normal(g.n)
+            assert round_one(emb, w) == reference_hyperplane_round(emb, make_rng(13, k))
         cut, _ = sdp_cut(g, eps, 6, 4)
         assert (cut.side, cut.value) == reference_best_rounding(emb, 6, 4)
 
@@ -305,6 +378,7 @@ def test_edge_index_and_crossing_count():
     assert list(zip(g.eu.tolist(), g.ev.tolist())) == list(g.edges)
     side = [v % 3 == 0 for v in range(g.n)]
     assert g.crossing_count(np.array(side)) == cut_value(g, side).value
+    assert type(g.crossing_count(np.array(side))) is int
     empty = Graph.from_edges(0, [])
     assert empty.crossing_count(np.zeros(0, dtype=bool)) == 0
 
