@@ -4,11 +4,11 @@ Every stream is a PCG64 generator keyed by an integer seed plus an optional
 derivation path, so repeated roundings and parallel workers can use provably
 independent sub-streams: ``make_rng(seed, k)`` is the stream for repeat ``k``.
 
-:func:`normal_blocks` draws the first n standard normals of many streams
-(seed, k) at once. It runs NumPy's ``SeedSequence`` hash and PCG64's seeding
-step, both fixed by NEP 19, over arrays of k, so row k of its output is bit
-for bit ``make_rng(seed, k).standard_normal(n)`` without a generator per
-repeat.
+:func:`normal_blocks` draws the first n_s standard normals of many streams
+(seed_s, k) at once. It runs NumPy's ``SeedSequence`` hash and PCG64's
+seeding step, both fixed by NEP 19, over arrays of (seed, k) pairs, so
+segment s of row k of its output is bit for bit
+``make_rng(seed_s, k).standard_normal(n_s)`` without a generator per repeat.
 """
 
 from __future__ import annotations
@@ -66,9 +66,10 @@ def _hash(words: np.ndarray, consts: np.ndarray, j: int, rows: int) -> np.ndarra
     return words
 
 
-def _pcg64_states(seed: int, k0: int, count: int) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64 seeded by ``SeedSequence([seed, k])`` for k = k0,
-    ..., k0 + count - 1, each taken modulo 2^64 as ``make_rng`` does.
+def _pcg64_states(seeds, ks: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64 seeded by ``SeedSequence([seed, k])`` for every
+    k of the uint64 array ``ks``, seed by seed over ``seeds``; seeds are
+    taken modulo 2^64 as ``make_rng`` takes them.
 
     The entropy words are the seed's little-endian 32-bit words (one, or two
     when it is 2^32 or more), then k's. At most four words fit the pool, and
@@ -76,15 +77,14 @@ def _pcg64_states(seed: int, k0: int, count: int) -> list[tuple[int, int]]:
     below 2^32. The hash runs on uint32 arrays, which wrap silently, one row
     per pool word; the 128-bit seeding step runs on Python ints.
     """
-    seed = int(seed) & _U64
-    ks = np.arange(count, dtype=np.uint64) + np.uint64(k0 & _U64)
-    seed_words = [seed & _M32] + ([seed >> 32] if seed >> 32 else [])
-    at = len(seed_words)
-    words = np.zeros((4, count), dtype=np.uint32)
-    words[:at] = np.array(seed_words, dtype=np.uint32)[:, None]
-    words[at] = ks & _M32
-    words[at + 1] = ks >> 32
-    pool = _hash(words, _HASH_A, 0, 4)
+    k_lo, k_hi = ks & _M32, ks >> 32
+    words = np.zeros((4, len(seeds), len(ks)), dtype=np.uint32)
+    for i, seed in enumerate(seeds):
+        seed = int(seed) & _U64
+        words[0, i], words[1, i] = seed & _M32, seed >> 32
+        at = 2 if seed >> 32 else 1
+        words[at, i], words[at + 1, i] = k_lo, k_hi
+    pool = _hash(words.reshape(4, -1), _HASH_A, 0, 4)
     # mix every word into each other one; the three targets of a source
     # read it before any of them changes, so they update together
     for src, dst in enumerate(_OTHERS):
@@ -103,21 +103,36 @@ def _pcg64_states(seed: int, k0: int, count: int) -> list[tuple[int, int]]:
     return states
 
 
-def normal_blocks(seed: int, count: int, n: int, rows: int, k0: int = 0):
-    """Yield (rows', n) float blocks of at most ``rows`` rows, in order, whose
-    rows together are ``make_rng(seed, k).standard_normal(n)`` for k = k0,
-    ..., k0 + count - 1. States are derived ``STATE_BLOCK`` streams at a
-    time, so memory does not grow with ``count``."""
+def normal_blocks(seeds, count: int, sizes, rows: int, k0: int = 0):
+    """Yield (rows', sum(sizes)) float blocks of at most ``rows`` rows, in
+    order, for the streams of k = k0, ..., k0 + count - 1: row k holds one
+    segment per entry of the equal-length ``seeds`` and ``sizes``, side by
+    side, segment s being ``make_rng(seeds[s], k).standard_normal(sizes[s])``.
+    The states of ``STATE_BLOCK`` streams (at least one row's) are derived
+    per pass, so memory does not grow with ``count``.
+    """
+    # empty segments draw nothing, so only the others' streams are derived
+    spans, keys, width = [], [], 0
+    for seed, size in zip(seeds, sizes):
+        if size:
+            spans.append(slice(width, width + size))
+            keys.append(seed)
+        width += size
+    per_pass = max(1, STATE_BLOCK // max(len(keys), 1))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for start in range(k0, k0 + count, STATE_BLOCK):
-        states = _pcg64_states(seed, start, min(STATE_BLOCK, k0 + count - start))
-        for first in range(0, len(states), rows):
-            chunk = states[first:first + rows]
-            block = np.empty((len(chunk), n))
-            for row, (s, inc) in zip(block, chunk):
-                state["state"] = {"state": s, "inc": inc}
-                bitgen.state = state
-                gen.standard_normal(out=row)
+    for start in range(k0, k0 + count, per_pass):
+        todo = min(per_pass, k0 + count - start)
+        ks = np.arange(todo, dtype=np.uint64) + np.uint64(start & _U64)
+        # segment-major: one segment's streams for every k, then the next's
+        states = _pcg64_states(keys, ks)
+        for first in range(0, todo, rows):
+            block = np.empty((min(rows, todo - first), width))
+            for i, span in enumerate(spans):
+                at = i * todo + first
+                for out, (s, inc) in zip(block[:, span], states[at:at + len(block)]):
+                    state["state"] = {"state": s, "inc": inc}
+                    bitgen.state = state
+                    gen.standard_normal(out=out)
             yield block

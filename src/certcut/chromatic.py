@@ -273,7 +273,7 @@ def max_t_cut(
     draws = (rng.integers(0, t if odd else s, size=(min(rows, repeats - start), g.n))
              for start in range(0, repeats, rows))
     parts = (np.where(d >= 2 * s, 2 * s, d // 2 + offset) if odd else d + offset for d in draws)
-    best_part, best_val = best_row((p, g.crossing_count(p)) for p in parts)
+    best_part, (best_val,) = best_row(((p, g.crossing_count(p)) for p in parts), [g.n])
     return (
         TPartition(tuple(best_part.tolist()), best_val),
         CutCertificate(cert, None, "tcut_headline", (t - 1) / t * g.m),

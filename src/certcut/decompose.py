@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
+from collections import deque
+from itertools import accumulate, count, pairwise
 from typing import Callable
 
 import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .chromatic import coloring_cut, kr_free_coloring
-from .embedding import CutCertificate, check_eps, default_eps, sdp_cut
+from .embedding import CutCertificate, check_eps, default_eps, sdp_cut, sdp_cuts
 from .errors import (
     InvalidParameter,
     NotACutOfInducedSubgraph,
@@ -36,6 +37,7 @@ from .graphcore import (
     cut_value,
     find_clique,
     induced_subgraph,
+    induced_unions,
     peel,
 )
 
@@ -311,6 +313,11 @@ def sampled_sdp_cut(
     extends. The returned cut is the best sample; the certificate is the
     best repeat's m/2 + (subgraph certificate - m(V')/2), a valid max-cut
     lower bound.
+
+    Each repeat draws its sample from ``rng``, then the seed of its
+    rounding. Consecutive samples are rounded together as the blocks of one
+    graph (:func:`induced_unions`, :func:`sdp_cuts`), which gives each the
+    cut and the edge terms it gets on its own.
     """
     if p is None:
         p = SAMPLE_P
@@ -321,15 +328,29 @@ def sampled_sdp_cut(
     if eps is None:
         eps = default_eps(g)
     check_eps(g, eps)
+    seeds = deque()
+
+    def samples():
+        for _ in range(max(1, repeats)):
+            keep = rng.random(g.n) < p
+            seeds.append(int(rng.integers(0, 2**63)))
+            yield np.flatnonzero(keep)
+
     best_cut = None
     best_cert = -math.inf
-    for _ in range(max(1, repeats)):
-        sample_graph, vs = induced_subgraph(g, np.flatnonzero(rng.random(g.n) < p))
-        inner_seed = int(rng.integers(0, 2**63))
-        sample_cut, sample_cert = sdp_cut(sample_graph, eps, 32, inner_seed)
-        extended, _ = extend_cut(g, vs, sample_cut)
-        cert = g.m / 2 + (sample_cert.expected_value - sample_graph.m / 2)
-        if best_cut is None or extended.value > best_cut.value:
-            best_cut = extended
-        best_cert = max(best_cert, cert)
+    for union, parts in induced_unions(g, samples()):
+        ends = list(accumulate(len(vs) for vs in parts))
+        cuts, union_cert = sdp_cuts(union, ends, eps, 32, [seeds.popleft() for _ in parts])
+        terms = union_cert.per_edge_terms
+        runs = pairwise([0, *union.eu.searchsorted(ends).tolist()])
+        certs = [g.m / 2 + (math.fsum(terms[a:z]) - (z - a) / 2) for a, z in runs]
+        # the extensions need no union graph; the certificate stays alive, as
+        # freeing its edge terms here made the C allocator shrink and regrow
+        # the heap on every later rounding block (page faults)
+        del union
+        for vs, cut, cert in zip(parts, cuts, certs):
+            extended, _ = extend_cut(g, vs, cut)
+            if best_cut is None or extended.value > best_cut.value:
+                best_cut = extended
+            best_cert = max(best_cert, cert)
     return best_cut, CutCertificate(best_cert, None, "sampled_extension", g.m / 2)

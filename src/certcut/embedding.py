@@ -213,29 +213,37 @@ def edge_inner(g: Graph, plan: EpsilonPlan, counts: tuple[np.ndarray, ...]) -> n
     return own[g.eu] * off_v * u_in_v + off_u * own[g.ev] * v_in_u + off_u * off_v * common
 
 
+def _plan_bound(g: Graph, plan: EpsilonPlan, common: np.ndarray) -> float:
+    """m/2 + sum eps_i |V_i|/(4 pi) - sum_E eps_u eps_v |V_u ^ V_v|/2, from
+    ``common`` = |V_u ^ V_v| per edge."""
+    eps = plan.eps
+    gain = math.fsum((eps * np.bincount(plan.owner, minlength=g.n)).tolist()) / (4.0 * math.pi)
+    loss = math.fsum((eps[g.eu] * eps[g.ev] * common).tolist()) / 2.0
+    return g.m / 2.0 + gain - loss
+
+
 def exact_expected_cut(emb: Embedding) -> CutCertificate:
     """Exact expected cut of hyperplane rounding, sum_E arccos(<v_u, v_v>)/pi,
-    on the embedding's graph. One :func:`edge_counts` pass gives the terms
-    and the closed-form plan bound m/2 + sum eps_i |V_i|/(4 pi)
-    - sum_E eps_u eps_v |V_u ^ V_v|/2, the certificate's ``bound_value``."""
+    on the embedding's graph, with per-edge terms in edge order. One
+    :func:`edge_counts` pass gives the terms and the closed-form plan bound
+    (:func:`plan_lower_bound`), the certificate's ``bound_value``."""
     g, plan = emb.graph, emb.plan
     counts = edge_counts(emb)
     x = np.minimum(np.maximum(edge_inner(g, plan, counts), -1.0), 1.0)
     probs = [math.acos(t) / math.pi for t in x.tolist()]
-    eps = plan.eps
-    gain = math.fsum((eps * np.bincount(plan.owner, minlength=g.n)).tolist()) / (4.0 * math.pi)
-    loss = math.fsum((eps[g.eu] * eps[g.ev] * counts[2]).tolist()) / 2.0
     return CutCertificate(expected_value=math.fsum(probs), per_edge_terms=tuple(probs),
-                          bound_reference="plan_bound", bound_value=g.m / 2.0 + gain - loss)
+                          bound_reference="plan_bound", bound_value=_plan_bound(g, plan, counts[2]))
 
 
 def plan_lower_bound(g: Graph, plan: EpsilonPlan) -> float:
-    """Closed-form cut bound of a feasible plan (see :func:`exact_expected_cut`)."""
-    return exact_expected_cut(build_vectors(g, plan)).bound_value
+    """Closed-form cut bound of a feasible plan, m/2 + sum eps_i |V_i|/(4 pi)
+    - sum_E eps_u eps_v |V_u ^ V_v|/2, from :func:`edge_counts` alone."""
+    return _plan_bound(g, plan, edge_counts(build_vectors(g, plan))[2])
 
 
-def hyperplane_round(emb: Embedding, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sides and crossing counts of an (r, n) block of directions ``w``.
+def hyperplane_round(emb: Embedding, w: np.ndarray, ends=None) -> tuple[np.ndarray, np.ndarray]:
+    """Sides and crossing counts of an (r, n) block of directions ``w``; with
+    ``ends``, counts per row and vertex block (see :meth:`Graph.crossing_count`).
 
     Vertex i of row j is on side 1 (True) where w_ji - eps_i * (sum of w_j
     over V_i) = norm_i * <v_i, w_j> is negative or NaN; this matches a
@@ -248,7 +256,7 @@ def hyperplane_round(emb: Embedding, w: np.ndarray) -> tuple[np.ndarray, np.ndar
     sums = np.bincount(owner, weights=flat[cols], minlength=flat.size).reshape(w.shape)
     # ~(... >= 0) rather than < 0, so that NaN lands on side 1
     sides = ~(w - plan.eps * sums >= 0.0)
-    return sides, g.crossing_count(sides)
+    return sides, g.crossing_count(sides, ends)
 
 
 def sdp_cut(
@@ -262,14 +270,39 @@ def sdp_cut(
     Returns the best sampled cut together with the exact-expectation
     certificate, which always dominates the closed-form plan bound. ``eps``
     defaults to :func:`default_eps`. Repeat k draws from the independent
-    sub-stream (seed, k). Repeats are rounded and counted in blocks of
-    :func:`block_rows` rows, and the first repeat of the largest value wins
-    (:func:`best_row`). No later repeat can beat one that cuts all m edges,
-    so no block is drawn after it.
+    sub-stream (seed, k). This is the one-block case of :func:`sdp_cuts`.
     """
-    emb = build_vectors(g, back_neighbor_plan(g, default_eps(g) if eps is None else eps))
+    cuts, cert = sdp_cuts(g, [g.n], default_eps(g) if eps is None else eps, repeats, [seed])
+    return cuts[0], cert
+
+
+def sdp_cuts(g: Graph, ends: list[int], eps: float, repeats: int, seeds) -> tuple[list[Cut], CutCertificate]:
+    """:func:`sdp_cut` of every block of a graph of blocks side by side.
+
+    Block b is the vertices before ``ends[b]`` and from ``ends[b - 1]`` on,
+    and no edge joins two blocks. Its cut is the one ``sdp_cut`` returns on
+    the subgraph the block induces, with seed ``seeds[b]``: the canonical
+    peel restricted to a block is the block's own, so the block's plan
+    pairs and edge terms are its own, and repeat k of block b rounds the
+    stream (seeds[b], k) in segment b of row k. Returns the cuts and the
+    whole graph's exact-expectation certificate, whose per-edge terms are
+    in edge order, so each block's terms are one run of them.
+
+    Repeats are rounded and counted in blocks of :func:`block_rows` rows,
+    and each block takes its first repeat of the largest value
+    (:func:`best_row`). No later repeat can beat one that cuts all of a
+    block's edges, so no rows are drawn once every block has one.
+    """
+    emb = build_vectors(g, back_neighbor_plan(g, eps))
     cert = exact_expected_cut(emb)
     rows = block_rows(g.n, len(emb.plan.owner), g.m)
-    blocks = (hyperplane_round(emb, w) for w in normal_blocks(seed, max(1, repeats), g.n, rows))
-    side, value = best_row(blocks, top=g.m)
-    return Cut(tuple(side.view(np.uint8).tolist()), value), cert
+    starts = [0, *ends[:-1]]
+    draws = normal_blocks(seeds, max(1, repeats), [z - a for a, z in zip(starts, ends)], rows)
+    # one block is counted whole by crossing_count, as best_row's one column
+    split = () if len(ends) == 1 else (ends,)
+    blocks = (hyperplane_round(emb, w, *split) for w in draws)
+    edge_ends = g.eu.searchsorted(ends).tolist()
+    tops = [z - a for a, z in zip([0, *edge_ends], edge_ends)]
+    sides, values = best_row(blocks, ends, tops)
+    labels = sides.view(np.uint8)
+    return [Cut(tuple(labels[a:z].tolist()), v) for a, z, v in zip(starts, ends, values)], cert

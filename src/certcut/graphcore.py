@@ -11,7 +11,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, pairwise
+from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
@@ -99,15 +99,26 @@ class Graph:
         """Number of 3-cliques, counted once per graph."""
         return count_triangles(self)
 
-    def crossing_count(self, labels: np.ndarray) -> int | np.ndarray:
+    def crossing_count(self, labels: np.ndarray, ends=None) -> int | np.ndarray:
         """Number of edges whose endpoints carry different ``labels``; for an
         (r, n) block of labelings, an int array of each row's count. Row j
         is read at j*n + endpoint on the flat block; a 1-D labeling is one
-        row, and its count comes back as an int."""
+        row, and its count comes back as an int.
+
+        With ``ends``, the graph is blocks side by side: block b is the
+        vertices before ``ends[b]`` and from ``ends[b - 1]`` on, and no edge
+        joins two blocks. An (r, n) block then gets an (r, len(ends)) array
+        of each row's count per block."""
         block = labels if labels.ndim == 2 else labels[None]
         flat, at = block.reshape(-1), self.n * np.arange(len(block))[:, None]
-        counts = np.count_nonzero(flat[self.eu + at] != flat[self.ev + at], axis=1)
-        return counts if labels.ndim == 2 else int(counts[0])
+        cross = flat[self.eu + at] != flat[self.ev + at]
+        if ends is None:
+            counts = np.count_nonzero(cross, axis=1)
+            return counts if labels.ndim == 2 else int(counts[0])
+        # the edges are sorted, so block b's run ends where eu reaches ends[b]
+        total = np.zeros((len(block), self.m + 1), dtype=np.intp)
+        np.cumsum(cross, axis=1, out=total[:, 1:])
+        return np.diff(total[:, self.eu.searchsorted(ends)], axis=1, prepend=0)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -262,18 +273,26 @@ def block_rows(*sizes: int) -> int:
     return max(1, ROUND_CHUNK // max(*sizes, 1))
 
 
-def best_row(blocks, top: int | None = None) -> tuple[np.ndarray, int]:
+def best_row(blocks, ends: list[int], tops: list[int] | None = None) -> tuple[np.ndarray, list[int]]:
     """The first row with the largest count over ``(rows, counts)`` blocks,
-    and that count. Reading stops at a row whose count reaches ``top``: no
-    later row can beat it, and a tie never replaces the first maximum."""
-    best, value = None, -1
+    taken per vertex block of ``ends`` (as in :meth:`Graph.crossing_count`),
+    and the counts as a list. ``counts`` has one column per block, or is 1-D
+    for one block; each block's entries come from its own first row of
+    largest count. Reading stops once every block's count reaches its entry
+    of ``tops``: no later row can beat it, and a tie never replaces the
+    first maximum."""
+    winners, values = [None] * len(ends), [-1] * len(ends)
     for rows, counts in blocks:
-        j = int(counts.argmax())
-        if counts[j] > value:
-            best, value = rows[j], int(counts[j])
-            if value == top:
-                break
-    return best, value
+        cols = counts.reshape(len(counts), -1)
+        for b, j in enumerate(cols.argmax(axis=0).tolist()):
+            v = int(cols[j, b])
+            if v > values[b]:
+                values[b], winners[b] = v, rows[j]
+        if values == tops:
+            break
+    if len(ends) == 1:
+        return winners[0], values
+    return np.concatenate([row[a:z] for row, (a, z) in zip(winners, pairwise([0, *ends]))]), values
 
 
 def triangle_list(g: Graph) -> np.ndarray:
@@ -432,7 +451,8 @@ def _vertex_ids(n: int, vs) -> np.ndarray:
     raw = vs if isinstance(vs, np.ndarray) else np.array(list(vs))
     if raw.size and not (0 <= raw.min() and raw.max() < n):
         raise OutOfRangeVertex(f"vertex set not contained in [0, {n})")
-    if (raw % 1 != 0).any():
+    # bool, signed and unsigned ids are integral by their dtype
+    if raw.dtype.kind not in "biu" and (raw % 1 != 0).any():
         raise OutOfRangeVertex("vertex ids must be integers")
     keep = np.zeros(n, dtype=bool)
     keep[raw.astype(np.intp)] = True
@@ -445,13 +465,62 @@ def induced_subgraph(g: Graph, vs) -> tuple[Graph, np.ndarray]:
     """Compact relabeled subgraph induced by ``vs`` plus its sorted parent
     ids: local vertex i is ``ids[i]``, so the kept edges stay sorted. When
     ``vs`` covers every vertex, ``g`` itself is returned, so the facts cached
-    on it carry over.
+    on it carry over. This is the one-set case of :func:`induced_unions`.
     """
-    ids = _vertex_ids(g.n, vs)
-    if len(ids) == g.n:
-        return g, ids
+    sub, (ids,) = next(induced_unions(g, [vs]))
+    return sub, ids
+
+
+def induced_unions(g: Graph, sets):
+    """The subgraphs induced by consecutive runs of ``sets``, each run's side
+    by side as one graph.
+
+    Yields ``(graph, parts)`` per run, ``parts`` holding each set's sorted
+    read-only parent ids: the vertices of ``graph`` are the parts' ids in
+    order, each set's relabeled in ascending id after the sets before it. No
+    edge joins two sets, so each set's edges stay one sorted run. A run
+    grows while its vertices and its edges each stay within ``ROUND_CHUNK``,
+    and holds at least one set. A set covering every vertex forms a run
+    alone, which yields ``g`` itself, so the facts cached on it (its peel,
+    its triangles) carry over. ``sets`` is read lazily: a full run is
+    yielded at once, any other when the next set does not fit.
+    """
     keep = np.zeros(g.n, dtype=bool)
+    run, n, m = [], 0, 0
+    for vs in sets:
+        ids = _vertex_ids(g.n, vs)
+        whole = len(ids) == g.n
+        eu, ev = (g.eu, g.ev) if whole else _induced_edges(g, keep, ids)
+        if run and (whole or max(n + len(ids), m + len(eu)) > ROUND_CHUNK):
+            yield _side_by_side(g, run)
+            run, n, m = [], 0, 0
+        run.append((ids, eu, ev))
+        n, m = n + len(ids), m + len(eu)
+        if whole or max(n, m) >= ROUND_CHUNK:
+            yield _side_by_side(g, run)
+            run, n, m = [], 0, 0
+    if run:
+        yield _side_by_side(g, run)
+
+
+def _induced_edges(g: Graph, keep: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges inside ``ids``, relabeled 0..len(ids)-1 in ascending id;
+    ``keep`` is an all-False scratch mask over ``g``'s vertices."""
     keep[ids] = True
     local = np.cumsum(keep) - 1
     inside = keep[g.eu] & keep[g.ev]
-    return _from_sorted_edges(len(ids), local[g.eu[inside]], local[g.ev[inside]]), ids
+    keep[ids] = False
+    return local[g.eu[inside]], local[g.ev[inside]]
+
+
+def _side_by_side(g: Graph, run) -> tuple[Graph, list[np.ndarray]]:
+    """One graph of the ``(ids, eu, ev)`` induced subgraphs of ``run``, in
+    order, and their ids (see :func:`induced_unions`)."""
+    parts = [ids for ids, _, _ in run]
+    if len(run) == 1:
+        ids, eu, ev = run[0]
+        return (g if len(ids) == g.n else _from_sorted_edges(len(ids), eu, ev)), parts
+    starts = [0, *accumulate(len(ids) for ids in parts)]
+    eu = np.concatenate([eu + start for start, (_, eu, _) in zip(starts, run)])
+    ev = np.concatenate([ev + start for start, (_, _, ev) in zip(starts, run)])
+    return _from_sorted_edges(starts[-1], eu, ev), parts

@@ -15,7 +15,8 @@ import numpy as np
 
 from certcut._rng import make_rng
 from certcut.chromatic import Coloring, TPartition, split_probability
-from certcut.embedding import CutCertificate, EpsilonPlan
+from certcut.decompose import SAMPLE_P, extend_cut
+from certcut.embedding import CutCertificate, EpsilonPlan, check_eps, default_eps, sdp_cut
 from certcut.errors import (
     BudgetExceeded,
     CliqueFound,
@@ -638,3 +639,29 @@ def reference_max_t_cut_exact(g: Graph, t: int, budget: OracleBudget | None = No
     for v in range(1, g.n):
         part[v] = (best_code // place[v - 1]) % t
     return TPartition(tuple(part), best_val)
+
+
+def reference_sampled_sdp_cut(g: Graph, p=None, eps=None, rng=None, repeats: int = 32):
+    """``sampled_sdp_cut`` as one induced subgraph, ``sdp_cut`` and extension
+    per sample, in turn."""
+    if p is None:
+        p = SAMPLE_P
+    if not 0.0 < p <= 1.0:
+        raise InvalidParameter(f"p must lie in (0, 1], got {p}")
+    if rng is None:
+        rng = make_rng(0)
+    if eps is None:
+        eps = default_eps(g)
+    check_eps(g, eps)
+    best_cut = None
+    best_cert = -math.inf
+    for _ in range(max(1, repeats)):
+        sample_graph, vs = induced_subgraph(g, np.flatnonzero(rng.random(g.n) < p))
+        inner_seed = int(rng.integers(0, 2**63))
+        sample_cut, sample_cert = sdp_cut(sample_graph, eps, 32, inner_seed)
+        extended, _ = extend_cut(g, vs, sample_cut)
+        cert = g.m / 2 + (sample_cert.expected_value - sample_graph.m / 2)
+        if best_cut is None or extended.value > best_cut.value:
+            best_cut = extended
+        best_cert = max(best_cert, cert)
+    return best_cut, CutCertificate(best_cert, None, "sampled_extension", g.m / 2)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certcut import decompose, graphcore
 from certcut._rng import make_rng
 from certcut.chromatic import coloring_cut, kr_free_coloring
 from certcut.decompose import (
@@ -17,7 +19,7 @@ from certcut.decompose import (
     partition_triangle_sparse,
     sampled_sdp_cut,
 )
-from certcut.embedding import CutCertificate, sdp_cut
+from certcut.embedding import CutCertificate, default_eps, sdp_cut
 from certcut.errors import (
     EpsilonTooLarge,
     InvalidParameter,
@@ -49,7 +51,7 @@ from certcut.graphcore import (
 from certcut.oracle import max_cut_exact
 from certcut.verify import decomposition_invariants
 from conftest import graphs
-from oracles import brute_max_cut, reference_combine_subcuts, rows
+from oracles import brute_max_cut, reference_combine_subcuts, reference_sampled_sdp_cut, rows
 
 
 def exact_subsolver():
@@ -418,6 +420,71 @@ class TestSampledSdpCut:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             sampled_sdp_cut(cycle(4), p=0.0)
+
+
+def assert_sampled_matches_reference(g, p, repeats, seed, eps=None):
+    """Same cut, same certificate repr, and the same draws from ``rng``."""
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    cut, cert = sampled_sdp_cut(g, p=p, eps=eps, rng=rng, repeats=repeats)
+    ref_cut, ref_cert = reference_sampled_sdp_cut(g, p=p, eps=eps, rng=ref_rng, repeats=repeats)
+    assert cut == ref_cut
+    assert repr(cert) == repr(ref_cert)
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+
+@given(graphs(max_n=14), st.sampled_from([1e-12, 0.1, 0.5, 1.0]), st.sampled_from([1, 3, 32, 40]),
+       st.integers(0, 2**32))
+@settings(deadline=None, max_examples=60)
+def test_sampled_sdp_cut_matches_one_sample_at_a_time(g, p, repeats, seed):
+    assert_sampled_matches_reference(g, p, repeats, seed)
+
+
+def count_groups(monkeypatch) -> list[int]:
+    """Wrap ``decompose.induced_unions``; the list gets each group's size."""
+    sizes, unions = [], decompose.induced_unions
+
+    def counting(g, sets):
+        for union, parts in unions(g, sets):
+            sizes.append(len(parts))
+            yield union, parts
+
+    monkeypatch.setattr(decompose, "induced_unions", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
+def test_sampled_samples_split_across_groups(monkeypatch, p):
+    # a 40-entry chunk holds a few samples of gnp(30, 0.2) at most, so the
+    # 40 samples take many groups, some of one sample
+    monkeypatch.setattr(graphcore, "ROUND_CHUNK", 40)
+    groups = count_groups(monkeypatch)
+    g = gnp(30, 0.2, seed=4)
+    for seed in (0, 1):
+        assert_sampled_matches_reference(g, p, 40, seed)
+    assert sum(groups) == 80 and len(groups) > 4
+    assert_sampled_matches_reference(g, p, 7, 2, eps=0.5 * default_eps(g))
+
+
+def test_sampled_groups_fill_the_rounding_chunk(monkeypatch):
+    groups = count_groups(monkeypatch)
+    sampled_sdp_cut(gnp(200, 0.02, seed=1), p=0.1, rng=make_rng(3))
+    assert groups == [32]
+
+
+def test_sampled_sdp_cut_memory_stays_flat_on_whole_samples():
+    # p = 1 keeps every vertex, so each sample rounds alone on the graph
+    # itself; rounding 8 samples of 20,000 vertices side by side peaked at
+    # 160 MB
+    g = Graph.from_edges(20_000, random_regular(200, 3, seed=6).edges)
+    peaks = []
+    for repeats in (2, 8):
+        tracemalloc.start()
+        try:
+            sampled_sdp_cut(g, p=1.0, rng=make_rng(4), repeats=repeats)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4 * 2**20, peaks
 
 
 @pytest.mark.parametrize("eps", [math.nan, 0.0, 0.9])

@@ -15,6 +15,7 @@ from certcut.errors import (
     VertexOutOfRange,
 )
 from certcut.generators import complete, complete_bipartite, cycle, gnp, path, petersen, star
+from certcut import graphcore
 from certcut.graphcore import (
     Graph,
     count_back_triangles,
@@ -23,8 +24,10 @@ from certcut.graphcore import (
     cut_value,
     degeneracy_order,
     edwards_bound,
+    _vertex_ids,
     find_clique,
     induced_subgraph,
+    induced_unions,
     peel,
 )
 from conftest import graphs
@@ -352,6 +355,17 @@ class TestInducedSubgraph:
         with pytest.raises(OutOfRangeVertex, match="^vertex ids must be integers$"):
             induced_subgraph(path(3), vs)
 
+    def test_lists_int_arrays_and_integral_floats_give_the_same_ids(self):
+        vs = [7, 0, 3, 3, 11]
+        expected = _vertex_ids(12, vs)
+        assert expected.tolist() == [0, 3, 7, 11]
+        for same in (np.array(vs, dtype=np.intp), np.array(vs, dtype=np.uint8),
+                     np.array(vs, dtype=float), [float(v) for v in vs]):
+            assert np.array_equal(_vertex_ids(12, same), expected)
+        for bad in ([1.5], np.array([3.0, 1.5])):
+            with pytest.raises(OutOfRangeVertex, match="^vertex ids must be integers$"):
+                _vertex_ids(12, bad)
+
     def test_integral_floats_and_bools_name_vertices(self):
         assert induced_subgraph(path(3), [2.0, 0.0])[1].tolist() == [0, 2]
         assert induced_subgraph(path(3), [True, False, True])[1].tolist() == [0, 1]
@@ -382,3 +396,59 @@ class TestInducedSubgraph:
         assert up == (1, 3, 5, 8)
         inside = {(u, v) for u, v in g.edges if u in up and v in up}
         assert {(up[a], up[b]) for a, b in sub.edges} == inside
+
+
+class TestInducedUnions:
+    @given(st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_each_set_is_its_induced_subgraph_side_by_side(self, data):
+        g = data.draw(graphs(max_n=12))
+        sets = data.draw(st.lists(st.lists(st.integers(0, g.n - 1), max_size=g.n), max_size=6))
+        groups = list(induced_unions(g, sets))
+        # all of them fit one chunk, but a set of every vertex runs alone
+        whole = [len(set(vs)) == g.n for vs in sets]
+        expected = [k for k, w in enumerate(whole) if w or k == 0 or whole[k - 1]]
+        assert [len(parts) for _, parts in groups] == [
+            z - a for a, z in zip(expected, [*expected[1:], len(sets)])]
+        left = iter(sets)
+        for union, parts in groups:
+            edges, start = [], 0
+            for ids in parts:
+                sub, sub_ids = induced_subgraph(g, next(left))
+                assert np.array_equal(ids, sub_ids) and not ids.flags.writeable
+                edges += [(u + start, v + start) for u, v in sub.edges]
+                start += sub.n
+            assert union.n == start
+            assert union.edges == tuple(edges)
+
+    def test_a_whole_set_alone_is_the_graph_itself(self):
+        g = petersen()
+        [(union, parts)] = induced_unions(g, [range(g.n)])
+        assert union is g and parts[0].tolist() == list(range(g.n))
+        # ... also between other sets, which join no run with it
+        runs = list(induced_unions(g, [[0, 1], [2], range(g.n), range(g.n), [3]]))
+        assert [[len(ids) for ids in parts] for _, parts in runs] == [[2, 1], [10], [10], [1]]
+        assert runs[1][0] is g and runs[2][0] is g
+        assert runs[0][0].n == 3 and runs[0][0].m == 1
+
+    def test_runs_stay_within_the_rounding_chunk(self, monkeypatch):
+        monkeypatch.setattr(graphcore, "ROUND_CHUNK", 12)
+        g = cycle(10)
+        sets = [range(6), range(5), [0], range(10), range(3), range(2)]
+        runs = [[len(ids) for ids in parts] for _, parts in induced_unions(g, sets)]
+        # 12 vertices and 9 edges fill the first run; the whole cycle (10
+        # vertices, 10 edges) takes a run alone
+        assert runs == [[6, 5, 1], [10], [3, 2]]
+
+    def test_reads_sets_lazily(self):
+        read = []
+
+        def sets():
+            for k in range(3):
+                read.append(k)
+                yield [k]
+
+        runs = induced_unions(path(4), sets())
+        assert read == []
+        next(runs)
+        assert read == [0, 1, 2]

@@ -28,9 +28,19 @@ from certcut.embedding import (
     build_vectors,
     hyperplane_round,
     sdp_cut,
+    sdp_cuts,
 )
 from certcut.generators import complete, cycle, gnp, petersen, random_regular, star
-from certcut.graphcore import Cut, Graph, best_row, block_rows, cut_value, degeneracy_order
+from certcut.graphcore import (
+    Cut,
+    Graph,
+    best_row,
+    block_rows,
+    cut_value,
+    degeneracy_order,
+    induced_subgraph,
+    induced_unions,
+)
 from certcut.verify import random_plan
 from oracles import (
     plan_sets,
@@ -174,6 +184,26 @@ def test_sdp_cut_draws_each_repeat_once(monkeypatch, name, repeats):
     assert rounded == rows
 
 
+@pytest.mark.parametrize("name", ["petersen", "gnp90_3", "gnp150_4", "regular3_60"])
+def test_sdp_cuts_give_each_block_its_own_sdp_cut(name):
+    g = CORPUS[name]
+    rng = make_rng(31)
+    sets = [np.flatnonzero(rng.random(g.n) < p) for p in (0.5, 0.0, 0.05, 0.3)]
+    # every vertex but one; a set of every vertex would run alone
+    sets.insert(3, np.arange(1, g.n))
+    [(union, parts)] = induced_unions(g, sets)
+    ends = np.cumsum([len(vs) for vs in parts]).tolist()
+    seeds = [int(s) for s in rng.integers(0, 2**63, len(parts))]
+    eps = eps_cap(g) / 2
+    cuts, cert = sdp_cuts(union, ends, eps, 32, seeds)
+    edge_ends = union.eu.searchsorted(ends).tolist()
+    for vs, cut, seed, a, z in zip(parts, cuts, seeds, [0, *edge_ends], edge_ends):
+        sub, _ = induced_subgraph(g, vs)
+        alone, alone_cert = sdp_cut(sub, eps, 32, seed)
+        assert cut == alone
+        assert cert.per_edge_terms[a:z] == alone_cert.per_edge_terms
+
+
 def test_edgeless_sdp_cut_draws_one_row(monkeypatch):
     g = Graph.from_edges(20_000, [])
     rows = drawn_rows(monkeypatch)
@@ -201,11 +231,37 @@ def test_sdp_cut_stops_at_a_block_that_cuts_every_edge(monkeypatch, seed):
 
 def test_best_row_keeps_the_first_maximum_over_later_ties():
     blocks = [(np.array([[0], [1], [2]]), np.array([1, 3, 2])), (np.array([[3], [4]]), np.array([3, 3]))]
-    row, value = best_row(iter(blocks))
+    row, (value,) = best_row(iter(blocks), [1])
     assert row.tolist() == [1] and value == 3
     # a later strict maximum still wins
-    row, value = best_row(iter(blocks + [(np.array([[5]]), np.array([4]))]))
+    row, (value,) = best_row(iter(blocks + [(np.array([[5]]), np.array([4]))]), [1])
     assert row.tolist() == [5] and value == 4
+
+
+def test_best_row_takes_each_block_from_its_own_first_maximum():
+    # vertex blocks [0, 2), [2, 2) and [2, 5); counts have one column per block
+    rows = np.arange(20).reshape(4, 5)
+    counts = np.array([[1, 0, 2], [3, 0, 2], [3, 0, 5], [2, 0, 5]])
+    best, values = best_row(iter([(rows[:3], counts[:3]), (rows[3:], counts[3:])]), [2, 2, 5])
+    assert values == [3, 0, 5]
+    assert best.tolist() == [5, 6, 12, 13, 14]
+    # reading stops once every block has reached its top
+    def blocks():
+        yield rows[:2], counts[:2]
+        yield rows[2:], counts[2:]
+        raise AssertionError("read past the tops")
+
+    assert best_row(blocks(), [2, 2, 5], [3, 0, 5])[1] == [3, 0, 5]
+
+
+def test_crossing_count_per_vertex_block():
+    # two triangles and an edge side by side, with an empty block between
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (4, 5), (6, 7)])
+    labels = np.array([[0, 1, 1, 0, 0, 0, 1, 0], [1, 1, 1, 0, 1, 1, 0, 0]], dtype=bool)
+    ends = [3, 3, 6, 8]
+    per_block = g.crossing_count(labels, ends)
+    assert per_block.tolist() == [[2, 0, 0, 1], [0, 0, 2, 0]]
+    assert per_block.sum(axis=1).tolist() == g.crossing_count(labels).tolist()
 
 
 def test_best_row_reads_no_block_after_reaching_top():
@@ -214,9 +270,9 @@ def test_best_row_reads_no_block_after_reaching_top():
         yield np.array([[2], [3]]), np.array([1, 5])
         raise AssertionError("read past the top count")
 
-    assert best_row(blocks(), top=5)[1] == 5
+    assert best_row(blocks(), [1], [5])[1] == [5]
     with pytest.raises(AssertionError):
-        best_row(blocks())
+        best_row(blocks(), [1])
 
 
 SEEDS = st.one_of(st.integers(-2**63, 2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]))
@@ -230,7 +286,7 @@ KS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**32])
 @example(2**32 - 1, 2**64 - 2, 4, 7, 3)
 @settings(deadline=None, max_examples=200)
 def test_normal_blocks_rows_are_the_repeat_streams(seed, k0, count, n, rows):
-    blocks = list(normal_blocks(seed, count, n, rows, k0))
+    blocks = list(normal_blocks([seed], count, [n], rows, k0))
     assert all(1 <= len(b) <= rows and b.shape[1:] == (n,) for b in blocks)
     drawn = np.concatenate(blocks)
     assert len(drawn) == count
@@ -238,9 +294,40 @@ def test_normal_blocks_rows_are_the_repeat_streams(seed, k0, count, n, rows):
         assert np.array_equal(row, make_rng(seed, k0 + j).standard_normal(n))
 
 
+@given(st.lists(st.tuples(SEEDS, st.integers(0, 6)), min_size=1, max_size=6), KS,
+       st.integers(1, 6), st.integers(1, 4))
+@example([(-1, 3), (2**32, 0), (2**64 - 1, 2), (5, 1)], 2**32 - 2, 4, 3)
+@example([(-(2**63), 0), (0, 0)], 0, 2, 1)
+@example([(2**32 - 1, 4), (-(2**32), 5)], 2**64 - 1, 3, 2)
+@settings(deadline=None, max_examples=200)
+def test_normal_blocks_segments_are_the_seed_streams(segments, k0, count, rows):
+    seeds, sizes = [s for s, _ in segments], [n for _, n in segments]
+    blocks = list(normal_blocks(seeds, count, sizes, rows, k0))
+    assert all(1 <= len(b) <= rows and b.shape[1:] == (sum(sizes),) for b in blocks)
+    drawn = np.concatenate(blocks)
+    assert len(drawn) == count
+    for j, row in enumerate(drawn):
+        ends = np.cumsum(sizes)
+        for seed, n, end in zip(seeds, sizes, ends):
+            assert np.array_equal(row[end - n:end], make_rng(seed, k0 + j).standard_normal(n))
+
+
+def test_normal_blocks_segments_cross_state_blocks(monkeypatch):
+    # two drawn segments (the empty one derives no state) take 5 rows per
+    # 10-stream state pass
+    monkeypatch.setattr(_rng, "STATE_BLOCK", 10)
+    seeds, sizes = [3, 2**40, -7], [4, 0, 2]
+    drawn = list(normal_blocks(seeds, 12, sizes, 3, 2**64 - 6))
+    assert [len(b) for b in drawn] == [3, 2, 3, 2, 2]
+    for j, row in enumerate(np.concatenate(drawn)):
+        k = 2**64 - 6 + j
+        assert np.array_equal(row[:4], make_rng(3, k).standard_normal(4))
+        assert np.array_equal(row[4:], make_rng(-7, k).standard_normal(2))
+
+
 def test_normal_blocks_cross_state_blocks(monkeypatch):
     monkeypatch.setattr(_rng, "STATE_BLOCK", 4)
-    drawn = list(normal_blocks(9, 11, 6, 3, 2**32 - 5))
+    drawn = list(normal_blocks([9], 11, [6], 3, 2**32 - 5))
     assert [len(b) for b in drawn] == [3, 1, 3, 1, 3]
     for j, row in enumerate(np.concatenate(drawn)):
         assert np.array_equal(row, make_rng(9, 2**32 - 5 + j).standard_normal(6))
