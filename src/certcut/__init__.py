@@ -21,6 +21,7 @@ from .decompose import (
     combine_subcuts,
     composite_cut,
     extend_cut,
+    extend_cuts,
     find_dense_subset,
     greedy_half_cut,
     kr_cut,

@@ -31,8 +31,10 @@ from .graphcore import (
     DegeneracyOrder,
     Graph,
     _binary_labels,
+    _id_array,
     _vertex_ids,
     back_pairs,
+    block_rows,
     count_back_triangles,
     cut_value,
     find_clique,
@@ -46,6 +48,11 @@ KR_SURPLUS_CONSTANT = 1.0 / 388.0
 # default vertex-keep probability of sampled_sdp_cut: 1/(10 c) with c = 1,
 # a constant with no canonical value
 SAMPLE_P = 0.1
+
+# samples that sampled_sdp_cut extends in one sweep (extend_cuts): the CLI's
+# default --repeats, so a default run sweeps once, and the sweep's memory
+# stays bounded for any repeat count
+EXTEND_BATCH = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,24 +134,35 @@ def partition_triangle_sparse(g: Graph, eps: float) -> Decomposition:
     return Decomposition(tuple(parts), remainder, eps, tuple(witnesses))
 
 
-def _check_block_cut(g: Graph, ids: np.ndarray, cut: Cut) -> tuple[np.ndarray, int]:
-    """Check ``cut`` against the subgraph induced by ``ids``, on ``g``'s own
-    edges. Returns its labels as an n-array (2 outside the block) and the
-    number of edges inside the block."""
-    if len(cut.side) != len(ids):
-        raise NotACutOfInducedSubgraph(
-            f"cut labels {len(cut.side)} vertices, induced subgraph has {len(ids)}"
-        )
-    lab = np.full(g.n, 2, dtype=np.uint8)
-    lab[ids] = _binary_labels(cut.side)
-    a, b = lab[g.eu], lab[g.ev]
+def _vertex_masks(n: int, sets) -> np.ndarray:
+    """An (r, n) bool array whose row i marks the vertices of ``sets[i]``
+    (ids checked by :func:`_id_array`)."""
+    keep = np.zeros((len(sets), n), dtype=bool)
+    for row, vs in zip(keep, sets):
+        row[_id_array(n, vs)] = True
+    return keep
+
+
+def _checked_labels(g: Graph, keep: np.ndarray, cuts: list[Cut]) -> tuple[np.ndarray, list[int]]:
+    """Check ``cuts[i]`` against the subgraph induced by the vertices of row
+    i of the (r, n) mask ``keep``, on ``g``'s own edges. Returns the labels
+    as an (r, n) array (2 outside the row's vertices) and each row's number
+    of edges inside them. The sizes are checked first, then the labels, then
+    the values, each in row order."""
+    for cut, size in zip(cuts, map(np.count_nonzero, keep)):
+        if len(cut.side) != size:
+            raise NotACutOfInducedSubgraph(
+                f"cut labels {len(cut.side)} vertices, induced subgraph has {size}"
+            )
+    lab = np.full(keep.shape, 2, dtype=np.uint8)
+    # a row's vertices ascend in the mask, as its labels do in its cut
+    lab[keep] = _binary_labels(np.concatenate([np.asarray(cut.side) for cut in cuts]))
+    a, b = lab.take(g.eu, axis=1), lab.take(g.ev, axis=1)
     inside = (a < 2) & (b < 2)
-    value = int(np.count_nonzero(inside & (a != b)))
-    if value != cut.value:
-        raise NotACutOfInducedSubgraph(
-            f"cut claims value {cut.value}, recount gives {value}"
-        )
-    return lab, int(np.count_nonzero(inside))
+    for cut, value in zip(cuts, map(np.count_nonzero, inside & (a != b))):
+        if value != cut.value:
+            raise NotACutOfInducedSubgraph(f"cut claims value {cut.value}, recount gives {value}")
+    return lab, [int(np.count_nonzero(row)) for row in inside]
 
 
 def combine_subcuts(g: Graph, blocks) -> tuple[Cut, CutCertificate]:
@@ -173,15 +191,15 @@ def combine_subcuts(g: Graph, blocks) -> tuple[Cut, CutCertificate]:
     side = np.zeros(g.n, dtype=np.uint8)
     internal_edges = 0
     for k, (_, cut) in enumerate(blocks):
-        ids = np.flatnonzero(block == k)
-        lab, inside = _check_block_cut(g, ids, cut)
+        keep = block == k
+        (lab,), (inside,) = _checked_labels(g, keep[None], [cut])
         internal_edges += inside
-        side[ids] = lab[ids]
+        side[keep] = lab[keep]
         # flip the block if its own labels leave most edges to placed vertices uncut
         to_placed = (later == k) & (earlier < k)
         uncut = np.count_nonzero(side[g.eu[to_placed]] == side[g.ev[to_placed]])
         if 2 * uncut > np.count_nonzero(to_placed):
-            side[ids] ^= 1
+            side[keep] ^= 1
     final = cut_value(g, side)
     cert = (g.m - internal_edges) / 2 + sum(cut.value for _, cut in blocks)
     return final, CutCertificate(cert, None, "block_combination", cert)
@@ -194,7 +212,7 @@ def extend_cut(g: Graph, u, cut_u: Cut) -> tuple[Cut, CutCertificate]:
     cutting more of their already-placed edges (ties to side 0), so the value
     is always at least the certificate (m - m(u))/2 + cut_u.value.
     """
-    lab, inside = _check_block_cut(g, _vertex_ids(g.n, u), cut_u)
+    (lab,), (inside,) = _checked_labels(g, _vertex_masks(g.n, [u]), [cut_u])
     side = lab.tolist()  # 2 marks a vertex not placed yet
     flat, ptr = g.indices.tolist(), g.indptr.tolist()
     for v in np.flatnonzero(lab == 2).tolist():
@@ -203,6 +221,76 @@ def extend_cut(g: Graph, u, cut_u: Cut) -> tuple[Cut, CutCertificate]:
     final = cut_value(g, side)
     cert = (g.m - inside) / 2 + cut_u.value
     return final, CutCertificate(cert, None, "extension", cert)
+
+
+def extend_cuts(g: Graph, parts, cuts) -> tuple[np.ndarray, list[int]]:
+    """:func:`extend_cut` of every cut ``cuts[s]`` of the subgraph induced by
+    ``parts[s]``, all in one sweep over the vertices in increasing id.
+
+    Returns an (S, n) uint8 array whose row s is the extension of cut s,
+    and the rows' values. In the sweep each vertex holds one Python int of
+    S lanes of 2h bits, lane s for cut s: 0 while the vertex is unplaced in
+    that cut, 1 on side 0 and 2^h on side 1. With the maximum degree below
+    2^(h - 1), one sum over a vertex's neighbours gives c0 + 2^h c1 in
+    every lane, c0 and c1 its placed neighbours on each side, and no lane
+    carries into the next. ``((lo | HB) - hi - ONE) & HB``, with lo and hi
+    the lanes' low and high halves, HB bit h - 1 and ONE bit 0 of every
+    lane, then marks side 1 in exactly the lanes where c0 > c1; ties go to
+    side 0. The lanes to place are those where the vertex's own int is 0.
+
+    Every cut is checked with :func:`extend_cut`'s errors and messages.
+    Cuts are checked and counted in blocks of :func:`block_rows` rows; a
+    block checks its rows' ids, then their sizes, labels and values.
+    """
+    parts, cuts = list(parts), list(cuts)
+    if len(parts) != len(cuts):
+        raise InvalidParameter(f"{len(cuts)} cuts for {len(parts)} vertex sets")
+    n, rows = g.n, len(cuts)
+    if not rows:
+        return np.empty((0, n), dtype=np.uint8), []
+    block = block_rows(g.n, g.m)
+    degree = np.diff(g.indptr)
+    h = int(degree.max(initial=0)).bit_length() + 1
+    width = 2 * h
+    size = max(1, -(-rows * width // 8))  # bytes per vertex
+    # lane s of vertex v starts at bit s * width of row v, little-endian
+    packed = np.zeros((n, size), dtype=np.uint8)
+    unplaced = np.zeros(n, dtype=bool)  # in some cut
+    for start in range(0, rows, block):
+        keep = _vertex_masks(n, parts[start : start + block])
+        lab, _ = _checked_labels(g, keep, cuts[start : start + block])
+        lane, v = np.nonzero(keep)
+        at = (start + lane) * width + h * lab[lane, v]
+        np.bitwise_or.at(packed, (v, at >> 3), np.left_shift(1, at & 7).astype(np.uint8))
+        unplaced |= ~keep.all(axis=0)
+    raw, from_bytes = packed.tobytes(), int.from_bytes
+    # the ints and the neighbour lists set the peak; the last block's
+    # arrays would only add to it
+    del packed, keep, lab, lane, v, at
+    zs = [from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    del raw
+    one = sum(1 << (width * s) for s in range(rows))
+    hb, lo = one << (h - 1), one * ((1 << h) - 1)
+    flat, ptr = g.indices.tolist(), g.indptr.tolist()
+    # a vertex without neighbours takes side 0, as its unplaced lanes read
+    for v in np.flatnonzero(unplaced & (degree > 0)).tolist():
+        z = zs[v]
+        free = one & ~(z | z >> h)
+        t = sum([zs[w] for w in flat[ptr[v] : ptr[v + 1]]])
+        up = ((t & lo | hb) - (t >> h & lo) - one) >> (h - 1) & free
+        zs[v] = z | free ^ up | up << h
+    del flat, ptr
+    # the side-1 bit of every lane, read off a chunk of vertices at a time
+    at = np.arange(rows) * width + h
+    byte, bit = at >> 3, (at & 7).astype(np.uint8)
+    sides = np.empty((rows, n), dtype=np.uint8)
+    chunk = block_rows(rows)
+    for a in range(0, n, chunk):
+        ints = b"".join([z.to_bytes(size, "little") for z in zs[a : a + chunk]])
+        ints = np.frombuffer(ints, dtype=np.uint8).reshape(-1, size)
+        sides[:, a : a + chunk] = (ints[:, byte] >> bit & 1).T
+    values = [int(x) for a in range(0, rows, block) for x in g.crossing_count(sides[a : a + block])]
+    return sides, values
 
 
 def greedy_half_cut(g: Graph) -> tuple[Cut, CutCertificate]:
@@ -317,7 +405,10 @@ def sampled_sdp_cut(
     Each repeat draws its sample from ``rng``, then the seed of its
     rounding. Consecutive samples are rounded together as the blocks of one
     graph (:func:`induced_unions`, :func:`sdp_cuts`), which gives each the
-    cut and the edge terms it gets on its own.
+    cut and the edge terms it gets on its own, and their cuts are extended
+    ``EXTEND_BATCH`` at a time in one sweep (:func:`extend_cuts`), which
+    gives each the extension :func:`extend_cut` gives it. The first sample
+    of the largest extension wins.
     """
     if p is None:
         p = SAMPLE_P
@@ -336,21 +427,34 @@ def sampled_sdp_cut(
             seeds.append(int(rng.integers(0, 2**63)))
             yield np.flatnonzero(keep)
 
-    best_cut = None
-    best_cert = -math.inf
+    best_side, best_value, best_cert = None, -1, -math.inf
+    pending = []  # (sample ids, sample cut), in sample order
+
+    def extend(batch):
+        nonlocal best_side, best_value
+        sides, values = extend_cuts(g, [vs for vs, _ in batch], [cut for _, cut in batch])
+        j = values.index(max(values))
+        if values[j] > best_value:
+            best_side, best_value = sides[j].copy(), values[j]
+
     for union, parts in induced_unions(g, samples()):
         ends = list(accumulate(len(vs) for vs in parts))
         cuts, union_cert = sdp_cuts(union, ends, eps, 32, [seeds.popleft() for _ in parts])
         terms = union_cert.per_edge_terms
         runs = pairwise([0, *union.eu.searchsorted(ends).tolist()])
-        certs = [g.m / 2 + (math.fsum(terms[a:z]) - (z - a) / 2) for a, z in runs]
+        for a, z in runs:
+            best_cert = max(best_cert, g.m / 2 + (math.fsum(terms[a:z]) - (z - a) / 2))
         # the extensions need no union graph; the certificate stays alive, as
         # freeing its edge terms here made the C allocator shrink and regrow
         # the heap on every later rounding block (page faults)
         del union
-        for vs, cut, cert in zip(parts, cuts, certs):
-            extended, _ = extend_cut(g, vs, cut)
-            if best_cut is None or extended.value > best_cut.value:
-                best_cut = extended
-            best_cert = max(best_cert, cert)
+        # a sample's cut waits for its sweep as bytes, not as a tuple of ints
+        for vs, cut in zip(parts, cuts):
+            pending.append((vs, Cut(np.array(cut.side, dtype=np.uint8), cut.value)))
+        while len(pending) >= EXTEND_BATCH:
+            extend(pending[:EXTEND_BATCH])
+            del pending[:EXTEND_BATCH]
+    if pending:
+        extend(pending)
+    best_cut = Cut(tuple(best_side.tolist()), best_value)
     return best_cut, CutCertificate(best_cert, None, "sampled_extension", g.m / 2)

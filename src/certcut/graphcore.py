@@ -209,27 +209,34 @@ def peel(g: Graph, alive=None) -> DegeneracyOrder:
     reads the back-neighbors off the edges. Each degree keeps a min-heap of
     ids, a vertex is pushed again whenever its degree drops, and the current
     minimum degree drops by at most one per removal: O((n + m) log Delta) for
-    the lowest-id tie-break. Vertices outside ``alive`` are not in ``order``
-    and have no back-neighbors; since ``induced_subgraph`` relabels
-    monotonically, this is the subgraph's own canonical order mapped back to
-    ``g``.
+    the lowest-id tie-break. Live vertices with no live neighbour are the
+    first removals, in increasing id, so they are taken in one array step
+    and the heaps hold only the rest. Vertices outside ``alive`` are not in
+    ``order`` and have no back-neighbors; since ``induced_subgraph``
+    relabels monotonically, this is the subgraph's own canonical order
+    mapped back to ``g``.
     """
     n = g.n
-    flat, ptr = g.indices.tolist(), g.indptr.tolist()
     mask = np.ones(n, dtype=bool) if alive is None else np.asarray(alive, dtype=bool)
     both = mask[g.eu] & mask[g.ev]
-    deg = (np.bincount(g.eu[both], minlength=n) + np.bincount(g.ev[both], minlength=n)).tolist()
-    live = mask.tolist()
+    deg = np.bincount(g.eu[both], minlength=n) + np.bincount(g.ev[both], minlength=n)
+    # a live vertex of degree 0 is a minimum whose removal lowers no other
+    # degree, so all of them go first, before any heap pop
+    linked = mask & (deg > 0)
+    removal = np.flatnonzero(mask ^ linked).tolist()
+    rest = np.flatnonzero(linked).tolist()
+    flat, ptr = g.indices.tolist(), g.indptr.tolist()
+    deg = deg.tolist()
+    live = [False] * n
     # ascending ids, so every bucket starts out as a valid heap
     buckets = [[] for _ in range(max(deg, default=0) + 1)]
-    for v in range(n):
-        if live[v]:
-            buckets[deg[v]].append(v)
+    for v in rest:
+        live[v] = True
+        buckets[deg[v]].append(v)
     pop, push = heapq.heappop, heapq.heappush
-    removal = []
     degeneracy = 0
     d = 0
-    for _ in range(sum(live)):
+    for _ in range(len(rest)):
         while True:
             bucket = buckets[d]
             if not bucket:
@@ -251,7 +258,8 @@ def peel(g: Graph, alive=None) -> DegeneracyOrder:
                 push(buckets[k], w)
         if d:
             d -= 1
-    order = np.array(removal[::-1], dtype=np.intp)
+    removal.reverse()
+    order = np.array(removal, dtype=np.intp)
     order.flags.writeable = False
     return DegeneracyOrder(n, order, degeneracy)
 
@@ -445,17 +453,23 @@ def edwards_bound(m: int) -> float:
     return m / 2 + (math.sqrt(8 * m + 1) - 1) / 8
 
 
-def _vertex_ids(n: int, vs) -> np.ndarray:
-    """The distinct vertices of ``vs``, ascending, as a read-only intp array;
-    OutOfRangeVertex for an id outside [0, n) or not integral."""
+def _id_array(n: int, vs) -> np.ndarray:
+    """The ids of ``vs`` as an intp array, in its order and with its
+    repeats; OutOfRangeVertex for an id outside [0, n) or not integral."""
     raw = vs if isinstance(vs, np.ndarray) else np.array(list(vs))
     if raw.size and not (0 <= raw.min() and raw.max() < n):
         raise OutOfRangeVertex(f"vertex set not contained in [0, {n})")
     # bool, signed and unsigned ids are integral by their dtype
     if raw.dtype.kind not in "biu" and (raw % 1 != 0).any():
         raise OutOfRangeVertex("vertex ids must be integers")
+    return raw.astype(np.intp, copy=False)
+
+
+def _vertex_ids(n: int, vs) -> np.ndarray:
+    """The distinct vertices of ``vs``, ascending, as a read-only intp array
+    (see :func:`_id_array`)."""
     keep = np.zeros(n, dtype=bool)
-    keep[raw.astype(np.intp)] = True
+    keep[_id_array(n, vs)] = True
     ids = np.flatnonzero(keep)
     ids.flags.writeable = False
     return ids

@@ -13,6 +13,7 @@ from certcut.decompose import (
     combine_subcuts,
     composite_cut,
     extend_cut,
+    extend_cuts,
     find_dense_subset,
     greedy_half_cut,
     kr_cut,
@@ -304,6 +305,98 @@ class TestExtendCut:
             assert cut.value >= g.m / 2
 
 
+def random_part_cuts(g: Graph, count: int, seed: int):
+    """``count`` random vertex sets of ``g``, some empty or whole, and a
+    random cut of the subgraph each induces."""
+    rng = make_rng(seed, 7)
+    parts, cuts = [], []
+    for _ in range(count):
+        part = np.flatnonzero(rng.random(g.n) < rng.choice([0.0, 0.1, 0.5, 0.9, 1.0]))
+        sub, _ = induced_subgraph(g, part)
+        parts.append(part)
+        cuts.append(cut_value(sub, rng.integers(0, 2, size=sub.n)))
+    return parts, cuts
+
+
+def assert_rows_are_extend_cut(g: Graph, parts, cuts):
+    sides, values = extend_cuts(g, parts, cuts)
+    assert sides.dtype == np.uint8 and sides.shape == (len(cuts), g.n)
+    assert len(values) == len(cuts) and all(type(v) is int for v in values)
+    for side, value, part, cut in zip(sides, values, parts, cuts):
+        want, _ = extend_cut(g, part, cut)
+        assert (tuple(side.tolist()), value) == (want.side, want.value)
+
+
+class TestExtendCuts:
+    @given(graphs(max_n=14), st.sampled_from([1, 2, 31, 32, 33]), st.integers(0, 2**32))
+    @settings(deadline=None, max_examples=60)
+    def test_every_row_is_extend_cut(self, g, count, seed):
+        assert_rows_are_extend_cut(g, *random_part_cuts(g, count, seed))
+
+    @pytest.mark.parametrize("count", [1, 2, 32, 33])
+    def test_random_graphs(self, count):
+        for seed in range(4):
+            g = gnp(60, 0.15, seed)
+            assert_rows_are_extend_cut(g, *random_part_cuts(g, count, seed))
+
+    def test_empty_and_whole_parts(self):
+        g = gnp(30, 0.3, 4)
+        whole = cut_value(g, [v % 2 for v in range(g.n)])
+        parts = [(), range(g.n), [3, 4], (), range(g.n)]
+        pair = cut_value(induced_subgraph(g, [3, 4])[0], (0, 1))
+        cuts = [Cut((), 0), whole, pair, Cut((), 0), whole]
+        assert_rows_are_extend_cut(g, parts, cuts)
+        sides, values = extend_cuts(g, parts, cuts)
+        assert tuple(sides[1].tolist()) == whole.side and values[1] == whole.value
+
+    def test_no_cuts(self):
+        sides, values = extend_cuts(cycle(5), [], [])
+        assert sides.shape == (0, 5) and values == []
+        assert extend_cuts(Graph.from_edges(0, []), [()], [Cut((), 0)])[0].shape == (1, 0)
+
+    @pytest.mark.parametrize("leaves", [127, 128])
+    def test_lane_width_changes_at_degree_128(self, leaves):
+        # the hub counts up to every leaf on one side: 127 fits 8-bit lane
+        # halves, 128 needs 9 bits
+        g = star(leaves)
+        leaves_only = range(1, leaves + 1)
+        parts = [leaves_only, leaves_only, leaves_only, range(1, leaves), [0, 1]]
+        cuts = [Cut((0,) * leaves, 0), Cut((1,) * leaves, 0),
+                Cut((0,) * (leaves // 2) + (1,) * (leaves - leaves // 2), 0),
+                Cut((1,) * (leaves - 1), 0), Cut((0, 1), 1)]
+        assert_rows_are_extend_cut(g, parts * 7, cuts * 7)
+        sides, _ = extend_cuts(g, parts, cuts)
+        assert sides[:3, 0].tolist() == [1, 0, 0]
+
+    @pytest.mark.parametrize("chunk", [1, 40, 200])
+    def test_row_and_vertex_blocks(self, monkeypatch, chunk):
+        # a small chunk checks, reads and counts the rows in many blocks
+        monkeypatch.setattr(graphcore, "ROUND_CHUNK", chunk)
+        g = gnp(50, 0.1, 2)
+        assert_rows_are_extend_cut(g, *random_part_cuts(g, 33, 5))
+
+    @pytest.mark.parametrize("u,cut,error,message", BAD_EXTENSIONS)
+    @pytest.mark.parametrize("at", [0, 1, 32])
+    def test_refuses_like_extend_cut(self, u, cut, error, message, at):
+        parts, cuts = [{2, 3}] * 33, [Cut((0, 1), 1)] * 33
+        parts[at], cuts[at] = u, cut
+        with pytest.raises(error) as err:
+            extend_cuts(cycle(4), parts, cuts)
+        assert type(err.value) is error and str(err.value) == message
+
+    def test_refuses_bad_ids_and_labels_like_extend_cut(self):
+        with pytest.raises(OutOfRangeVertex, match="^vertex ids must be integers$"):
+            extend_cuts(cycle(4), [{2, 3}, [0, 1.5]], [Cut((0, 1), 1), Cut((0, 1), 0)])
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            extend_cuts(cycle(4), [{2, 3}, {0, 1}], [Cut((0, 1), 1), Cut((0, 0.5), 1)])
+        with pytest.raises(InvalidParameter, match="^1 cuts for 2 vertex sets$"):
+            extend_cuts(cycle(4), [{2, 3}, {0, 1}], [Cut((0, 1), 1)])
+
+    def test_repeated_ids_name_one_vertex(self):
+        sides, values = extend_cuts(cycle(4), [[1, 0, 1]], [Cut((0, 1), 1)])
+        assert values == [4] and sides[0].tolist() == [0, 1, 0, 1]
+
+
 class TestCompositeCut:
     def test_triangle_free_input_has_trivial_partition(self):
         g = petersen()
@@ -485,6 +578,22 @@ def test_sampled_sdp_cut_memory_stays_flat_on_whole_samples():
         finally:
             tracemalloc.stop()
     assert max(peaks) < 4 * 2**20, peaks
+
+
+def test_sampled_sdp_cut_memory_is_flat_in_repeats():
+    # samples are extended EXTEND_BATCH at a time, so three times the
+    # repeats keeps the peak of one batch; most vertices are isolated, which
+    # keeps the traced sweep short
+    g = Graph.from_edges(20_000, random_regular(2000, 3, seed=6).edges)
+    peaks = []
+    for repeats in (32, 96):
+        tracemalloc.start()
+        try:
+            sampled_sdp_cut(g, p=0.1, rng=make_rng(4), repeats=repeats)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("eps", [math.nan, 0.0, 0.9])

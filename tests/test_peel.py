@@ -55,6 +55,9 @@ def corpus():
         "star8": star(8),
         "petersen": petersen(),
         "isolated": Graph.from_edges(9, [(0, 3), (3, 5), (5, 0), (6, 8)]),
+        # vertex 1 reaches degree 0 only once 0 is removed, so it is not
+        # among the isolated vertices that peel takes first
+        "edge_isolated": Graph.from_edges(6, [(0, 1)]),
         "regular3_80": random_regular(80, 3, seed=4),
         "turan_40_3": turan(40, 3),
         "turan_45_5": turan(45, 5),
@@ -115,6 +118,16 @@ class TestPeel:
             assert count_back_triangles(g, partial) == want
             sub, _ = induced_subgraph(g, np.flatnonzero(alive).tolist())
             assert sum(want) == reference_count_triangles(sub)
+
+
+def test_isolated_vertices_are_removed_first():
+    order = degeneracy_order(CORPUS["edge_isolated"])
+    assert order.order.tolist()[::-1] == [2, 3, 4, 5, 0, 1]
+    assert order.degeneracy == 1
+    assert degeneracy_order(CORPUS["isolated"]).order.tolist()[::-1] == [1, 2, 4, 7, 6, 8, 0, 3, 5]
+    # without vertex 1, vertex 0 is isolated from the start
+    alive = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
+    assert peel(CORPUS["edge_isolated"], alive).order.tolist()[::-1] == [0, 2, 3, 5]
 
 
 def check_triangle_list(g: Graph):
