@@ -19,7 +19,7 @@ import time
 
 from ._rng import derive_seed, make_rng
 from .chromatic import coloring_cut, coloring_pipeline_floor, kr_free_coloring, max_t_cut
-from .decompose import SAMPLE_P, composite_cut, kr_cut, sampled_sdp_cut
+from .decompose import SAMPLE_P, composite_cut, induced_cuts, kr_cut, sampled_sdp_cut
 from .embedding import default_eps, sdp_cut
 from .errors import BudgetExceeded, CertcutError, InvalidEpsilon, ParseError, PreconditionError
 from .generators import (
@@ -88,9 +88,9 @@ def run_cut_algorithm(g: Graph, algo: str, *, seed: int, epsilon: str, repeats: 
         cut, cert = sdp_cut(g, eps, repeats, seed)
         params = f"eps={eps:.10g};repeats={repeats}"
     elif algo == "composite":
-        cut, cert = composite_cut(
-            g, eps, lambda h: sdp_cut(h, None, repeats, derive_seed(seed, 9)), repeats, seed
-        )
+        part_seed = derive_seed(seed, 9)
+        cut, cert = composite_cut(g, eps, lambda h, parts: induced_cuts(
+            h, [(part, part_seed) for part in parts], None, repeats), repeats, seed)
         params = f"eps={eps:.10g};repeats={repeats}"
     elif algo == "kr":
         cut, cert = kr_cut(g, r, repeats, seed)

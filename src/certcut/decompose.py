@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections import deque
-from itertools import accumulate, count, pairwise
+from itertools import accumulate, islice, pairwise, tee
 from typing import Callable
 
 import numpy as np
@@ -298,17 +297,41 @@ def greedy_half_cut(g: Graph) -> tuple[Cut, CutCertificate]:
     return extend_cut(g, (), Cut((), 0))
 
 
+def round_induced(g: Graph, sets, eps: float | None, repeats: int):
+    """Round the subgraph induced by each ``(ids, seed)`` of ``sets``, read
+    lazily, as ``sdp_cut(induced_subgraph(g, ids)[0], eps, repeats, seed)``
+    does: consecutive sets are the blocks of one graph (:func:`induced_unions`,
+    :func:`sdp_cuts`). Yields each set's sorted ids, uint8 labels, cut value
+    and run of per-edge terms, in set order."""
+    sets, seeds = tee(sets)
+    for union, parts in induced_unions(g, (ids for ids, _ in sets)):
+        ends = list(accumulate(map(len, parts)))
+        run = [seed for _, seed in islice(seeds, len(parts))]
+        labels, values, cert = sdp_cuts(union, ends, eps, repeats, run)
+        edges = pairwise([0, *union.eu.searchsorted(ends).tolist()])
+        # the caller needs no union graph; keeping the certificate to the next
+        # union spares the C allocator a heap shrink and regrow per block
+        del union
+        for ids, a, z, value, (ea, ez) in zip(parts, [0, *ends], ends, values, edges):
+            yield ids, labels[a:z], value, cert.per_edge_terms[ea:ez]
+
+
+def induced_cuts(g: Graph, sets, eps: float | None, repeats: int) -> list[Cut]:
+    """The cuts of :func:`round_induced`, one per ``(ids, seed)`` of ``sets``."""
+    return [Cut(tuple(lab.tolist()), v) for _, lab, v, _ in round_induced(g, sets, eps, repeats)]
+
+
 def composite_cut(
     g: Graph,
     eps: float,
-    sub: Callable[[Graph], tuple[Cut, CutCertificate]],
+    sub: Callable[[Graph, tuple[np.ndarray, ...]], list[Cut]],
     repeats: int = 32,
     seed: int = 0,
 ) -> tuple[Cut, CutCertificate]:
     """Best of four candidate cuts built from the triangle-sparse partition.
 
-    Partitions with parameter 8*eps, then evaluates: (a) the subsolver on
-    every dense part plus rounding on the sparse remainder, greedily
+    Partitions with parameter 8*eps, then evaluates: (a) ``sub(g, parts)``,
+    one cut per dense part, plus rounding on the sparse remainder, greedily
     combined; (b) the plain parts-vs-remainder bipartition; (c) rounding on
     the whole graph; (d) the greedy half cut, which guarantees value >= m/2
     unconditionally. Returns the best cut by value; the certificate is the
@@ -317,15 +340,9 @@ def composite_cut(
     check_eps(g, eps)
     decomp = partition_triangle_sparse(g, 8 * eps)
 
-    blocks = []
-    for part in decomp.parts:
-        part_graph, _ = induced_subgraph(g, part)
-        part_cut, _ = sub(part_graph)
-        blocks.append((part, part_cut))
-    rem_graph, _ = induced_subgraph(g, decomp.remainder)
-    rem_cut, _ = sdp_cut(rem_graph, eps, repeats, derive_seed(seed, 1))
-    blocks.append((decomp.remainder, rem_cut))
-    cut_a, cert_a = combine_subcuts(g, blocks)
+    rem_cuts = induced_cuts(g, [(decomp.remainder, derive_seed(seed, 1))], eps, repeats)
+    blocks = zip((*decomp.parts, decomp.remainder), sub(g, decomp.parts) + rem_cuts)
+    cut_a, cert_a = combine_subcuts(g, list(blocks))
 
     in_remainder = np.zeros(g.n, dtype=bool)
     in_remainder[decomp.remainder] = True
@@ -351,9 +368,10 @@ def kr_cut(
     """Composite cut for K_r-free graphs with eps = d^(-1 + 1/(2r-4)).
 
     Dense parts live inside a vertex neighborhood, hence are K_(r-1)-free and
-    are solved by the coloring-cut pipeline. The certificate is measured
-    against the closed-form surplus reference (1/2 + c*eps) m with
-    c = 1/388; it always dominates m/2.
+    are solved by the coloring-cut pipeline; for r = 4 a part's rounding, seed
+    (seed, 3, i) for part i, replaces its coloring cut when strictly larger.
+    The certificate is measured against the closed-form surplus reference
+    (1/2 + c*eps) m with c = 1/388; it always dominates m/2.
     """
     if r < 3:
         raise InvalidParameter(f"r must be >= 3, got {r}")
@@ -366,22 +384,17 @@ def kr_cut(
         return empty, CutCertificate(0.0, None, "kr_surplus", 0.0)
     eps = float(d) ** (-1.0 + 1.0 / (2 * r - 4))
 
-    def color_solver(h: Graph):
-        return coloring_cut(h, kr_free_coloring(h, r - 1))
+    def sub(h: Graph, parts):
+        graphs = [induced_subgraph(h, part)[0] for part in parts]
+        cuts = [coloring_cut(p, kr_free_coloring(p, r - 1))[0] for p in graphs]
+        if r == 4:
+            # parts are triangle-free, so constant-eps rounding carries its
+            # full closed-form surplus there; keep whichever cut is larger
+            sets = [(part, derive_seed(seed, 3, i)) for i, part in enumerate(parts)]
+            rounded = induced_cuts(h, sets, None, repeats)
+            cuts = [b if b.value > a.value else a for a, b in zip(cuts, rounded)]
+        return cuts
 
-    if r == 4:
-        # parts are triangle-free, so constant-eps rounding carries its full
-        # closed-form surplus there; keep whichever cut turns out larger
-        part_counter = count()
-
-        def part_solver(h: Graph):
-            colored = color_solver(h)
-            rounded = sdp_cut(h, None, repeats, derive_seed(seed, 3, next(part_counter)))
-            return rounded if rounded[0].value > colored[0].value else colored
-
-        sub = part_solver
-    else:
-        sub = color_solver
     cut, cert = composite_cut(g, eps, sub, repeats, seed)
     bound = (0.5 + KR_SURPLUS_CONSTANT * eps) * g.m
     return cut, CutCertificate(cert.expected_value, None, "kr_surplus", bound)
@@ -403,58 +416,34 @@ def sampled_sdp_cut(
     lower bound.
 
     Each repeat draws its sample from ``rng``, then the seed of its
-    rounding. Consecutive samples are rounded together as the blocks of one
-    graph (:func:`induced_unions`, :func:`sdp_cuts`), which gives each the
-    cut and the edge terms it gets on its own, and their cuts are extended
-    ``EXTEND_BATCH`` at a time in one sweep (:func:`extend_cuts`), which
-    gives each the extension :func:`extend_cut` gives it. The first sample
-    of the largest extension wins.
+    rounding. :func:`round_induced` gives each sample the cut and the edge
+    terms it gets on its own, and :func:`extend_cuts` extends
+    ``EXTEND_BATCH`` cuts in one sweep, giving each the extension
+    :func:`extend_cut` gives it. The first sample of the largest extension
+    wins.
     """
-    if p is None:
-        p = SAMPLE_P
+    p = SAMPLE_P if p is None else p
     if not 0.0 < p <= 1.0:
         raise InvalidParameter(f"p must lie in (0, 1], got {p}")
-    if rng is None:
-        rng = make_rng(0)
-    if eps is None:
-        eps = default_eps(g)
+    rng = make_rng(0) if rng is None else rng
+    eps = default_eps(g) if eps is None else eps
     check_eps(g, eps)
-    seeds = deque()
 
     def samples():
         for _ in range(max(1, repeats)):
-            keep = rng.random(g.n) < p
-            seeds.append(int(rng.integers(0, 2**63)))
-            yield np.flatnonzero(keep)
+            # the sample's draws come first, then its rounding seed
+            yield np.flatnonzero(rng.random(g.n) < p), int(rng.integers(0, 2**63))
 
     best_side, best_value, best_cert = None, -1, -math.inf
-    pending = []  # (sample ids, sample cut), in sample order
-
-    def extend(batch):
-        nonlocal best_side, best_value
-        sides, values = extend_cuts(g, [vs for vs, _ in batch], [cut for _, cut in batch])
+    rounded = round_induced(g, samples(), eps, 32)
+    # a batch's cuts wait for their sweep as bytes, not as tuples of ints
+    while batch := [(vs, Cut(labels, value), math.fsum(terms) - len(terms) / 2)
+                    for vs, labels, value, terms in islice(rounded, EXTEND_BATCH)]:
+        parts, cuts, gains = zip(*batch)
+        best_cert = max(best_cert, g.m / 2 + max(gains))
+        sides, values = extend_cuts(g, parts, cuts)
         j = values.index(max(values))
         if values[j] > best_value:
             best_side, best_value = sides[j].copy(), values[j]
-
-    for union, parts in induced_unions(g, samples()):
-        ends = list(accumulate(len(vs) for vs in parts))
-        cuts, union_cert = sdp_cuts(union, ends, eps, 32, [seeds.popleft() for _ in parts])
-        terms = union_cert.per_edge_terms
-        runs = pairwise([0, *union.eu.searchsorted(ends).tolist()])
-        for a, z in runs:
-            best_cert = max(best_cert, g.m / 2 + (math.fsum(terms[a:z]) - (z - a) / 2))
-        # the extensions need no union graph; the certificate stays alive, as
-        # freeing its edge terms here made the C allocator shrink and regrow
-        # the heap on every later rounding block (page faults)
-        del union
-        # a sample's cut waits for its sweep as bytes, not as a tuple of ints
-        for vs, cut in zip(parts, cuts):
-            pending.append((vs, Cut(np.array(cut.side, dtype=np.uint8), cut.value)))
-        while len(pending) >= EXTEND_BATCH:
-            extend(pending[:EXTEND_BATCH])
-            del pending[:EXTEND_BATCH]
-    if pending:
-        extend(pending)
     best_cut = Cut(tuple(best_side.tolist()), best_value)
     return best_cut, CutCertificate(best_cert, None, "sampled_extension", g.m / 2)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -121,7 +121,12 @@ def eps_cap(g: Graph) -> float:
 
 def default_eps(g: Graph) -> float:
     """The default constant eps, min(1, eps_cap(g)): 1.0 when edgeless."""
-    return min(1.0, eps_cap(g))
+    return _default_eps(g.degeneracy_order.degeneracy)
+
+
+def _default_eps(d: int) -> float:
+    """min(1, 1/sqrt(d)) for a graph of degeneracy d: 1.0 when d = 0."""
+    return min(1.0, 1.0 / math.sqrt(d)) if d else 1.0
 
 
 def check_eps(g: Graph, eps: float) -> None:
@@ -136,16 +141,24 @@ def check_eps(g: Graph, eps: float) -> None:
         raise EpsilonTooLarge(f"eps = {eps} exceeds 1/sqrt(degeneracy) = {cap}")
 
 
-def back_neighbor_plan(g: Graph, eps: float) -> EpsilonPlan:
+def back_neighbor_plan(g: Graph, eps: float | None, ends=None) -> EpsilonPlan:
     """Constant-eps plan on the back-neighbor pairs of ``g``'s degeneracy
     order (:func:`back_pairs`), one pair per edge.
 
     Vertices with no back-neighbors get eps_i = 0 (their vector is a plain
-    basis vector either way). ``eps`` must pass :func:`check_eps`.
+    basis vector either way). ``eps`` must pass :func:`check_eps`; None
+    gives each vertex block of ``ends`` (default: one) the :func:`default_eps`
+    of its largest back-degree, its own degeneracy (see :func:`sdp_cuts`).
     """
-    check_eps(g, eps)
     owner, cols = back_pairs(g, g.degeneracy_order)
-    return EpsilonPlan(owner, cols, np.where(np.bincount(owner, minlength=g.n) > 0, eps, 0.0))
+    back = np.bincount(owner, minlength=g.n)
+    if eps is None:
+        spans = list(pairwise([0, *(ends or [g.n])]))
+        eps = np.repeat([_default_eps(int(back[a:z].max(initial=0))) for a, z in spans],
+                        [z - a for a, z in spans])
+    else:
+        check_eps(g, eps)
+    return EpsilonPlan(owner, cols, np.where(back > 0, eps, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +229,10 @@ def edge_inner(g: Graph, plan: EpsilonPlan, counts: tuple[np.ndarray, ...]) -> n
 def _plan_bound(g: Graph, plan: EpsilonPlan, common: np.ndarray) -> float:
     """m/2 + sum eps_i |V_i|/(4 pi) - sum_E eps_u eps_v |V_u ^ V_v|/2, from
     ``common`` = |V_u ^ V_v| per edge."""
-    eps = plan.eps
-    gain = math.fsum((eps * np.bincount(plan.owner, minlength=g.n)).tolist()) / (4.0 * math.pi)
-    loss = math.fsum((eps[g.eu] * eps[g.ev] * common).tolist()) / 2.0
+    # fsum is exactly rounded, so the zero terms are left out
+    eps, sizes, shared = plan.eps, np.bincount(plan.owner, minlength=g.n), common > 0
+    gain = math.fsum((eps * sizes)[sizes > 0].tolist()) / (4.0 * math.pi)
+    loss = math.fsum((eps[g.eu[shared]] * eps[g.ev[shared]] * common[shared]).tolist()) / 2.0
     return g.m / 2.0 + gain - loss
 
 
@@ -272,19 +286,21 @@ def sdp_cut(
     defaults to :func:`default_eps`. Repeat k draws from the independent
     sub-stream (seed, k). This is the one-block case of :func:`sdp_cuts`.
     """
-    cuts, cert = sdp_cuts(g, [g.n], default_eps(g) if eps is None else eps, repeats, [seed])
-    return cuts[0], cert
+    labels, (value,), cert = sdp_cuts(g, [g.n], eps, repeats, [seed])
+    return Cut(tuple(labels.tolist()), value), cert
 
 
-def sdp_cuts(g: Graph, ends: list[int], eps: float, repeats: int, seeds) -> tuple[list[Cut], CutCertificate]:
+def sdp_cuts(g: Graph, ends: list[int], eps: float | None, repeats: int,
+             seeds) -> tuple[np.ndarray, list[int], CutCertificate]:
     """:func:`sdp_cut` of every block of a graph of blocks side by side.
 
     Block b is the vertices before ``ends[b]`` and from ``ends[b - 1]`` on,
     and no edge joins two blocks. Its cut is the one ``sdp_cut`` returns on
     the subgraph the block induces, with seed ``seeds[b]``: the canonical
     peel restricted to a block is the block's own, so the block's plan
-    pairs and edge terms are its own, and repeat k of block b rounds the
-    stream (seeds[b], k) in segment b of row k. Returns the cuts and the
+    pairs, default eps (``eps`` None) and edge terms are its own, and repeat
+    k of block b rounds the stream (seeds[b], k) in segment b of row k.
+    Returns the labels as one uint8 array, the blocks' cut values and the
     whole graph's exact-expectation certificate, whose per-edge terms are
     in edge order, so each block's terms are one run of them.
 
@@ -293,16 +309,13 @@ def sdp_cuts(g: Graph, ends: list[int], eps: float, repeats: int, seeds) -> tupl
     (:func:`best_row`). No later repeat can beat one that cuts all of a
     block's edges, so no rows are drawn once every block has one.
     """
-    emb = build_vectors(g, back_neighbor_plan(g, eps))
+    emb = build_vectors(g, back_neighbor_plan(g, eps, ends))
     cert = exact_expected_cut(emb)
     rows = block_rows(g.n, len(emb.plan.owner), g.m)
-    starts = [0, *ends[:-1]]
-    draws = normal_blocks(seeds, max(1, repeats), [z - a for a, z in zip(starts, ends)], rows)
+    draws = normal_blocks(seeds, max(1, repeats), [z - a for a, z in pairwise([0, *ends])], rows)
     # one block is counted whole by crossing_count, as best_row's one column
     split = () if len(ends) == 1 else (ends,)
     blocks = (hyperplane_round(emb, w, *split) for w in draws)
-    edge_ends = g.eu.searchsorted(ends).tolist()
-    tops = [z - a for a, z in zip([0, *edge_ends], edge_ends)]
+    tops = [z - a for a, z in pairwise([0, *g.eu.searchsorted(ends).tolist()])]
     sides, values = best_row(blocks, ends, tops)
-    labels = sides.view(np.uint8)
-    return [Cut(tuple(labels[a:z].tolist()), v) for a, z, v in zip(starts, ends, values)], cert
+    return sides.view(np.uint8), values, cert

@@ -298,8 +298,6 @@ def best_row(blocks, ends: list[int], tops: list[int] | None = None) -> tuple[np
                 values[b], winners[b] = v, rows[j]
         if values == tops:
             break
-    if len(ends) == 1:
-        return winners[0], values
     return np.concatenate([row[a:z] for row, (a, z) in zip(winners, pairwise([0, *ends]))]), values
 
 

@@ -35,6 +35,7 @@ from certcut.graphcore import (
     degeneracy_order,
     edwards_bound,
     find_clique,
+    induced_subgraph,
 )
 from certcut.harness import format_edge_list
 from certcut.oracle import max_cut_exact, max_t_cut_exact, monte_carlo_cut_mean
@@ -137,7 +138,8 @@ def test_oracle_consistency(small_graphs):
         runs["sdp"] = sdp_cut(g, repeats=8, seed=1)
         d = degeneracy_order(g).degeneracy
         eps = 0.5 / math.sqrt(d) if d else 0.5
-        runs["composite"] = composite_cut(g, eps, lambda h: sdp_cut(h, None, 4, 2), repeats=8, seed=1)
+        sub = lambda h, parts: [sdp_cut(induced_subgraph(h, p)[0], None, 4, 2)[0] for p in parts]  # noqa: E731
+        runs["composite"] = composite_cut(g, eps, sub, repeats=8, seed=1)
         runs["sampled"] = sampled_sdp_cut(g, p=0.5, rng=make_rng(3), repeats=8)
         r = max(_clique_number(g) + 1, 3)
         runs["kr"] = kr_cut(g, r, repeats=8, seed=1)

@@ -18,9 +18,10 @@ from certcut.decompose import (
     greedy_half_cut,
     kr_cut,
     partition_triangle_sparse,
+    round_induced,
     sampled_sdp_cut,
 )
-from certcut.embedding import CutCertificate, default_eps, sdp_cut
+from certcut.embedding import default_eps, sdp_cut
 from certcut.errors import (
     EpsilonTooLarge,
     InvalidParameter,
@@ -52,15 +53,18 @@ from certcut.graphcore import (
 from certcut.oracle import max_cut_exact
 from certcut.verify import decomposition_invariants
 from conftest import graphs
+from test_golden import instance as golden_instance
 from oracles import brute_max_cut, reference_combine_subcuts, reference_sampled_sdp_cut, rows
 
 
 def exact_subsolver():
-    return lambda h: (max_cut_exact(h), CutCertificate(0.0))
+    return lambda g, parts: [max_cut_exact(induced_subgraph(g, part)[0]) for part in parts]
 
 
 def sdp_subsolver(seed=0):
-    return lambda h: sdp_cut(h, None, 8, seed)
+    return lambda g, parts: [
+        sdp_cut(induced_subgraph(g, part)[0], None, 8, seed)[0] for part in parts
+    ]
 
 
 class TestFindDenseSubset:
@@ -440,6 +444,21 @@ class TestCompositeCut:
         best = max_cut_exact(g).value
         assert g.m / 2 <= cut.value <= best
         assert g.m / 2 <= cert.expected_value <= best + 1e-9
+
+
+@pytest.mark.parametrize("name", ["turan-60-3", "gnp-120-0.3"])
+@pytest.mark.parametrize("repeats", [1, 8, 32])
+def test_round_induced_gives_each_part_its_own_sdp_cut(name, repeats):
+    g = golden_instance(name)
+    parts = partition_triangle_sparse(g, 8 * default_eps(g)).parts
+    assert len(parts) > 1
+    rounded = list(round_induced(g, [(part, 5) for part in parts], None, repeats))
+    assert len(rounded) == len(parts)
+    for part, (ids, labels, value, terms) in zip(parts, rounded):
+        alone, cert = sdp_cut(induced_subgraph(g, part)[0], None, repeats, 5)
+        assert ids.tolist() == part.tolist()
+        assert (tuple(labels.tolist()), value) == (alone.side, alone.value)
+        assert terms == cert.per_edge_terms
 
 
 class TestKrCut:

@@ -186,22 +186,36 @@ def test_sdp_cut_draws_each_repeat_once(monkeypatch, name, repeats):
 
 @pytest.mark.parametrize("name", ["petersen", "gnp90_3", "gnp150_4", "regular3_60"])
 def test_sdp_cuts_give_each_block_its_own_sdp_cut(name):
-    g = CORPUS[name]
+    # the corpus graph with a K6 beside it
+    base = CORPUS[name]
+    six = [(base.n + u, base.n + v) for u, v in complete(6).edges]
+    g = Graph.from_edges(base.n + 6, [*base.edges, *six])
     rng = make_rng(31)
-    sets = [np.flatnonzero(rng.random(g.n) < p) for p in (0.5, 0.0, 0.05, 0.3)]
+    sets = [np.flatnonzero(rng.random(base.n) < p) for p in (0.5, 0.0, 0.05, 0.3)]
     # every vertex but one; a set of every vertex would run alone
     sets.insert(3, np.arange(1, g.n))
+    # blocks of degeneracy 0, 1 and 5: an independent set, one edge, the K6
+    free, independent = np.ones(g.n, dtype=bool), []
+    for v in range(base.n):
+        if free[v]:
+            independent.append(v)
+            free[g.indices[g.indptr[v] : g.indptr[v + 1]]] = False
+    sets += [independent, [base.eu[0], base.ev[0]], np.arange(base.n, g.n)]
     [(union, parts)] = induced_unions(g, sets)
     ends = np.cumsum([len(vs) for vs in parts]).tolist()
     seeds = [int(s) for s in rng.integers(0, 2**63, len(parts))]
-    eps = eps_cap(g) / 2
-    cuts, cert = sdp_cuts(union, ends, eps, 32, seeds)
     edge_ends = union.eu.searchsorted(ends).tolist()
-    for vs, cut, seed, a, z in zip(parts, cuts, seeds, [0, *edge_ends], edge_ends):
-        sub, _ = induced_subgraph(g, vs)
-        alone, alone_cert = sdp_cut(sub, eps, 32, seed)
-        assert cut == alone
-        assert cert.per_edge_terms[a:z] == alone_cert.per_edge_terms
+    # a given eps, then each block's own default eps; looped rather than
+    # parametrized, so the test ids stay as they were
+    for eps in (eps_cap(g) / 2, None):
+        labels, values, cert = sdp_cuts(union, ends, eps, 32, seeds)
+        assert labels.dtype == np.uint8 and len(labels) == union.n
+        for vs, seed, a, z, ea, ez, value in zip(parts, seeds, [0, *ends], ends,
+                                                 [0, *edge_ends], edge_ends, values):
+            sub, _ = induced_subgraph(g, vs)
+            alone, alone_cert = sdp_cut(sub, eps, 32, seed)
+            assert Cut(tuple(labels[a:z].tolist()), value) == alone
+            assert cert.per_edge_terms[ea:ez] == alone_cert.per_edge_terms
 
 
 def test_edgeless_sdp_cut_draws_one_row(monkeypatch):
