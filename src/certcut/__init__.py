@@ -62,7 +62,6 @@ from .graphcore import (
     Graph,
     back_pairs,
     count_back_triangles,
-    count_cliques,
     count_triangles,
     cut_value,
     degeneracy_order,

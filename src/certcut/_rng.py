@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graphcore import block_rows
+
 _U64 = (1 << 64) - 1
 _U128 = (1 << 128) - 1
-
-# streams whose PCG64 states one hash pass derives
-STATE_BLOCK = 1024
 
 # numpy.random.SeedSequence (pool of four 32-bit words): hashmix number j
 # xors a word with _HASH_A[j] and multiplies it by _HASH_A[j + 1], and output
@@ -108,8 +107,8 @@ def normal_blocks(seeds, count: int, sizes, rows: int, k0: int = 0):
     order, for the streams of k = k0, ..., k0 + count - 1: row k holds one
     segment per entry of the equal-length ``seeds`` and ``sizes``, side by
     side, segment s being ``make_rng(seeds[s], k).standard_normal(sizes[s])``.
-    The states of ``STATE_BLOCK`` streams (at least one row's) are derived
-    per pass, so memory does not grow with ``count``.
+    The states of :func:`block_rows` rows' streams are derived per pass, so
+    memory does not grow with ``count``.
     """
     # empty segments draw nothing, so only the others' streams are derived
     spans, keys, width = [], [], 0
@@ -118,7 +117,7 @@ def normal_blocks(seeds, count: int, sizes, rows: int, k0: int = 0):
             spans.append(slice(width, width + size))
             keys.append(seed)
         width += size
-    per_pass = max(1, STATE_BLOCK // max(len(keys), 1))
+    per_pass = block_rows(len(keys))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}

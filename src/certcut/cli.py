@@ -151,14 +151,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_cut(args) -> int:
-    g = parse_graph(_read_input(args.infile))
-    label = args.infile if args.infile != "-" else "<stdin>"
-    report = make_report(
-        g, label, args.algo, args.seed,
+def _run_report(g: Graph, label: str, seed: int, args) -> RunReport:
+    """``make_report`` for ``args.algo`` with the run options of ``args``."""
+    return make_report(
+        g, label, args.algo, seed,
         epsilon=args.epsilon, repeats=args.repeats, r=args.r, t=args.t,
         p=args.p, max_vertices=args.max_vertices,
     )
+
+
+def _cmd_cut(args) -> int:
+    g = parse_graph(_read_input(args.infile))
+    label = args.infile if args.infile != "-" else "<stdin>"
+    report = _run_report(g, label, args.seed, args)
     if args.format == "json":
         _write_output(args.out, report.to_json() + "\n")
     else:
@@ -201,12 +206,7 @@ def _cmd_bench(args) -> int:
                 if args.cr_free:
                     g = make_cr_free(g, args.cr_free)
                 label = f"{args.family}:n={n},d={d}#{inst}"
-                report = make_report(
-                    g, label, args.algo, inst_seed,
-                    epsilon=args.epsilon, repeats=args.repeats, r=args.r,
-                    t=args.t, p=args.p, max_vertices=args.max_vertices,
-                )
-                rows.append(report.to_csv_row())
+                rows.append(_run_report(g, label, inst_seed, args).to_csv_row())
                 index += 1
     _write_output(args.out, "\n".join(rows) + "\n")
     return 0
@@ -228,6 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="certcut")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the options of one algorithm run, which cut and bench share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--epsilon", default="auto")
+    run.add_argument("--repeats", type=int, default=32)
+    run.add_argument("--r", type=int, default=3)
+    run.add_argument("--t", type=int, default=3)
+    run.add_argument("--p", type=float, default=None)
+    run.add_argument("--max-vertices", type=int, default=None)
+
     gen = sub.add_parser("gen", help="generate an instance (canonical edge list)")
     gen.add_argument("--model", required=True,
                      choices=["regular", "gnp", "bipartite", "turan", "blowup", "disjoint-cliques"])
@@ -248,33 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default="-")
     gen.set_defaults(func=_cmd_gen)
 
-    cut = sub.add_parser("cut", help="run one cut algorithm and report")
+    cut = sub.add_parser("cut", parents=[run], help="run one cut algorithm and report")
     cut.add_argument("--in", dest="infile", default="-")
     cut.add_argument("--algo", required=True, choices=list(ALGOS))
-    cut.add_argument("--seed", type=int, default=0)
-    cut.add_argument("--epsilon", default="auto")
-    cut.add_argument("--repeats", type=int, default=32)
-    cut.add_argument("--r", type=int, default=3)
-    cut.add_argument("--t", type=int, default=3)
-    cut.add_argument("--p", type=float, default=None)
-    cut.add_argument("--max-vertices", type=int, default=None)
     cut.add_argument("--format", choices=["json", "csv"], default="json")
     cut.add_argument("--out", default="-")
     cut.set_defaults(func=_cmd_cut)
 
-    bench = sub.add_parser("bench", help="sweep a family, emit CSV rows")
+    bench = sub.add_parser("bench", parents=[run], help="sweep a family, emit CSV rows")
     bench.add_argument("--family", required=True, choices=["regular", "gnp", "turan"])
     bench.add_argument("--nlist", required=True)
     bench.add_argument("--dlist", required=True)
     bench.add_argument("--instances", type=int, default=1)
     bench.add_argument("--algo", default="sdp", choices=list(ALGOS))
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--epsilon", default="auto")
-    bench.add_argument("--repeats", type=int, default=32)
-    bench.add_argument("--r", type=int, default=3)
-    bench.add_argument("--t", type=int, default=3)
-    bench.add_argument("--p", type=float, default=None)
-    bench.add_argument("--max-vertices", type=int, default=None)
     bench.add_argument("--cr-free", type=int, default=0)
     bench.add_argument("--max-restarts", type=int, default=1000)
     bench.add_argument("--out", default="-")

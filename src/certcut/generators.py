@@ -20,7 +20,7 @@ from .errors import (
     RetryLimitExceeded,
     SelfLoop,
 )
-from .graphcore import Graph
+from .graphcore import Graph, block_rows
 from .harness import MAX_HEADER_VERTICES
 
 
@@ -48,19 +48,17 @@ def random_regular(n: int, d: int, seed: int = 0, max_restarts: int = 1000) -> G
     raise RetryLimitExceeded(f"no simple pairing found in {max_restarts} restarts")
 
 
-PAIR_CHUNK = 1 << 16
-
-
 def _kept_pairs(rng, total: int, p: float) -> np.ndarray:
     """Flat pair indices k < ``total`` whose uniform draw falls below p.
 
-    The draws are made ``PAIR_CHUNK`` at a time; a numpy ``Generator`` yields
-    the same doubles in chunks as in one call, so the kept set depends only
-    on the seed, and memory is O(chunk + kept).
+    The draws are made ``block_rows(1)`` at a time; a numpy ``Generator``
+    yields the same doubles in chunks as in one call, so the kept set depends
+    only on the seed, and memory is O(chunk + kept).
     """
+    chunk = block_rows(1)
     kept = [
-        start + np.flatnonzero(rng.random(min(PAIR_CHUNK, total - start)) < p)
-        for start in range(0, total, PAIR_CHUNK)
+        start + np.flatnonzero(rng.random(min(chunk, total - start)) < p)
+        for start in range(0, total, chunk)
     ]
     return np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
 

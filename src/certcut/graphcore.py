@@ -269,9 +269,10 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
     return peel(g)
 
 
-# wedges generated and checked per numpy pass; bounds the scratch arrays
-TRIANGLE_CHUNK = 1 << 15
-# entries per row block of rounding: rows * (the longest per-row array)
+# entries of scratch per array pass: the rows of a rounding or count block
+# times its longest per-row array, the vertices and edges of an
+# induced_unions run, the wedges of a triangle_list pass, the pair draws of
+# a random graph and the streams of a normal_blocks hash pass
 ROUND_CHUNK = 1 << 14
 
 
@@ -308,7 +309,7 @@ def triangle_list(g: Graph) -> np.ndarray:
     higher one, so every triangle is exactly one wedge (u; v, w) of two
     out-neighbors of u whose closing edge v-w exists, and there are
     O(m^1.5) wedges (Chiba & Nishizeki, SIAM J. Comput. 1985). Wedges are
-    generated ``TRIANGLE_CHUNK`` at a time and looked up among the sorted
+    generated ``ROUND_CHUNK`` at a time and looked up among the sorted
     edge keys.
     """
     n = g.n
@@ -328,8 +329,8 @@ def triangle_list(g: Graph) -> np.ndarray:
     wedges = int(fan_end[-1]) if g.m else 0
     keys = eu * n + ev  # ascending, since the edges are sorted
     found = []
-    for start in range(0, wedges, TRIANGLE_CHUNK):
-        w = np.arange(start, min(start + TRIANGLE_CHUNK, wedges))
+    for start in range(0, wedges, ROUND_CHUNK):
+        w = np.arange(start, min(start + ROUND_CHUNK, wedges))
         p = np.searchsorted(fan_end, w, side="right")
         q = p + fan[p] - (fan_end[p] - w) + 1
         a, b = head[p], head[q]
@@ -366,32 +367,6 @@ def _forward_sets(g: Graph) -> list[frozenset[int]]:
     ev = g.ev.tolist()
     ends = np.searchsorted(g.eu, np.arange(g.n + 1)).tolist()
     return [frozenset(ev[a:b]) for a, b in pairwise(ends)]
-
-
-def count_cliques(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET) -> int:
-    """Exact number of r-cliques by ordered forward-neighbor intersection.
-
-    Raises BudgetExceeded once the enumeration has charged more than
-    ``budget`` elementary steps.
-    """
-    if r < 2:
-        raise ValueError("clique size r must be >= 2")
-    fwd = _forward_sets(g)
-    steps = 0
-
-    def extend(cand: frozenset, need: int) -> int:
-        nonlocal steps
-        steps += len(cand) + 1
-        if steps > budget:
-            raise BudgetExceeded(f"clique enumeration exceeded {budget} steps")
-        if need == 1:
-            return len(cand)
-        return sum(extend(cand & fwd[v], need - 1) for v in sorted(cand))
-
-    try:
-        return sum(extend(cand, r - 1) for cand in fwd)
-    finally:
-        extend = None  # breaks the closure's cycle, as in find_clique
 
 
 def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):

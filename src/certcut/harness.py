@@ -24,11 +24,6 @@ _PLAIN_BYTES = b"0123456789- \t\n"
 # an id of at most 18 digits is below 2**63, so int64 holds it exactly
 _MAX_DIGITS = 18
 
-CSV_HEADER = (
-    "graph,n,m,degeneracy,triangles,algo,params,seed,value,"
-    "surplus_num,certificate,bound,ms"
-)
-
 
 def parse_graph(data: bytes | str) -> Graph:
     """Parse an edge list (header "n m", 0-indexed pairs) or DIMACS
@@ -229,3 +224,6 @@ class RunReport:
         writer = csv.writer(buf, lineterminator="")
         writer.writerow([getattr(self, f.name) for f in fields(self)])
         return buf.getvalue()
+
+
+CSV_HEADER = ",".join(f.name for f in fields(RunReport))

@@ -129,13 +129,15 @@ def brute_triangles(g: Graph) -> int:
     return len(brute_triangle_list(g))
 
 
-def brute_cliques(g: Graph, r: int) -> int:
+def brute_clique_list(g: Graph, r: int) -> list[tuple[int, ...]]:
+    """Every r-clique, in lexicographic vertex order."""
     adj = [frozenset(row) for row in rows(g)]
-    total = 0
-    for group in combinations(range(g.n), r):
-        if all(v in adj[u] for u, v in combinations(group, 2)):
-            total += 1
-    return total
+    return [group for group in combinations(range(g.n), r)
+            if all(v in adj[u] for u, v in combinations(group, 2))]
+
+
+def brute_cliques(g: Graph, r: int) -> int:
+    return len(brute_clique_list(g, r))
 
 
 def brute_independence_number(g: Graph) -> int:

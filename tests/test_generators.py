@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from certcut import generators
+from certcut import generators, graphcore
 from certcut.errors import (
     BudgetExceeded,
     InfeasibleDegree,
@@ -29,7 +29,7 @@ from certcut.generators import (
     star,
     turan,
 )
-from certcut.graphcore import count_cliques, count_triangles
+from certcut.graphcore import count_triangles, find_clique
 from certcut.harness import MAX_HEADER_VERTICES as CAP
 from oracles import (
     count_r_cycles,
@@ -101,21 +101,21 @@ class TestChunkedPairDraws:
 
     @pytest.mark.parametrize("chunk", [1, 7, 37])
     def test_gnp_matches_reference(self, monkeypatch, chunk):
-        monkeypatch.setattr(generators, "PAIR_CHUNK", chunk)
+        monkeypatch.setattr(graphcore, "ROUND_CHUNK", chunk)
         for n in (0, 1, 2, 3, 5, 8, 13, 21, 34):
             for p in (0.0, 0.05, 0.3, 1.0):
                 for seed in range(3):
                     assert gnp(n, p, seed).edges == reference_gnp(n, p, seed).edges, (n, p, seed)
 
     def test_gnp_matches_reference_across_many_chunks(self, monkeypatch):
-        monkeypatch.setattr(generators, "PAIR_CHUNK", 37)
+        monkeypatch.setattr(graphcore, "ROUND_CHUNK", 37)
         assert gnp(300, 0.02, 5).edges == reference_gnp(300, 0.02, 5).edges
         monkeypatch.undo()
         assert gnp(1500, 0.003, 6).edges == reference_gnp(1500, 0.003, 6).edges
 
     @pytest.mark.parametrize("chunk", [1, 7, 37])
     def test_random_bipartite_matches_reference(self, monkeypatch, chunk):
-        monkeypatch.setattr(generators, "PAIR_CHUNK", chunk)
+        monkeypatch.setattr(graphcore, "ROUND_CHUNK", chunk)
         for a in (0, 1, 4, 9):
             for b in (0, 1, 6, 11):
                 for p in (0.0, 0.3, 1.0):
@@ -244,8 +244,8 @@ class TestFamilies:
     def test_turan_three_classes_is_k4_free(self):
         g = turan(6, 3)
         assert g.m == 12
-        assert count_cliques(g, 4) == 0
-        assert count_cliques(g, 3) == 8
+        assert find_clique(g, 4) is None
+        assert count_triangles(g) == 8
 
     def test_disjoint_cliques(self):
         g = disjoint_cliques(5, 3)

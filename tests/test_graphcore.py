@@ -14,12 +14,24 @@ from certcut.errors import (
     SelfLoop,
     VertexOutOfRange,
 )
-from certcut.generators import complete, complete_bipartite, cycle, gnp, path, petersen, star
+from certcut.generators import (
+    complete,
+    complete_bipartite,
+    cycle,
+    disjoint_cliques,
+    gnp,
+    make_cr_free,
+    path,
+    petersen,
+    random_bipartite,
+    random_regular,
+    star,
+    turan,
+)
 from certcut import graphcore
 from certcut.graphcore import (
     Graph,
     count_back_triangles,
-    count_cliques,
     count_triangles,
     cut_value,
     degeneracy_order,
@@ -33,6 +45,7 @@ from certcut.graphcore import (
 from conftest import graphs
 from oracles import (
     back_sets,
+    brute_clique_list,
     brute_cliques,
     brute_degeneracy,
     brute_max_cut,
@@ -219,34 +232,67 @@ class TestTriangles:
         assert sum(count_back_triangles(g, order)) == count_triangles(g)
 
 
+# graphs with no r-clique, by name: triangle-free ones are tried at r = 3
+# and r = 4, the K4-free ones with triangles at r = 4
+TRIANGLE_FREE = {
+    **{f"cr_free_regular_{s}": lambda s=s: make_cr_free(random_regular(40, 3, s), 3) for s in range(4)},
+    "bipartite_8_9": lambda: random_bipartite(8, 9, 0.5, 1),
+    "bipartite_12_5": lambda: random_bipartite(12, 5, 0.7, 2),
+    "cycle7": lambda: cycle(7),
+    "petersen": petersen,
+    "edgeless": lambda: Graph.from_edges(6, []),
+}
+K4_FREE = {
+    "turan_12_3": lambda: turan(12, 3),
+    "turan_15_3": lambda: turan(15, 3),
+    "disjoint_k3": lambda: disjoint_cliques(3, 3),
+}
+KR_FREE = {**TRIANGLE_FREE, **K4_FREE}
+KR_FREE_CASES = [(name, 3) for name in TRIANGLE_FREE] + [(name, 4) for name in KR_FREE]
+
+
 class TestCliques:
     def test_k5_counts_itself(self):
-        assert count_cliques(complete(5), 5) == 1
+        assert find_clique(complete(5), 5) == (0, 1, 2, 3, 4)
+        assert find_clique(complete(5), 6) is None
 
     def test_c5_has_no_triangle(self):
-        assert count_cliques(cycle(5), 3) == 0
+        assert find_clique(cycle(5), 3) is None
+        assert count_triangles(cycle(5)) == 0
 
     def test_k4_minus_edge_has_two_triangles(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         assert brute_cliques(g, 3) == 2
-        assert count_cliques(g, 3) == 2
+        assert count_triangles(g) == 2
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     @pytest.mark.parametrize("seed", range(3))
     def test_random_matches_brute_force(self, r, seed):
+        # the search returns the lexicographically first r-clique
         g = gnp(10, 0.5, seed)
-        assert count_cliques(g, r) == brute_cliques(g, r)
+        assert find_clique(g, r) == next(iter(brute_clique_list(g, r)), None)
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
-            count_cliques(complete(12), 6, budget=50)
+            find_clique(complete(12), 6, budget=50)
+
+    @pytest.mark.parametrize("name, r", KR_FREE_CASES)
+    def test_search_steps_on_kr_free_graphs(self, name, r):
+        # every k-clique, k < r, is one prefix, charged one step plus one per
+        # (k+1)-clique that extends it upward: n + 2(N_2 + ... + N_(r-1))
+        g = KR_FREE[name]()
+        assert brute_cliques(g, r) == 0
+        steps = g.n + 2 * sum(brute_cliques(g, k) for k in range(2, r))
+        assert find_clique(g, r, budget=steps) is None
+        with pytest.raises(BudgetExceeded):
+            find_clique(g, r, budget=steps - 1)
 
     def test_find_clique_and_freeness(self):
         assert find_clique(cycle(5), 3) is None
         assert find_clique(complete(4), 3) == (0, 1, 2)
         assert find_clique(complete(4), 4) == (0, 1, 2, 3)
 
-    @pytest.mark.parametrize("search", [find_clique, count_cliques])
+    @pytest.mark.parametrize("search", [find_clique])
     @pytest.mark.parametrize("r", [3, 9])  # found, and not found
     def test_clique_search_leaves_no_reference_cycle(self, r, search):
         # a cycle would keep the search's sets alive until the next collection

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from certcut import graphcore
 from certcut._rng import make_rng
 from certcut.chromatic import kr_free_coloring, max_t_cut
-from certcut.cli import main, make_report
+from certcut.cli import build_parser, main, make_report
 from certcut.decompose import kr_cut, sampled_sdp_cut
 from certcut.errors import (
     BudgetExceeded,
@@ -308,6 +308,12 @@ class TestRunReport:
         keys = list(json.loads(sample_report().to_json()))
         assert keys == CSV_HEADER.split(",")
 
+    def test_csv_header_is_pinned(self):
+        assert CSV_HEADER == (
+            "graph,n,m,degeneracy,triangles,algo,params,seed,value,"
+            "surplus_num,certificate,bound,ms"
+        )
+
     def test_csv_row_matches_header(self):
         row = sample_report().to_csv_row()
         assert row.split(",")[0] == "x.txt"
@@ -429,6 +435,21 @@ class TestCli:
         lines = out.strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 2 * 2
+
+    @pytest.mark.parametrize("flag, text, value", [
+        (None, None, None), ("--seed", "7", 7), ("--epsilon", "0.05", "0.05"),
+        ("--repeats", "5", 5), ("--r", "4", 4), ("--t", "5", 5), ("--p", "0.25", 0.25),
+        ("--max-vertices", "9", 9),
+    ])
+    def test_run_options_parse_alike_under_cut_and_bench(self, flag, text, value):
+        expected = {"seed": 0, "epsilon": "auto", "repeats": 32, "r": 3, "t": 3, "p": None,
+                    "max_vertices": None}
+        if flag:
+            expected[flag[2:].replace("-", "_")] = value
+        for command in (["cut", "--algo", "sdp"],
+                        ["bench", "--family", "gnp", "--nlist", "10", "--dlist", "3"]):
+            args = build_parser().parse_args([*command, *([flag, text] if flag else [])])
+            assert {k: getattr(args, k) for k in expected} == expected, command
 
     def test_bench_deterministic(self, capsys):
         args = [

@@ -148,7 +148,7 @@ class TestTriangleList:
     @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("name", ["k7", "isolated", "gnp40_1", "turan_40_3", "tripartite_90"])
     def test_chunk_boundaries_inside_a_vertex(self, monkeypatch, name, chunk):
-        monkeypatch.setattr(graphcore, "TRIANGLE_CHUNK", chunk)
+        monkeypatch.setattr(graphcore, "ROUND_CHUNK", chunk)
         check_triangle_list(CORPUS[name])
 
     @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from certcut import _rng, embedding
+from certcut import embedding, graphcore
 from certcut._rng import make_rng, normal_blocks
 from certcut.chromatic import max_t_cut
 from certcut.embedding import (
@@ -329,7 +329,7 @@ def test_normal_blocks_segments_are_the_seed_streams(segments, k0, count, rows):
 def test_normal_blocks_segments_cross_state_blocks(monkeypatch):
     # two drawn segments (the empty one derives no state) take 5 rows per
     # 10-stream state pass
-    monkeypatch.setattr(_rng, "STATE_BLOCK", 10)
+    monkeypatch.setattr(graphcore, "ROUND_CHUNK", 10)
     seeds, sizes = [3, 2**40, -7], [4, 0, 2]
     drawn = list(normal_blocks(seeds, 12, sizes, 3, 2**64 - 6))
     assert [len(b) for b in drawn] == [3, 2, 3, 2, 2]
@@ -340,7 +340,7 @@ def test_normal_blocks_segments_cross_state_blocks(monkeypatch):
 
 
 def test_normal_blocks_cross_state_blocks(monkeypatch):
-    monkeypatch.setattr(_rng, "STATE_BLOCK", 4)
+    monkeypatch.setattr(graphcore, "ROUND_CHUNK", 4)
     drawn = list(normal_blocks([9], 11, [6], 3, 2**32 - 5))
     assert [len(b) for b in drawn] == [3, 1, 3, 1, 3]
     for j, row in enumerate(np.concatenate(drawn)):
@@ -370,10 +370,10 @@ def test_block_rounding_matches_one_row_at_a_time():
 
 
 def test_sdp_cut_memory_does_not_grow_with_repeats(monkeypatch):
-    # states are derived STATE_BLOCK streams at a time, shrunk here so that
+    # states are derived ROUND_CHUNK streams at a time, shrunk here so that
     # 40 repeats cross three state blocks: 4,096 repeats of 200,000 normals
     # each would take about 17 s
-    monkeypatch.setattr(_rng, "STATE_BLOCK", 16)
+    monkeypatch.setattr(graphcore, "ROUND_CHUNK", 16)
     peaks = []
     for repeats in (4, 40):
         g = Graph.from_edges(200_000, [])
