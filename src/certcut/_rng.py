@@ -107,8 +107,8 @@ def normal_blocks(seeds, count: int, sizes, rows: int, k0: int = 0):
     order, for the streams of k = k0, ..., k0 + count - 1: row k holds one
     segment per entry of the equal-length ``seeds`` and ``sizes``, side by
     side, segment s being ``make_rng(seeds[s], k).standard_normal(sizes[s])``.
-    The states of :func:`block_rows` rows' streams are derived per pass, so
-    memory does not grow with ``count``.
+    The states of at most ``ROUND_CHUNK // 4`` streams (of one k, at least)
+    are derived per pass, so memory does not grow with ``count``.
     """
     # empty segments draw nothing, so only the others' streams are derived
     spans, keys, width = [], [], 0
@@ -117,7 +117,8 @@ def normal_blocks(seeds, count: int, sizes, rows: int, k0: int = 0):
             spans.append(slice(width, width + size))
             keys.append(seed)
         width += size
-    per_pass = block_rows(len(keys))
+    # a derived stream holds about 440 bytes of Python ints: a quarter chunk
+    per_pass = block_rows(4 * len(keys))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
@@ -135,3 +136,4 @@ def normal_blocks(seeds, count: int, sizes, rows: int, k0: int = 0):
                     bitgen.state = state
                     gen.standard_normal(out=out)
             yield block
+        del states  # freed before the next pass derives its own

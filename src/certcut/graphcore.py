@@ -261,6 +261,9 @@ def peel(g: Graph, alive=None) -> DegeneracyOrder:
     removal.reverse()
     order = np.array(removal, dtype=np.intp)
     order.flags.writeable = False
+    # drop the lists first: the result's size varies with interpreter state,
+    # and built under their peak it would make the peak vary too
+    del removal, rest, flat, ptr, deg, live, buckets
     return DegeneracyOrder(n, order, degeneracy)
 
 
@@ -272,7 +275,7 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
 # entries of scratch per array pass: the rows of a rounding or count block
 # times its longest per-row array, the vertices and edges of an
 # induced_unions run, the wedges of a triangle_list pass, the pair draws of
-# a random graph and the streams of a normal_blocks hash pass
+# a random graph and four times the streams of a normal_blocks hash pass
 ROUND_CHUNK = 1 << 14
 
 
@@ -309,35 +312,35 @@ def triangle_list(g: Graph) -> np.ndarray:
     higher one, so every triangle is exactly one wedge (u; v, w) of two
     out-neighbors of u whose closing edge v-w exists, and there are
     O(m^1.5) wedges (Chiba & Nishizeki, SIAM J. Comput. 1985). Wedges are
-    generated ``ROUND_CHUNK`` at a time and looked up among the sorted
-    edge keys.
+    generated ``ROUND_CHUNK`` at a time and looked up among the sorted edge
+    keys in rank space: both ends of a wedge come from one out-row, sorted
+    by head rank, so each edge's wedge keys form an ascending run.
     """
     n = g.n
     eu, ev = g.eu, g.ev
-    deg = np.diff(g.indptr)
     rank = np.empty(n, dtype=np.intp)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    rank[np.argsort(np.diff(g.indptr), kind="stable")] = np.arange(n)
     up = rank[eu] < rank[ev]
     tail = np.where(up, eu, ev)
     head = np.where(up, ev, eu)
     by_row = np.lexsort((rank[head], tail))
     tail, head = tail[by_row], head[by_row]
+    head_rank = rank[head]
+    keys = np.sort(rank[tail] * n + head_rank)
     # out-edge p pairs with every later out-edge q of the same tail
-    row_end = np.cumsum(np.bincount(tail, minlength=n))[tail]
-    fan = row_end - np.arange(g.m) - 1
+    fan = np.cumsum(np.bincount(tail, minlength=n))[tail] - np.arange(g.m) - 1
     fan_end = np.cumsum(fan)
     wedges = int(fan_end[-1]) if g.m else 0
-    keys = eu * n + ev  # ascending, since the edges are sorted
     found = []
     for start in range(0, wedges, ROUND_CHUNK):
         w = np.arange(start, min(start + ROUND_CHUNK, wedges))
         p = np.searchsorted(fan_end, w, side="right")
         q = p + fan[p] - (fan_end[p] - w) + 1
-        a, b = head[p], head[q]
-        key = np.minimum(a, b) * n + np.maximum(a, b)
+        key = head_rank[p] * n + head_rank[q]
         at = np.minimum(np.searchsorted(keys, key), g.m - 1)
         hit = keys[at] == key
-        found.append(np.stack((tail[p][hit], a[hit], b[hit]), axis=1))
+        p, q = p[hit], q[hit]
+        found.append(np.stack((tail[p], head[p], head[q]), axis=1))
     if not found:
         return np.empty((0, 3), dtype=np.intp)
     return np.concatenate(found)
@@ -369,12 +372,37 @@ def _forward_sets(g: Graph) -> list[frozenset[int]]:
     return [frozenset(ev[a:b]) for a, b in pairwise(ends)]
 
 
+def _holds_clique(g: Graph, r: int) -> bool:
+    """Whether ``g`` holds an r-clique, r = 3 or 4: a 4-clique u < v < w < x
+    is an edge w-x inside fwd[u] & fwd[v], the vertices that close a
+    triangle on the edge (u, v)."""
+    if r == 3 or not g.triangles:
+        return g.triangles > 0
+    fwd = _forward_sets(g)
+    for row in fwd:
+        for v in row:
+            common = row & fwd[v]
+            for w in common:
+                if not fwd[w].isdisjoint(common):
+                    return True
+    return False
+
+
 def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
-    """First r-clique in lexicographic vertex order, or None."""
+    """First r-clique in lexicographic vertex order, or None; BudgetExceeded
+    past ``budget`` steps, one per prefix plus one per candidate it extends
+    with. A K_r-free graph takes n + 2m steps for r = 3 and n + 2m + 2T for
+    r = 4 (T triangles), so a graph :func:`_holds_clique` finds free is not
+    searched."""
     if r < 1:
         raise ValueError("clique size r must be >= 1")
     if r == 1:
         return (0,) if g.n else None
+    if r in (3, 4) and not _holds_clique(g, r):
+        # with no vertex the search takes no step and passes any budget
+        if g.n + 2 * g.m + (2 * g.triangles if r == 4 else 0) > max(budget, 0):
+            raise BudgetExceeded(f"clique search exceeded {budget} steps")
+        return None
     fwd = _forward_sets(g)
     steps = 0
 

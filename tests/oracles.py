@@ -27,7 +27,15 @@ from certcut.errors import (
     TooFewVertices,
     VertexOutOfRange,
 )
-from certcut.graphcore import Cut, DegeneracyOrder, Graph, back_pairs, cut_value, induced_subgraph
+from certcut.graphcore import (
+    CLIQUE_STEP_BUDGET,
+    Cut,
+    DegeneracyOrder,
+    Graph,
+    back_pairs,
+    cut_value,
+    induced_subgraph,
+)
 from certcut.oracle import T_CUT_BUDGET, OracleBudget
 
 
@@ -138,6 +146,61 @@ def brute_clique_list(g: Graph, r: int) -> list[tuple[int, ...]]:
 
 def brute_cliques(g: Graph, r: int) -> int:
     return len(brute_clique_list(g, r))
+
+
+def reference_find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
+    """First r-clique in lexicographic vertex order, or None, by the
+    exhaustive search on every input: each prefix is charged one step plus
+    one per candidate above it, and BudgetExceeded is raised past
+    ``budget`` steps."""
+    if r == 1:
+        return (0,) if g.n else None
+    fwd = [frozenset(w for w in row if w > v) for v, row in enumerate(rows(g))]
+    steps = 0
+
+    def extend(prefix: tuple, cand: frozenset):
+        nonlocal steps
+        steps += len(cand) + 1
+        if steps > budget:
+            raise BudgetExceeded(f"clique search exceeded {budget} steps")
+        if len(prefix) == r:
+            return prefix
+        for v in sorted(cand):
+            hit = extend(prefix + (v,), cand & fwd[v])
+            if hit is not None:
+                return hit
+        return None
+
+    for v in range(g.n):
+        hit = extend((v,), fwd[v])
+        if hit is not None:
+            return hit
+    return None
+
+
+def reference_triangle_list(g: Graph) -> np.ndarray:
+    """The rows of ``triangle_list`` in its order, every wedge in one pass
+    and looked up among the id-space edge keys ``eu * n + ev``."""
+    n, m = g.n, g.m
+    if m == 0:
+        return np.empty((0, 3), dtype=np.intp)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(np.diff(g.indptr), kind="stable")] = np.arange(n)
+    up = rank[g.eu] < rank[g.ev]
+    tail = np.where(up, g.eu, g.ev)
+    head = np.where(up, g.ev, g.eu)
+    by_row = np.lexsort((rank[head], tail))
+    tail, head = tail[by_row], head[by_row]
+    fan = np.cumsum(np.bincount(tail, minlength=n))[tail] - np.arange(m) - 1
+    fan_end = np.cumsum(fan)
+    w = np.arange(fan_end[-1])
+    p = np.searchsorted(fan_end, w, side="right")
+    q = p + fan[p] - (fan_end[p] - w) + 1
+    a, b = head[p], head[q]
+    keys = g.eu * n + g.ev
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    hit = keys[np.minimum(np.searchsorted(keys, key), m - 1)] == key
+    return np.stack((tail[p][hit], a[hit], b[hit]), axis=1)
 
 
 def brute_independence_number(g: Graph) -> int:

@@ -1,4 +1,6 @@
 import gc
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -51,6 +53,7 @@ from oracles import (
     brute_max_cut,
     brute_triangles,
     reference_degeneracy_order,
+    reference_find_clique,
     reference_from_edges,
     rows,
 )
@@ -251,6 +254,40 @@ KR_FREE = {**TRIANGLE_FREE, **K4_FREE}
 KR_FREE_CASES = [(name, 3) for name in TRIANGLE_FREE] + [(name, 4) for name in KR_FREE]
 
 
+@st.composite
+def clique_cases(draw):
+    """(graph, r), r = 3 or 4, on up to 14 vertices: a random graph of
+    density 1/4, 1/2 or 3/4, a random tripartite graph of that density, a
+    Turan graph, or a random graph with a 4-clique planted on drawn ids."""
+    kind = draw(st.sampled_from(["random", "tripartite", "turan", "planted"]))
+    n = draw(st.integers(0, 14))
+    if kind == "turan":
+        g = turan(n, draw(st.integers(1, 5)))
+    else:
+        pairs = [(u, v) for u, v in combinations(range(n), 2)
+                 if kind != "tripartite" or u % 3 != v % 3]
+        level = draw(st.integers(1, 3))
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+        edges = {e for e, w in zip(pairs, weights) if w < level}
+        if kind == "planted" and n >= 4:
+            edges |= set(combinations(sorted(draw(st.permutations(range(n)))[:4]), 2))
+        g = Graph.from_edges(n, sorted(edges))
+    return g, draw(st.sampled_from([3, 4]))
+
+
+def clique_outcome(search, g: Graph, r: int, budget: int):
+    """The clique ``search`` returns, or the message of its BudgetExceeded."""
+    try:
+        return search(g, r, budget)
+    except BudgetExceeded as exc:
+        return "refused", str(exc)
+
+
+@pytest.fixture(scope="module")
+def regular_100k():
+    return random_regular(100_000, 3, 0)
+
+
 class TestCliques:
     def test_k5_counts_itself(self):
         assert find_clique(complete(5), 5) == (0, 1, 2, 3, 4)
@@ -286,6 +323,32 @@ class TestCliques:
         assert find_clique(g, r, budget=steps) is None
         with pytest.raises(BudgetExceeded):
             find_clique(g, r, budget=steps - 1)
+
+    @given(clique_cases())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_exhaustive_search_at_the_step_count(self, case):
+        # S, the search's steps on a K_r-free graph, and one step less: the
+        # settled freeness must answer and refuse exactly as the search does
+        g, r = case
+        steps = g.n + 2 * g.m + (2 * brute_cliques(g, 3) if r == 4 else 0)
+        for budget in (steps, steps - 1):
+            got = clique_outcome(find_clique, g, r, budget)
+            assert got == clique_outcome(reference_find_clique, g, r, budget)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_clique_check_memory_is_linear_in_the_graph(self, regular_100k, r):
+        # 130-160 bytes per vertex and edge here (the graph has one
+        # triangle), for the triangle listing and the forward sets; a bitset
+        # per vertex indexed by global id would hold about n/12 bytes per
+        # vertex here, 3,200 per vertex and edge
+        g = Graph(*(getattr(regular_100k, f) for f in ("n", "indptr", "indices", "eu", "ev")))
+        tracemalloc.start()
+        try:
+            find_clique(g, r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * (g.n + g.m), peak
 
     def test_find_clique_and_freeness(self):
         assert find_clique(cycle(5), 3) is None

@@ -8,6 +8,7 @@ parts, witnesses and remainder.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from certcut import graphcore
 from certcut._rng import make_rng
@@ -29,8 +30,10 @@ from oracles import (
     reference_count_triangles,
     reference_degeneracy_order,
     reference_partition,
+    reference_triangle_list,
     rows,
 )
+from conftest import graphs
 
 
 def random_tripartite(n: int, p: float, seed: int) -> Graph:
@@ -140,6 +143,12 @@ def check_triangle_list(g: Graph):
     assert sorted(found) == brute_triangle_list(g)
 
 
+def check_same_rows(g: Graph):
+    got, want = triangle_list(g), reference_triangle_list(g)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+
+
 class TestTriangleList:
     @pytest.mark.parametrize("name", [k for k in sorted(CORPUS) if CORPUS[k].n <= 90])
     def test_matches_brute_force(self, name):
@@ -150,6 +159,19 @@ class TestTriangleList:
     def test_chunk_boundaries_inside_a_vertex(self, monkeypatch, name, chunk):
         monkeypatch.setattr(graphcore, "ROUND_CHUNK", chunk)
         check_triangle_list(CORPUS[name])
+
+    @pytest.mark.parametrize("chunk", [7, graphcore.ROUND_CHUNK])
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_rows_and_order_match_id_key_lookup(self, monkeypatch, name, chunk):
+        # the corpus has degree ties (cliques, cycles, regular and Turan
+        # graphs), isolated vertices and m = 0
+        monkeypatch.setattr(graphcore, "ROUND_CHUNK", chunk)
+        check_same_rows(CORPUS[name])
+
+    @given(graphs(max_n=12))
+    @settings(deadline=None, max_examples=200)
+    def test_rows_and_order_match_id_key_lookup_on_random_graphs(self, g):
+        check_same_rows(g)
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_count_matches_set_loop_and_cache(self, name):

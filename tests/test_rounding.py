@@ -328,8 +328,8 @@ def test_normal_blocks_segments_are_the_seed_streams(segments, k0, count, rows):
 
 def test_normal_blocks_segments_cross_state_blocks(monkeypatch):
     # two drawn segments (the empty one derives no state) take 5 rows per
-    # 10-stream state pass
-    monkeypatch.setattr(graphcore, "ROUND_CHUNK", 10)
+    # 10-stream state pass, a quarter of ROUND_CHUNK
+    monkeypatch.setattr(graphcore, "ROUND_CHUNK", 40)
     seeds, sizes = [3, 2**40, -7], [4, 0, 2]
     drawn = list(normal_blocks(seeds, 12, sizes, 3, 2**64 - 6))
     assert [len(b) for b in drawn] == [3, 2, 3, 2, 2]
@@ -340,7 +340,8 @@ def test_normal_blocks_segments_cross_state_blocks(monkeypatch):
 
 
 def test_normal_blocks_cross_state_blocks(monkeypatch):
-    monkeypatch.setattr(graphcore, "ROUND_CHUNK", 4)
+    # 4-stream state passes, a quarter of ROUND_CHUNK
+    monkeypatch.setattr(graphcore, "ROUND_CHUNK", 16)
     drawn = list(normal_blocks([9], 11, [6], 3, 2**32 - 5))
     assert [len(b) for b in drawn] == [3, 1, 3, 1, 3]
     for j, row in enumerate(np.concatenate(drawn)):
@@ -384,6 +385,22 @@ def test_sdp_cut_memory_does_not_grow_with_repeats(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[0] == peaks[1] < 20 * 2**20, peaks
+
+
+def test_sdp_cut_stream_memory_is_bounded_per_pass():
+    # a hash pass derives at most ROUND_CHUNK // 4 streams of about 440
+    # bytes each, so 16,384 repeats take four passes and peak about as one
+    # pass of 4,096 does (1.8 MB here; deriving 16,384 at once took 7.4 MB)
+    peaks = []
+    for repeats in (4096, 16384):
+        g = petersen()
+        tracemalloc.start()
+        try:
+            sdp_cut(g, None, repeats, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < min(1.25 * peaks[0], 3 * 2**20), peaks
 
 
 def test_zero_and_nan_directions_land_as_before():
