@@ -306,7 +306,14 @@ def best_row(blocks, ends: list[int], tops: list[int] | None = None) -> tuple[np
 
 
 def triangle_list(g: Graph) -> np.ndarray:
-    """Every 3-clique once, as rows ``(u, v, w)`` ascending in (degree, id).
+    """Every 3-clique once, as rows ``(u, v, w)`` ascending in (degree, id),
+    from :func:`_triangle_passes`."""
+    found = list(_triangle_passes(g))
+    return np.concatenate(found) if found else np.empty((0, 3), dtype=np.intp)
+
+
+def _triangle_passes(g: Graph):
+    """The rows of :func:`triangle_list`, one array per pass that finds any.
 
     Each edge points from the endpoint lower in (degree, id) order to the
     higher one, so every triangle is exactly one wedge (u; v, w) of two
@@ -331,7 +338,6 @@ def triangle_list(g: Graph) -> np.ndarray:
     fan = np.cumsum(np.bincount(tail, minlength=n))[tail] - np.arange(g.m) - 1
     fan_end = np.cumsum(fan)
     wedges = int(fan_end[-1]) if g.m else 0
-    found = []
     for start in range(0, wedges, ROUND_CHUNK):
         w = np.arange(start, min(start + ROUND_CHUNK, wedges))
         p = np.searchsorted(fan_end, w, side="right")
@@ -339,11 +345,9 @@ def triangle_list(g: Graph) -> np.ndarray:
         key = head_rank[p] * n + head_rank[q]
         at = np.minimum(np.searchsorted(keys, key), g.m - 1)
         hit = keys[at] == key
-        p, q = p[hit], q[hit]
-        found.append(np.stack((tail[p], head[p], head[q]), axis=1))
-    if not found:
-        return np.empty((0, 3), dtype=np.intp)
-    return np.concatenate(found)
+        if hit.any():
+            p, q = p[hit], q[hit]
+            yield np.stack((tail[p], head[p], head[q]), axis=1)
 
 
 def count_triangles(g: Graph) -> int:
@@ -372,38 +376,36 @@ def _forward_sets(g: Graph) -> list[frozenset[int]]:
     return [frozenset(ev[a:b]) for a, b in pairwise(ends)]
 
 
-def _holds_clique(g: Graph, r: int) -> bool:
-    """Whether ``g`` holds an r-clique, r = 3 or 4: a 4-clique u < v < w < x
-    is an edge w-x inside fwd[u] & fwd[v], the vertices that close a
-    triangle on the edge (u, v)."""
-    if r == 3 or not g.triangles:
-        return g.triangles > 0
-    fwd = _forward_sets(g)
+def _k4_free_within(fwd: list[frozenset[int]], budget: int) -> bool:
+    """Whether ``fwd`` holds no 4-clique u < v < w < x, an edge w-x inside
+    c = fwd[u] & fwd[v], and 2T = sum 2|c| over the edges fits ``budget``."""
+    steps = 0
     for row in fwd:
         for v in row:
             common = row & fwd[v]
-            for w in common:
-                if not fwd[w].isdisjoint(common):
-                    return True
-    return False
+            if common:
+                steps += 2 * len(common)
+                if steps > budget or any(not fwd[w].isdisjoint(common) for w in common):
+                    return False
+    return steps <= budget
 
 
 def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
     """First r-clique in lexicographic vertex order, or None; BudgetExceeded
     past ``budget`` steps, one per prefix plus one per candidate it extends
-    with. A K_r-free graph takes n + 2m steps for r = 3 and n + 2m + 2T for
-    r = 4 (T triangles), so a graph :func:`_holds_clique` finds free is not
-    searched."""
+    with. A K_r-free graph, r = 3 or 4, whose n + 2m steps (+ 2T for r = 4,
+    T triangles) fit the budget is answered without the search, so every
+    witness and refusal is the search's."""
     if r < 1:
         raise ValueError("clique size r must be >= 1")
     if r == 1:
         return (0,) if g.n else None
-    if r in (3, 4) and not _holds_clique(g, r):
-        # with no vertex the search takes no step and passes any budget
-        if g.n + 2 * g.m + (2 * g.triangles if r == 4 else 0) > max(budget, 0):
-            raise BudgetExceeded(f"clique search exceeded {budget} steps")
+    free_budget = budget - g.n - 2 * g.m
+    if r == 3 and free_budget >= 0 and next(_triangle_passes(g), None) is None:
         return None
     fwd = _forward_sets(g)
+    if r == 4 and _k4_free_within(fwd, free_budget):
+        return None
     steps = 0
 
     def extend(prefix: tuple, cand: frozenset):

@@ -32,6 +32,7 @@ from certcut.generators import (
 )
 from certcut import graphcore
 from certcut.graphcore import (
+    CLIQUE_STEP_BUDGET,
     Graph,
     count_back_triangles,
     count_triangles,
@@ -283,6 +284,15 @@ def clique_outcome(search, g: Graph, r: int, budget: int):
         return "refused", str(exc)
 
 
+def clique_peak(g: Graph, r: int, budget: int):
+    """``clique_outcome`` of find_clique and its traced peak in bytes."""
+    tracemalloc.start()
+    try:
+        return clique_outcome(find_clique, g, r, budget), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture(scope="module")
 def regular_100k():
     return random_regular(100_000, 3, 0)
@@ -324,30 +334,41 @@ class TestCliques:
         with pytest.raises(BudgetExceeded):
             find_clique(g, r, budget=steps - 1)
 
-    @given(clique_cases())
+    @given(clique_cases(), st.floats(0, 1))
     @settings(deadline=None, max_examples=300)
-    def test_matches_exhaustive_search_at_the_step_count(self, case):
-        # S, the search's steps on a K_r-free graph, and one step less: the
-        # settled freeness must answer and refuse exactly as the search does
+    def test_matches_exhaustive_search_at_the_step_count(self, case, share):
+        # S, the search's steps on a K_r-free graph, one step less and a
+        # drawn budget up to S: the settled freeness must answer and refuse
+        # exactly as the search does
         g, r = case
         steps = g.n + 2 * g.m + (2 * brute_cliques(g, 3) if r == 4 else 0)
-        for budget in (steps, steps - 1):
+        for budget in (steps, steps - 1, int(share * steps)):
             got = clique_outcome(find_clique, g, r, budget)
             assert got == clique_outcome(reference_find_clique, g, r, budget)
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_clique_check_memory_is_linear_in_the_graph(self, regular_100k, r):
-        # 130-160 bytes per vertex and edge here (the graph has one
-        # triangle), for the triangle listing and the forward sets; a bitset
+        # about 130 bytes per vertex and edge here (the graph has one
+        # triangle), for the forward sets and the triangle pass; a bitset
         # per vertex indexed by global id would hold about n/12 bytes per
         # vertex here, 3,200 per vertex and edge
         g = Graph(*(getattr(regular_100k, f) for f in ("n", "indptr", "indices", "eu", "ev")))
-        tracemalloc.start()
-        try:
-            find_clique(g, r)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = clique_peak(g, r, CLIQUE_STEP_BUDGET)
+        assert peak < 256 * (g.n + g.m), peak
+
+    @pytest.mark.parametrize("make, r, budget, expected", [
+        (lambda: complete(600), 3, CLIQUE_STEP_BUDGET, (0, 1, 2)),
+        (lambda: complete(600), 4, CLIQUE_STEP_BUDGET, (0, 1, 2, 3)),
+        (lambda: turan(600, 3), 4, 1000, ("refused", "clique search exceeded 1000 steps")),
+    ], ids=["k600-r3", "k600-r4", "turan600-r4-refused"])
+    def test_dense_clique_check_memory_is_linear_in_the_graph(self, make, r, budget, expected):
+        # a witness, or a K4-free graph refused long before its 16 million
+        # steps: about 100 bytes per vertex and edge, for the forward sets;
+        # listing every triangle first would take 24 bytes per triangle:
+        # 860 MB on K600 and 190 MB on the Turan graph
+        g = make()
+        got, peak = clique_peak(g, r, budget)
+        assert got == expected
         assert peak < 256 * (g.n + g.m), peak
 
     def test_find_clique_and_freeness(self):
