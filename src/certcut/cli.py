@@ -19,20 +19,23 @@ import time
 
 from ._rng import derive_seed, make_rng
 from .chromatic import coloring_cut, coloring_pipeline_floor, kr_free_coloring, max_t_cut
-from .decompose import SAMPLE_P, composite_cut, induced_cuts, kr_cut, sampled_sdp_cut
+from .decompose import SAMPLE_P, composite_cut, kr_cut, sampled_sdp_cut
 from .embedding import default_eps, sdp_cut
 from .errors import BudgetExceeded, CertcutError, InvalidEpsilon, ParseError, PreconditionError
-from .generators import (
-    GenSpec,
-    family,
-    make_cr_free,
-)
+from .generators import MODELS, GenSpec, family, make_cr_free
 from .graphcore import Graph, edwards_bound
 from .harness import CSV_HEADER, RunReport, format_edge_list, parse_graph
 from .oracle import OracleBudget, max_cut_exact
 from .verify import SUITES, run_suite
 
 ALGOS = ("exact", "sdp", "composite", "kr", "chromatic", "tcut", "sampled")
+
+# the family parameters of bench's size n and degree d
+_BENCH_PARAMS = {
+    "regular": lambda n, d, args: {"n": n, "d": d, "max_restarts": args.max_restarts},
+    "gnp": lambda n, d, args: {"n": n, "p": min(1.0, d / max(n - 1, 1))},
+    "turan": lambda n, d, args: {"n": n, "classes": d},
+}
 
 
 def _read_input(path: str) -> bytes:
@@ -88,9 +91,7 @@ def run_cut_algorithm(g: Graph, algo: str, *, seed: int, epsilon: str, repeats: 
         cut, cert = sdp_cut(g, eps, repeats, seed)
         params = f"eps={eps:.10g};repeats={repeats}"
     elif algo == "composite":
-        part_seed = derive_seed(seed, 9)
-        cut, cert = composite_cut(g, eps, lambda h, parts: induced_cuts(
-            h, [(part, part_seed) for part in parts], None, repeats), repeats, seed)
+        cut, cert = composite_cut(g, eps, repeats=repeats, seed=seed)
         params = f"eps={eps:.10g};repeats={repeats}"
     elif algo == "kr":
         cut, cert = kr_cut(g, r, repeats, seed)
@@ -129,21 +130,11 @@ def make_report(g: Graph, label: str, algo: str, seed: int, **kwargs) -> RunRepo
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    if args.model == "regular":
-        params = {"n": args.n, "d": args.d, "max_restarts": args.max_restarts}
-    elif args.model == "gnp":
-        if args.p is None:
-            raise PreconditionError("model 'gnp' needs --p")
-        params = {"n": args.n, "p": args.p}
-    elif args.model == "bipartite":
-        params = {"a": args.a, "b": args.b, "p": args.p if args.p is not None else 1.0}
-    elif args.model == "turan":
-        params = {"n": args.n, "classes": args.classes}
-    elif args.model == "blowup":
-        params = {"cycle": args.base_cycle, "k": args.k}
-    elif args.model == "disjoint-cliques":
-        params = {"count": args.count, "size": args.size}
+    if args.model == "gnp" and args.p is None:
+        raise PreconditionError("model 'gnp' needs --p")
+    # an unset --p leaves bipartite its default
+    params = {name: getattr(args, name) for name in MODELS[args.model].params
+              if getattr(args, name) is not None}
     g = family(GenSpec(args.model, params, args.seed))
     if args.cr_free:
         g = make_cr_free(g, args.cr_free)
@@ -192,17 +183,7 @@ def _cmd_bench(args) -> int:
         for d in dlist:
             for inst in range(args.instances):
                 inst_seed = derive_seed(args.seed, index)
-                if args.family == "regular":
-                    spec = GenSpec(
-                        "regular",
-                        {"n": n, "d": d, "max_restarts": args.max_restarts},
-                        inst_seed,
-                    )
-                elif args.family == "gnp":
-                    spec = GenSpec("gnp", {"n": n, "p": min(1.0, d / max(n - 1, 1))}, inst_seed)
-                else:  # turan; argparse refuses any other family
-                    spec = GenSpec("turan", {"n": n, "classes": d}, inst_seed)
-                g = family(spec)
+                g = family(GenSpec(args.family, _BENCH_PARAMS[args.family](n, d, args), inst_seed))
                 if args.cr_free:
                     g = make_cr_free(g, args.cr_free)
                 label = f"{args.family}:n={n},d={d}#{inst}"
@@ -239,15 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-vertices", type=int, default=None)
 
     gen = sub.add_parser("gen", help="generate an instance (canonical edge list)")
-    gen.add_argument("--model", required=True,
-                     choices=["regular", "gnp", "bipartite", "turan", "blowup", "disjoint-cliques"])
+    gen.add_argument("--model", required=True, choices=list(MODELS))
     gen.add_argument("--n", type=int, default=10)
     gen.add_argument("--d", type=int, default=3)
     gen.add_argument("--p", type=float, default=None)
     gen.add_argument("--a", type=int, default=3)
     gen.add_argument("--b", type=int, default=3)
     gen.add_argument("--classes", type=int, default=2)
-    gen.add_argument("--base-cycle", type=int, default=5)
+    gen.add_argument("--base-cycle", dest="cycle", metavar="BASE_CYCLE", type=int, default=5)
     gen.add_argument("--k", type=int, default=2)
     gen.add_argument("--count", type=int, default=3)
     gen.add_argument("--size", type=int, default=3)
@@ -266,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     cut.set_defaults(func=_cmd_cut)
 
     bench = sub.add_parser("bench", parents=[run], help="sweep a family, emit CSV rows")
-    bench.add_argument("--family", required=True, choices=["regular", "gnp", "turan"])
+    bench.add_argument("--family", required=True, choices=list(_BENCH_PARAMS))
     bench.add_argument("--nlist", required=True)
     bench.add_argument("--dlist", required=True)
     bench.add_argument("--instances", type=int, default=1)

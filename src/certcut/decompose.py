@@ -324,7 +324,7 @@ def induced_cuts(g: Graph, sets, eps: float | None, repeats: int) -> list[Cut]:
 def composite_cut(
     g: Graph,
     eps: float,
-    sub: Callable[[Graph, tuple[np.ndarray, ...]], list[Cut]],
+    sub: Callable[[Graph, tuple[np.ndarray, ...]], list[Cut]] | None = None,
     repeats: int = 32,
     seed: int = 0,
 ) -> tuple[Cut, CutCertificate]:
@@ -336,12 +336,21 @@ def composite_cut(
     the whole graph; (d) the greedy half cut, which guarantees value >= m/2
     unconditionally. Returns the best cut by value; the certificate is the
     largest candidate certificate (each one is a valid max-cut lower bound).
+
+    Without ``sub``, every part is rounded with its own default eps and
+    seed (seed, 9); the remainder takes seed (seed, 1) and the whole graph
+    (seed, 2).
     """
     check_eps(g, eps)
     decomp = partition_triangle_sparse(g, 8 * eps)
 
     rem_cuts = induced_cuts(g, [(decomp.remainder, derive_seed(seed, 1))], eps, repeats)
-    blocks = zip((*decomp.parts, decomp.remainder), sub(g, decomp.parts) + rem_cuts)
+    if sub is None:
+        sets = [(part, derive_seed(seed, 9)) for part in decomp.parts]
+        part_cuts = induced_cuts(g, sets, None, repeats)
+    else:
+        part_cuts = sub(g, decomp.parts)
+    blocks = zip((*decomp.parts, decomp.remainder), part_cuts + rem_cuts)
     cut_a, cert_a = combine_subcuts(g, list(blocks))
 
     in_remainder = np.zeros(g.n, dtype=bool)

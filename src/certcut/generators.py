@@ -7,6 +7,7 @@ same spec always produces the same edge list, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,69 +81,53 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
     return Graph.from_edges(n, np.stack((u, v), axis=1))
 
 
-def _find_cycle(adj: dict, n: int, r: int, steps: list, budget: int, first: int):
-    # first r-cycle in lexicographic path order among start vertices >= first:
-    # the start vertex is the cycle's minimum, interior vertices are explored
-    # in increasing id order
-    try:
-        for start in range(first, n):
-            path = [start]
-            on_path = {start}
-
-            def dfs():
-                steps[0] += 1
-                if steps[0] > budget:
-                    raise BudgetExceeded(f"cycle search exceeded {budget} steps")
-                v = path[-1]
-                if len(path) == r:
-                    return start in adj[v]
-                for w in sorted(adj[v]):
-                    if w > start and w not in on_path:
-                        path.append(w)
-                        on_path.add(w)
-                        if dfs():
-                            return True
-                        path.pop()
-                        on_path.remove(w)
-                return False
-
-            if len(adj[start]) >= 2 and dfs():
-                return path
-        return None
-    finally:
-        # dfs holds itself through its closure; breaking that cycle frees
-        # adj's sets when the search returns, not at the next cyclic collection
-        dfs = None
+def _close_cycle(adj: dict, r: int, path: list, on_path: set, steps: list, budget: int) -> bool:
+    """Whether ``path`` extends to an r-cycle through vertices above its
+    start, the first in lexicographic path order: interior vertices are
+    explored in increasing id. ``path`` then holds the cycle, and
+    ``steps[0]`` counts the search's steps."""
+    steps[0] += 1
+    if steps[0] > budget:
+        raise BudgetExceeded(f"cycle search exceeded {budget} steps")
+    v = path[-1]
+    if len(path) == r:
+        return path[0] in adj[v]
+    for w in sorted(adj[v]):
+        if w > path[0] and w not in on_path:
+            path.append(w)
+            on_path.add(w)
+            if _close_cycle(adj, r, path, on_path, steps, budget):
+                return True
+            path.pop()
+            on_path.remove(w)
+    return False
 
 
 def make_cr_free(g: Graph, r: int, budget: int = 10**8) -> Graph:
     """Delete one edge per detected r-cycle until none of length exactly r
     remains. The deleted edge is the lexicographically smallest of the found
-    cycle, so the output is deterministic; the final rescan certifies it.
+    cycle, so the output is deterministic; the final search certifies it.
 
-    The search for the next cycle resumes at the start (minimum) vertex of
-    the one just found, not at vertex 0. That finds the same cycle as a scan
-    from 0: deleting edges never creates a cycle, so a start vertex that
-    closed no r-cycle before a deletion closes none after it. ``budget``
-    caps the DFS steps of these resumed searches, summed over all of them.
+    Each cycle is searched from its minimum vertex, the start. After a
+    deletion the search resumes at the start of the cycle just destroyed,
+    not at vertex 0. That finds the same cycle as a scan from 0: deleting
+    edges never creates a cycle, so a start vertex that closed no r-cycle
+    before a deletion closes none after it. ``budget`` caps the DFS steps
+    of these resumed searches, summed over all of them.
     """
     if r < 3:
         raise InvalidParameter(f"cycle length r must be >= 3, got {r}")
     flat, ptr = g.indices.tolist(), g.indptr.tolist()
     adj = {v: set(flat[ptr[v]:ptr[v + 1]]) for v in range(g.n)}
     steps = [0]
-    first = 0
-    while True:
-        cycle = _find_cycle(adj, g.n, r, steps, budget, first)
-        if cycle is None:
-            break
-        first = cycle[0]
-        cycle_edges = [
-            tuple(sorted((cycle[i], cycle[(i + 1) % r]))) for i in range(r)
-        ]
-        u, v = min(cycle_edges)
-        adj[u].discard(v)
-        adj[v].discard(u)
+    for start in range(g.n):
+        while len(adj[start]) >= 2:
+            path = [start]
+            if not _close_cycle(adj, r, path, {start}, steps, budget):
+                break
+            u, v = min(tuple(sorted(e)) for e in zip(path, path[1:] + path[:1]))
+            adj[u].discard(v)
+            adj[v].discard(u)
     edges = sorted((u, v) for u in adj for v in adj[u] if u < v)
     return Graph.from_edges(g.n, edges)
 
@@ -240,38 +225,44 @@ class GenSpec:
     seed: int = 0
 
 
-# vertex count of each model's graph; blowup builds its base cycle before checking k
-_VERTICES = {"regular": lambda p: p["n"], "gnp": lambda p: p["n"], "turan": lambda p: p["n"],
-             "bipartite": lambda p: p["a"] + p["b"],
-             "blowup": lambda p: max(p["cycle"], 0) * max(p["k"], 1),
-             "disjoint-cliques": lambda p: max(p["count"], 0) * max(p["size"], 0)}
+class Model(NamedTuple):
+    """A ``family`` model: its parameter names, and its vertex count and
+    factory as functions of the parameter dict."""
+
+    params: tuple[str, ...]
+    vertices: Callable[[dict], int]
+    build: Callable[[dict, int], Graph]
+
+
+# blowup builds its base cycle before checking k
+MODELS = {
+    "regular": Model(("n", "d", "max_restarts"), lambda p: p["n"],
+                     lambda p, seed: random_regular(p.pop("n"), p.pop("d"), seed, **p)),
+    "gnp": Model(("n", "p"), lambda p: p["n"], lambda p, seed: gnp(p["n"], p["p"], seed)),
+    "bipartite": Model(("a", "b", "p"), lambda p: p["a"] + p["b"],
+                       lambda p, seed: random_bipartite(p["a"], p["b"], p.get("p", 1.0), seed)),
+    "turan": Model(("n", "classes"), lambda p: p["n"], lambda p, _: turan(p["n"], p["classes"])),
+    "blowup": Model(("cycle", "k"), lambda p: max(p["cycle"], 0) * max(p["k"], 1),
+                    lambda p, _: blowup(cycle(p["cycle"]), p["k"])),
+    "disjoint-cliques": Model(("count", "size"), lambda p: max(p["count"], 0) * max(p["size"], 0),
+                              lambda p, _: disjoint_cliques(p["count"], p["size"])),
+}
 
 
 def family(spec: GenSpec) -> Graph:
-    """Dispatch a GenSpec to its factory; unknown models or bad parameters
-    raise InfeasibleSpec. A spec of more than ``MAX_HEADER_VERTICES``
-    vertices, which no edge-list reader accepts, raises BudgetExceeded
-    before anything is built."""
-    p = dict(spec.params)
+    """Build a GenSpec by its model's entry in ``MODELS``; unknown models or
+    bad parameters raise InfeasibleSpec. A spec of more than
+    ``MAX_HEADER_VERTICES`` vertices, which no edge-list reader accepts,
+    raises BudgetExceeded before anything is built."""
+    if spec.model not in MODELS:
+        raise InfeasibleSpec(f"unknown model {spec.model!r}")
+    model, p = MODELS[spec.model], dict(spec.params)
     try:
-        vertices = _VERTICES[spec.model](p) if spec.model in _VERTICES else 0
-        if vertices > MAX_HEADER_VERTICES:
+        if (vertices := model.vertices(p)) > MAX_HEADER_VERTICES:
             raise BudgetExceeded(f"model {spec.model!r} makes {vertices} vertices, "
                                  f"above the cap {MAX_HEADER_VERTICES}")
-        if spec.model == "regular":
-            return random_regular(p.pop("n"), p.pop("d"), spec.seed, **p)
-        if spec.model == "gnp":
-            return gnp(p.pop("n"), p.pop("p"), spec.seed)
-        if spec.model == "bipartite":
-            return random_bipartite(p.pop("a"), p.pop("b"), p.pop("p", 1.0), spec.seed)
-        if spec.model == "turan":
-            return turan(p.pop("n"), p.pop("classes"))
-        if spec.model == "blowup":
-            return blowup(cycle(p.pop("cycle")), p.pop("k"))
-        if spec.model == "disjoint-cliques":
-            return disjoint_cliques(p.pop("count"), p.pop("size"))
+        return model.build(p, spec.seed)
     except KeyError as missing:
         raise InfeasibleSpec(f"model {spec.model!r} is missing parameter {missing}") from None
     except (ValueError, TypeError) as bad:
         raise InfeasibleSpec(f"model {spec.model!r}: {bad}") from None
-    raise InfeasibleSpec(f"unknown model {spec.model!r}")

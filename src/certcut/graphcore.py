@@ -395,42 +395,42 @@ def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
     past ``budget`` steps, one per prefix plus one per candidate it extends
     with. A K_r-free graph, r = 3 or 4, whose n + 2m steps (+ 2T for r = 4,
     T triangles) fit the budget is answered without the search, so every
-    witness and refusal is the search's."""
+    witness and refusal is the search's; for r = 3 that answer also caches
+    the graph's (empty) ``triangle_list``."""
     if r < 1:
         raise ValueError("clique size r must be >= 1")
     if r == 1:
         return (0,) if g.n else None
     free_budget = budget - g.n - 2 * g.m
     if r == 3 and free_budget >= 0 and next(_triangle_passes(g), None) is None:
+        # the passes saw every wedge: keep the empty listing for g.triangles
+        g.__dict__.setdefault("triangle_list", np.empty((0, 3), dtype=np.intp))
         return None
     fwd = _forward_sets(g)
     if r == 4 and _k4_free_within(fwd, free_budget):
         return None
-    steps = 0
+    steps = [0]
+    for v in range(g.n):
+        hit = _extend_clique(fwd, r, (v,), fwd[v], steps, budget)
+        if hit is not None:
+            return hit
+    return None
 
-    def extend(prefix: tuple, cand: frozenset):
-        nonlocal steps
-        steps += len(cand) + 1
-        if steps > budget:
-            raise BudgetExceeded(f"clique search exceeded {budget} steps")
-        if len(prefix) == r:
-            return prefix
-        for v in sorted(cand):
-            hit = extend(prefix + (v,), cand & fwd[v])
-            if hit is not None:
-                return hit
-        return None
 
-    try:
-        for v in range(g.n):
-            hit = extend((v,), fwd[v])
-            if hit is not None:
-                return hit
-        return None
-    finally:
-        # extend holds itself through its closure; breaking that cycle frees
-        # fwd when the search returns, not at the next cyclic collection
-        extend = None
+def _extend_clique(fwd: list[frozenset[int]], r: int, prefix: tuple, cand: frozenset,
+                   steps: list[int], budget: int):
+    """The first r-clique that extends ``prefix`` by vertices of ``cand``,
+    taken in increasing id, or None; ``steps[0]`` counts the search's steps."""
+    steps[0] += len(cand) + 1
+    if steps[0] > budget:
+        raise BudgetExceeded(f"clique search exceeded {budget} steps")
+    if len(prefix) == r:
+        return prefix
+    for v in sorted(cand):
+        hit = _extend_clique(fwd, r, prefix + (v,), cand & fwd[v], steps, budget)
+        if hit is not None:
+            return hit
+    return None
 
 
 def _binary_labels(side) -> np.ndarray:

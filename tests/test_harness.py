@@ -26,7 +26,16 @@ from certcut.errors import (
     VertexOutOfRange,
 )
 from certcut.graphcore import cut_value
-from certcut.generators import complete, gnp, petersen, random_regular
+from certcut.generators import (
+    MODELS,
+    GenSpec,
+    complete,
+    family,
+    gnp,
+    make_cr_free,
+    petersen,
+    random_regular,
+)
 from certcut.harness import (
     CSV_HEADER,
     MAX_HEADER_VERTICES,
@@ -462,6 +471,24 @@ class TestCli:
         assert drop_ms(out1) == drop_ms(out2)
 
     def test_gen_remaining_models(self, capsys):
+        # every model of the table, each parameter set from its flag; bipartite
+        # also with its default p
+        calls = [
+            (["regular", "--n", "12", "--d", "3", "--max-restarts", "50", "--seed", "4"],
+             GenSpec("regular", {"n": 12, "d": 3, "max_restarts": 50}, 4)),
+            (["gnp", "--n", "15", "--p", "0.3", "--seed", "4"], GenSpec("gnp", {"n": 15, "p": 0.3}, 4)),
+            (["bipartite", "--a", "4", "--b", "5", "--p", "0.5", "--seed", "2"],
+             GenSpec("bipartite", {"a": 4, "b": 5, "p": 0.5}, 2)),
+            (["bipartite", "--a", "2", "--b", "5"], GenSpec("bipartite", {"a": 2, "b": 5})),
+            (["turan", "--n", "9", "--classes", "3"], GenSpec("turan", {"n": 9, "classes": 3})),
+            (["blowup", "--base-cycle", "7", "--k", "3"], GenSpec("blowup", {"cycle": 7, "k": 3})),
+            (["disjoint-cliques", "--count", "2", "--size", "4"],
+             GenSpec("disjoint-cliques", {"count": 2, "size": 4})),
+        ]
+        assert {spec.model for _, spec in calls} == set(MODELS)
+        for argv, spec in calls:
+            code, out, _ = run_cli(capsys, "gen", "--model", *argv)
+            assert code == 0 and out == format_edge_list(family(spec))
         code, out, _ = run_cli(capsys, "gen", "--model", "blowup", "--base-cycle", "5", "--k", "2")
         assert code == 0 and parse_graph(out).m == 20
         code, out, _ = run_cli(capsys, "gen", "--model", "disjoint-cliques", "--count", "4", "--size", "3")
@@ -720,3 +747,15 @@ class TestPerGraphFacts:
         assert calls == {"degeneracy_order": 1, "count_triangles": 1}
         # triangle-poor, so composite's partition leaves the whole graph as remainder
         assert g.triangles * 8 < g.m
+
+    def test_kr_report_lists_triangles_once(self, monkeypatch):
+        # on a triangle-free graph find_clique's wedge passes are the whole
+        # (empty) listing, which the partition and the report's count reuse
+        calls = []
+        def counted(g, _fn=graphcore._triangle_passes):
+            calls.append(g)
+            return _fn(g)
+        monkeypatch.setattr(graphcore, "_triangle_passes", counted)
+        g = make_cr_free(random_regular(2000, 3, 0), 3)
+        report = make_report(g, "g", "kr", 0, epsilon="auto", repeats=4, r=3, t=3, p=None, max_vertices=None)
+        assert report.triangles == 0 and calls == [g]

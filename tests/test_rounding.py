@@ -371,13 +371,14 @@ def test_block_rounding_matches_one_row_at_a_time():
 
 
 def test_sdp_cut_memory_does_not_grow_with_repeats(monkeypatch):
-    # states are derived ROUND_CHUNK streams at a time, shrunk here so that
-    # 40 repeats cross three state blocks: 4,096 repeats of 200,000 normals
-    # each would take about 17 s
+    # a hash pass derives ROUND_CHUNK // 4 streams, shrunk here so that 40
+    # repeats take ten passes of 4: 4,096 repeats of 200,000 normals each
+    # would take about 17 s. The triangle keeps every repeat's cut below m,
+    # so sdp_cut draws all of them.
     monkeypatch.setattr(graphcore, "ROUND_CHUNK", 16)
     peaks = []
     for repeats in (4, 40):
-        g = Graph.from_edges(200_000, [])
+        g = Graph.from_edges(200_000, [(0, 1), (0, 2), (1, 2)])
         tracemalloc.start()
         try:
             sdp_cut(g, None, repeats, 3)
