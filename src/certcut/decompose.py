@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, islice, pairwise, tee
 from typing import Callable
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from ._rng import derive_seed, make_rng
 from .chromatic import coloring_cut, kr_free_coloring
-from .embedding import CutCertificate, check_eps, default_eps, sdp_cut, sdp_cuts
+from .embedding import CutCertificate, check_eps, default_eps, exact_expected_cut, sdp_cut, sdp_cuts
 from .errors import (
     InvalidParameter,
     NotACutOfInducedSubgraph,
@@ -301,24 +302,22 @@ def round_induced(g: Graph, sets, eps: float | None, repeats: int):
     """Round the subgraph induced by each ``(ids, seed)`` of ``sets``, read
     lazily, as ``sdp_cut(induced_subgraph(g, ids)[0], eps, repeats, seed)``
     does: consecutive sets are the blocks of one graph (:func:`induced_unions`,
-    :func:`sdp_cuts`). Yields each set's sorted ids, uint8 labels, cut value
-    and run of per-edge terms, in set order."""
+    :func:`sdp_cuts`). Yields each set's sorted ids, uint8 labels, cut value,
+    union embedding and slice of the union's edges, in set order; the slice
+    of the union's :func:`exact_expected_cut` terms is the set's own."""
     sets, seeds = tee(sets)
     for union, parts in induced_unions(g, (ids for ids, _ in sets)):
         ends = list(accumulate(map(len, parts)))
         run = [seed for _, seed in islice(seeds, len(parts))]
-        labels, values, cert = sdp_cuts(union, ends, eps, repeats, run)
+        labels, values, emb = sdp_cuts(union, ends, eps, repeats, run)
         edges = pairwise([0, *union.eu.searchsorted(ends).tolist()])
-        # the caller needs no union graph; keeping the certificate to the next
-        # union spares the C allocator a heap shrink and regrow per block
-        del union
         for ids, a, z, value, (ea, ez) in zip(parts, [0, *ends], ends, values, edges):
-            yield ids, labels[a:z], value, cert.per_edge_terms[ea:ez]
+            yield ids, labels[a:z], value, emb, slice(ea, ez)
 
 
 def induced_cuts(g: Graph, sets, eps: float | None, repeats: int) -> list[Cut]:
     """The cuts of :func:`round_induced`, one per ``(ids, seed)`` of ``sets``."""
-    return [Cut(tuple(lab.tolist()), v) for _, lab, v, _ in round_induced(g, sets, eps, repeats)]
+    return [Cut(tuple(lab.tolist()), v) for _, lab, v, _, _ in round_induced(g, sets, eps, repeats)]
 
 
 def composite_cut(
@@ -425,8 +424,8 @@ def sampled_sdp_cut(
     lower bound.
 
     Each repeat draws its sample from ``rng``, then the seed of its
-    rounding. :func:`round_induced` gives each sample the cut and the edge
-    terms it gets on its own, and :func:`extend_cuts` extends
+    rounding. :func:`round_induced` gives each sample the cut and, in its union's
+    certificate, the edge terms it gets on its own, and :func:`extend_cuts` extends
     ``EXTEND_BATCH`` cuts in one sweep, giving each the extension
     :func:`extend_cut` gives it. The first sample of the largest extension
     wins.
@@ -445,9 +444,11 @@ def sampled_sdp_cut(
 
     best_side, best_value, best_cert = None, -1, -math.inf
     rounded = round_induced(g, samples(), eps, 32)
+    # consecutive samples share a union, whose terms are certified once
+    terms = lru_cache(1)(lambda emb: exact_expected_cut(emb).per_edge_terms)
     # a batch's cuts wait for their sweep as bytes, not as tuples of ints
-    while batch := [(vs, Cut(labels, value), math.fsum(terms) - len(terms) / 2)
-                    for vs, labels, value, terms in islice(rounded, EXTEND_BATCH)]:
+    while batch := [(vs, Cut(labels, value), math.fsum(terms(emb)[at]) - (at.stop - at.start) / 2)
+                    for vs, labels, value, emb, at in islice(rounded, EXTEND_BATCH)]:
         parts, cuts, gains = zip(*batch)
         best_cert = max(best_cert, g.m / 2 + max(gains))
         sides, values = extend_cuts(g, parts, cuts)

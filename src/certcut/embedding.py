@@ -286,12 +286,12 @@ def sdp_cut(
     defaults to :func:`default_eps`. Repeat k draws from the independent
     sub-stream (seed, k). This is the one-block case of :func:`sdp_cuts`.
     """
-    labels, (value,), cert = sdp_cuts(g, [g.n], eps, repeats, [seed])
-    return Cut(tuple(labels.tolist()), value), cert
+    labels, (value,), emb = sdp_cuts(g, [g.n], eps, repeats, [seed])
+    return Cut(tuple(labels.tolist()), value), exact_expected_cut(emb)
 
 
 def sdp_cuts(g: Graph, ends: list[int], eps: float | None, repeats: int,
-             seeds) -> tuple[np.ndarray, list[int], CutCertificate]:
+             seeds) -> tuple[np.ndarray, list[int], Embedding]:
     """:func:`sdp_cut` of every block of a graph of blocks side by side.
 
     Block b is the vertices before ``ends[b]`` and from ``ends[b - 1]`` on,
@@ -301,7 +301,7 @@ def sdp_cuts(g: Graph, ends: list[int], eps: float | None, repeats: int,
     pairs, default eps (``eps`` None) and edge terms are its own, and repeat
     k of block b rounds the stream (seeds[b], k) in segment b of row k.
     Returns the labels as one uint8 array, the blocks' cut values and the
-    whole graph's exact-expectation certificate, whose per-edge terms are
+    embedding rounded, uncertified: its :func:`exact_expected_cut` terms are
     in edge order, so each block's terms are one run of them.
 
     Repeats are rounded and counted in blocks of :func:`block_rows` rows,
@@ -310,7 +310,6 @@ def sdp_cuts(g: Graph, ends: list[int], eps: float | None, repeats: int,
     block's edges, so no rows are drawn once every block has one.
     """
     emb = build_vectors(g, back_neighbor_plan(g, eps, ends))
-    cert = exact_expected_cut(emb)
     rows = block_rows(g.n, len(emb.plan.owner), g.m)
     draws = normal_blocks(seeds, max(1, repeats), [z - a for a, z in pairwise([0, *ends])], rows)
     # one block is counted whole by crossing_count, as best_row's one column
@@ -318,4 +317,4 @@ def sdp_cuts(g: Graph, ends: list[int], eps: float | None, repeats: int,
     blocks = (hyperplane_round(emb, w, *split) for w in draws)
     tops = [z - a for a, z in pairwise([0, *g.eu.searchsorted(ends).tolist()])]
     sides, values = best_row(blocks, ends, tops)
-    return sides.view(np.uint8), values, cert
+    return sides.view(np.uint8), values, emb

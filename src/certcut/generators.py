@@ -49,14 +49,17 @@ def random_regular(n: int, d: int, seed: int = 0, max_restarts: int = 1000) -> G
     raise RetryLimitExceeded(f"no simple pairing found in {max_restarts} restarts")
 
 
-def _kept_pairs(rng, total: int, p: float) -> np.ndarray:
-    """Flat pair indices k < ``total`` whose uniform draw falls below p.
+def _kept_pairs(seed: int, total: int, p: float) -> np.ndarray:
+    """Flat pair indices k < ``total`` whose uniform draw from
+    ``make_rng(seed)`` falls below p, which must lie in [0, 1].
 
     The draws are made ``block_rows(1)`` at a time; a numpy ``Generator``
     yields the same doubles in chunks as in one call, so the kept set depends
     only on the seed, and memory is O(chunk + kept).
     """
-    chunk = block_rows(1)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    rng, chunk = make_rng(seed), block_rows(1)
     kept = [
         start + np.flatnonzero(rng.random(min(chunk, total - start)) < p)
         for start in range(0, total, chunk)
@@ -71,9 +74,7 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
     row-major order of the upper triangle.
     """
     _check_sizes("vertex count", n=n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    k = _kept_pairs(make_rng(seed), n * (n - 1) // 2 if n > 1 else 0, p)
+    k = _kept_pairs(seed, n * (n - 1) // 2 if n > 1 else 0, p)
     rows = np.arange(n, dtype=np.int64)
     row_start = rows * n - rows * (rows + 1) // 2
     u = np.searchsorted(row_start, k, side="right") - 1
@@ -178,9 +179,7 @@ def random_bipartite(a: int, b: int, p: float, seed: int = 0) -> Graph:
     """Each of the a*b pairs (u, a + v) appears independently with
     probability p; pair (u, a + v) is draw number u*b + v."""
     _check_sizes("part sizes", a=a, b=b)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    k = _kept_pairs(make_rng(seed), a * b, p)
+    k = _kept_pairs(seed, a * b, p)
     return Graph.from_edges(a + b, np.stack((k // b, a + k % b), axis=1))
 
 
@@ -250,13 +249,15 @@ MODELS = {
 
 
 def family(spec: GenSpec) -> Graph:
-    """Build a GenSpec by its model's entry in ``MODELS``; unknown models or
-    bad parameters raise InfeasibleSpec. A spec of more than
-    ``MAX_HEADER_VERTICES`` vertices, which no edge-list reader accepts,
-    raises BudgetExceeded before anything is built."""
+    """Build a GenSpec by its model's entry in ``MODELS``; unknown models,
+    names outside the model's ``params`` or bad values raise InfeasibleSpec.
+    A spec of more than ``MAX_HEADER_VERTICES`` vertices, which no edge-list
+    reader accepts, raises BudgetExceeded before anything is built."""
     if spec.model not in MODELS:
         raise InfeasibleSpec(f"unknown model {spec.model!r}")
     model, p = MODELS[spec.model], dict(spec.params)
+    if stray := [name for name in p if name not in model.params]:
+        raise InfeasibleSpec(f"model {spec.model!r} has no parameter {stray[0]!r}")
     try:
         if (vertices := model.vertices(p)) > MAX_HEADER_VERTICES:
             raise BudgetExceeded(f"model {spec.model!r} makes {vertices} vertices, "

@@ -82,15 +82,44 @@ def _parse_plain(data: bytes | str) -> Graph | None:
 
 
 def _parse_lines(data: bytes | str) -> Graph:
-    """``parse_graph`` line by line: every input, and the only source of
-    its errors."""
+    """``parse_graph`` line by line: every input, and the only source of its
+    errors. The first token picks the format once: an edge list's first
+    nonblank line is its header, and DIMACS lines name their kind."""
     text = _decode(data) if isinstance(data, (bytes, bytearray)) else data
     lines = text.splitlines()
-    first = next((ln for ln in lines if ln.strip()), "")
-    token = first.split()[0] if first.split() else ""
-    if token in ("p", "c", "e"):
-        return _parse_dimacs(lines)
-    return _parse_edge_list(lines)
+    dimacs = next(filter(None, map(str.split, lines)), [""])[0] in ("p", "c", "e")
+    header_name, bad_header, bad_edge = (
+        ("problem line", "expected 'p edge n m'", "expected 'e u v'") if dimacs
+        else ("header", "expected header 'n m'", "expected edge 'u v'"))
+    header, header_no, entries = None, 0, []
+    for no, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or dimacs and parts[0] == "c":
+            continue
+        if dimacs:
+            kind, parts = parts[0], parts[1:]
+        else:
+            kind = "p" if header is None else "e"
+        if kind == "p":
+            if header is not None:
+                raise ParseError("duplicate problem line", no)
+            if dimacs and parts[:1] not in (["edge"], ["col"]):
+                raise ParseError(bad_header, no)
+            header, header_no = _int_pair(parts[1:] if dimacs else parts, bad_header, no), no
+        elif kind == "e":
+            if header is None:
+                raise ParseError("edge before problem line", no)
+            entries.append((*_int_pair(parts, bad_edge, no), no))
+        else:
+            raise ParseError(f"unknown line type {kind!r}", no)
+    if header is None:
+        raise ParseError("missing problem line" if dimacs else "empty input", 1)
+    (n, m), found = header, len(entries)
+    if n < 0 or m < 0:
+        raise ParseError("negative header counts", header_no)
+    if found != m:
+        raise ParseError(f"{header_name} declares {m} edges, found {found}", header_no)
+    return _assemble(n, entries, one_indexed=dimacs)
 
 
 def _decode(data: bytes) -> str:
@@ -110,58 +139,6 @@ def _int_pair(tokens, what, no) -> tuple[int, int]:
     except ValueError:
         raise ParseError(what, no) from None
     return u, v
-
-
-def _parse_edge_list(lines) -> Graph:
-    header = None
-    header_no = 0
-    entries = []
-    for no, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        if header is None:
-            header, header_no = _int_pair(parts, "expected header 'n m'", no), no
-        else:
-            entries.append((*_int_pair(parts, "expected edge 'u v'", no), no))
-    if header is None:
-        raise ParseError("empty input", 1)
-    _check_counts(header, header_no, len(entries), "header")
-    return _assemble(header[0], entries, one_indexed=False)
-
-
-def _parse_dimacs(lines) -> Graph:
-    header = None
-    header_no = 0
-    entries = []
-    for no, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts or parts[0] == "c":
-            continue
-        if parts[0] == "p":
-            if header is not None:
-                raise ParseError("duplicate problem line", no)
-            if len(parts) < 2 or parts[1] not in ("edge", "col"):
-                raise ParseError("expected 'p edge n m'", no)
-            header, header_no = _int_pair(parts[2:], "expected 'p edge n m'", no), no
-        elif parts[0] == "e":
-            if header is None:
-                raise ParseError("edge before problem line", no)
-            entries.append((*_int_pair(parts[1:], "expected 'e u v'", no), no))
-        else:
-            raise ParseError(f"unknown line type {parts[0]!r}", no)
-    if header is None:
-        raise ParseError("missing problem line", 1)
-    _check_counts(header, header_no, len(entries), "problem line")
-    return _assemble(header[0], entries, one_indexed=True)
-
-
-def _check_counts(header, header_no, found, what):
-    n, m = header
-    if n < 0 or m < 0:
-        raise ParseError("negative header counts", header_no)
-    if found != m:
-        raise ParseError(f"{what} declares {m} edges, found {found}", header_no)
 
 
 # what an edge that Graph.from_edges refuses says at its input line, in the

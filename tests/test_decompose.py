@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certcut import decompose, graphcore
+from certcut import decompose, embedding, graphcore
 from certcut._rng import make_rng
 from certcut.chromatic import coloring_cut, kr_free_coloring
 from certcut.decompose import (
@@ -21,7 +21,7 @@ from certcut.decompose import (
     round_induced,
     sampled_sdp_cut,
 )
-from certcut.embedding import default_eps, sdp_cut
+from certcut.embedding import default_eps, exact_expected_cut, sdp_cut
 from certcut.errors import (
     EpsilonTooLarge,
     InvalidParameter,
@@ -454,11 +454,58 @@ def test_round_induced_gives_each_part_its_own_sdp_cut(name, repeats):
     assert len(parts) > 1
     rounded = list(round_induced(g, [(part, 5) for part in parts], None, repeats))
     assert len(rounded) == len(parts)
-    for part, (ids, labels, value, terms) in zip(parts, rounded):
+    for part, (ids, labels, value, emb, edges) in zip(parts, rounded):
         alone, cert = sdp_cut(induced_subgraph(g, part)[0], None, repeats, 5)
         assert ids.tolist() == part.tolist()
         assert (tuple(labels.tolist()), value) == (alone.side, alone.value)
-        assert terms == cert.per_edge_terms
+        # the part's slice of its union's certificate is its own
+        assert exact_expected_cut(emb).per_edge_terms[edges] == cert.per_edge_terms
+
+
+def _counted_rounding(monkeypatch):
+    """Record every certified embedding's graph, and every graph that
+    ``round_induced`` rounds."""
+    certified, unions = [], []
+    certify, round_blocks = embedding.exact_expected_cut, decompose.sdp_cuts
+
+    def counted(emb):
+        certified.append(emb.graph)
+        return certify(emb)
+
+    for module in (embedding, decompose):
+        monkeypatch.setattr(module, "exact_expected_cut", counted)
+    monkeypatch.setattr(decompose, "sdp_cuts", lambda union, *rest: unions.append(union) or round_blocks(union, *rest))
+    return certified, unions
+
+
+CERTIFIED = {
+    "sdp": lambda g: sdp_cut(g, None, 8, 1),
+    "composite": lambda g: composite_cut(g, default_eps(g), repeats=8, seed=1),
+    "kr4": lambda g: kr_cut(g, 4, repeats=8, seed=1),
+    # every sample is the whole graph, so each rounds alone
+    "sampled_whole": lambda g: sampled_sdp_cut(g, p=1.0, rng=make_rng(2), repeats=3),
+    # 40 samples of a tenth, side by side in unions (of at most 40 vertices
+    # and edges, below)
+    "sampled_batched": lambda g: sampled_sdp_cut(g, p=0.1, rng=make_rng(2), repeats=40),
+}
+
+
+@pytest.mark.parametrize("algo", list(CERTIFIED))
+def test_each_reported_certificate_is_computed_once(monkeypatch, algo):
+    # composite and kr round their parts and remainder uncertified and
+    # certify the whole graph; sampled certifies each union it rounds once
+    g = golden_instance("turan-60-3")
+    assert partition_triangle_sparse(g, 8 * default_eps(g)).parts
+    certified, unions = _counted_rounding(monkeypatch)
+    if algo == "sampled_batched":
+        monkeypatch.setattr(graphcore, "ROUND_CHUNK", 40)
+    CERTIFIED[algo](g)
+    if algo.startswith("sampled"):
+        assert list(map(id, certified)) == list(map(id, unions))
+        assert len(unions) == 3 if algo == "sampled_whole" else 3 < len(unions) < 40
+    else:
+        assert len(certified) == 1 and certified[0] is g
+        assert len(unions) == (0 if algo == "sdp" else 2)
 
 
 class TestKrCut:

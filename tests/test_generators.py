@@ -14,6 +14,7 @@ from certcut.errors import (
     VertexOutOfRange,
 )
 from certcut.generators import (
+    MODELS,
     GenSpec,
     blowup,
     complete,
@@ -303,6 +304,29 @@ class TestFamilyDispatch:
     def test_bipartite_p_above_one_is_refused(self):
         with pytest.raises(InfeasibleSpec, match="p must lie"):
             family(GenSpec("bipartite", {"a": 2, "b": 2, "p": 1.5}))
+
+    # a buildable spec of every model
+    BUILDABLE = {
+        "regular": {"n": 6, "d": 2},
+        "gnp": {"n": 5, "p": 0.5},
+        "bipartite": {"a": 2, "b": 3},
+        "turan": {"n": 6, "classes": 2},
+        "blowup": {"cycle": 5, "k": 2},
+        "disjoint-cliques": {"count": 2, "size": 3},
+    }
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_every_model_refuses_a_parameter_it_does_not_name(self, model):
+        params = self.BUILDABLE[model]
+        family(GenSpec(model, params))
+        extra = next(name for name in ("cycle", "n") if name not in MODELS[model].params)
+        with pytest.raises(InfeasibleSpec) as err:
+            family(GenSpec(model, {**params, extra: 3}))
+        assert str(err.value) == f"model {model!r} has no parameter {extra!r}"
+
+    def test_a_stray_parameter_is_refused_before_the_cap(self):
+        with pytest.raises(InfeasibleSpec, match="has no parameter 'cycle'"):
+            family(GenSpec("gnp", {"n": CAP + 1, "p": 0.0, "cycle": 3}))
 
     @pytest.mark.parametrize("model, params", [
         ("regular", {"n": CAP + 1, "d": 0}),

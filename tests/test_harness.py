@@ -142,6 +142,86 @@ class TestParseGraph:
             parse_graph("")
 
 
+CAP = MAX_HEADER_VERTICES
+
+# every refusal of the line parser in either format: its input, class,
+# message and line (None where the error carries none)
+LINE_REFUSALS = {
+    # edge lists
+    "empty": ("", ParseError, "empty input", 1),
+    "blank_only": (" \n\t\n", ParseError, "empty input", 1),
+    "not_utf8": (b"2 1\n0 \xff\n", ParseError, "input is not UTF-8 (byte 0xff)", 2),
+    "header_words": ("two one\n", ParseError, "expected header 'n m'", 1),
+    "header_one_token": ("\n\n3\n", ParseError, "expected header 'n m'", 3),
+    "header_three_tokens": ("3 1 0\n0 1\n", ParseError, "expected header 'n m'", 1),
+    "edge_one_token": ("3 1\n0\n", ParseError, "expected edge 'u v'", 2),
+    "edge_three_tokens": ("3 1\n\n0 1 2\n", ParseError, "expected edge 'u v'", 3),
+    "edge_words": ("3 1\nc 1\n", ParseError, "expected edge 'u v'", 2),
+    "header_count_low": ("3 1\n0 1\n1 2\n", ParseError, "header declares 1 edges, found 2", 1),
+    "header_count_high": ("\n3 2\n0 1\n", ParseError, "header declares 2 edges, found 1", 2),
+    "header_negative_n": ("-3 0\n", ParseError, "negative header counts", 1),
+    "header_negative_m": ("\n3 -1\n0 1\n", ParseError, "negative header counts", 2),
+    "header_cap": (f"{CAP + 1} 0\n", BudgetExceeded,
+                   f"header declares {CAP + 1} vertices, above the cap {CAP}", None),
+    "edge_out_of_range": ("3 1\n0 3\n", VertexOutOfRange, "vertex in edge (0, 3) out of range", 2),
+    "edge_self_loop": ("3 1\n\n2 2\n", SelfLoop, "self-loop at vertex 2", 3),
+    "edge_duplicate": ("3 2\n0 1\n1 0\n", DuplicateEdge, "duplicate edge (0, 1)", 3),
+    # DIMACS
+    "comments_only": ("c only a comment\n\nc another\n", ParseError, "missing problem line", 1),
+    "duplicate_problem": ("p edge 2 0\nc x\np edge 2 0\n", ParseError, "duplicate problem line", 3),
+    "duplicate_bad_problem": ("p edge 2 0\np cnf\n", ParseError, "duplicate problem line", 2),
+    "edge_first": ("e 1 2\np edge 2 1\n", ParseError, "edge before problem line", 1),
+    "edge_after_comment": ("c x\ne 1 2\np edge 2 1\n", ParseError, "edge before problem line", 2),
+    "unknown_line": ("p edge 2 1\nx 1 2\n", ParseError, "unknown line type 'x'", 2),
+    "unknown_plain_line": ("c x\np edge 2 1\n1 2\n", ParseError, "unknown line type '1'", 3),
+    "problem_bare": ("p\n", ParseError, "expected 'p edge n m'", 1),
+    "problem_no_counts": ("c x\np edge\n", ParseError, "expected 'p edge n m'", 2),
+    "problem_one_count": ("p col 3\n", ParseError, "expected 'p edge n m'", 1),
+    "problem_three_counts": ("p edge 3 1 0\n", ParseError, "expected 'p edge n m'", 1),
+    "problem_cnf": ("p cnf 3 2\n", ParseError, "expected 'p edge n m'", 1),
+    "problem_words": ("p edge three 2\n", ParseError, "expected 'p edge n m'", 1),
+    "dimacs_edge_one_id": ("p edge 2 1\ne 1\n", ParseError, "expected 'e u v'", 2),
+    "dimacs_edge_three_ids": ("p edge 3 1\ne 1 2 3\n", ParseError, "expected 'e u v'", 2),
+    "dimacs_edge_words": ("p edge 2 1\n\ne a b\n", ParseError, "expected 'e u v'", 3),
+    "problem_count_low": ("p edge 3 1\ne 1 2\ne 2 3\n", ParseError,
+                          "problem line declares 1 edges, found 2", 1),
+    "problem_count_high": ("c x\np col 3 2\ne 1 2\n", ParseError,
+                           "problem line declares 2 edges, found 1", 2),
+    "problem_negative_n": ("p edge -3 0\n", ParseError, "negative header counts", 1),
+    "problem_negative_m": ("c x\n\np edge 3 -1\ne 1 2\n", ParseError, "negative header counts", 3),
+    "problem_cap": (f"p edge {CAP + 1} 0\n", BudgetExceeded,
+                    f"header declares {CAP + 1} vertices, above the cap {CAP}", None),
+    "dimacs_zero_id": ("p edge 2 1\ne 0 1\n", VertexOutOfRange, "vertex in edge (0, 1) out of range", 2),
+    "dimacs_self_loop": ("p edge 3 1\nc x\ne 3 3\n", SelfLoop, "self-loop at vertex 3", 3),
+    "dimacs_duplicate": ("p edge 3 2\ne 2 1\ne 1 2\n", DuplicateEdge, "duplicate edge (1, 2)", 3),
+}
+
+
+@pytest.mark.parametrize("data, error, message, line", LINE_REFUSALS.values(), ids=list(LINE_REFUSALS))
+def test_line_parser_refusals(data, error, message, line):
+    with pytest.raises(error) as err:
+        _parse_lines(data)
+    where = "" if line is None else f"line {line}: "
+    assert (type(err.value), str(err.value), getattr(err.value, "line", None)) == (error, where + message, line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=8), st.data())
+def test_dimacs_and_edge_list_parse_alike(g, data):
+    # the graph's edges in a drawn order and orientation, written 1-indexed
+    # with comment and blank lines anywhere, in either problem-line spelling
+    edges = data.draw(st.permutations(g.edges))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    lines = [f"p {data.draw(st.sampled_from(['edge', 'col']))} {g.n} {g.m}"]
+    lines += [f"e {v + 1} {u + 1}" if flip else f"e {u + 1} {v + 1}" for (u, v), flip in zip(edges, flips)]
+    for _ in range(data.draw(st.integers(0, 4))):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(["c", "c a comment", "", "  ", "c p edge 1 1"])))
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    dimacs = end.join(lines) + data.draw(st.sampled_from([end, ""]))
+    assert _outcome(_parse_lines, dimacs) == _outcome(_parse_lines, format_edge_list(g))
+
+
 def _outcome(parse, data):
     """What a parser makes of ``data``: the graph's arrays, or the error's
     type, message and line."""

@@ -26,6 +26,7 @@ from certcut.embedding import (
     EpsilonPlan,
     back_neighbor_plan,
     build_vectors,
+    exact_expected_cut,
     hyperplane_round,
     sdp_cut,
     sdp_cuts,
@@ -208,14 +209,15 @@ def test_sdp_cuts_give_each_block_its_own_sdp_cut(name):
     # a given eps, then each block's own default eps; looped rather than
     # parametrized, so the test ids stay as they were
     for eps in (eps_cap(g) / 2, None):
-        labels, values, cert = sdp_cuts(union, ends, eps, 32, seeds)
+        labels, values, emb = sdp_cuts(union, ends, eps, 32, seeds)
         assert labels.dtype == np.uint8 and len(labels) == union.n
+        terms = exact_expected_cut(emb).per_edge_terms
         for vs, seed, a, z, ea, ez, value in zip(parts, seeds, [0, *ends], ends,
                                                  [0, *edge_ends], edge_ends, values):
             sub, _ = induced_subgraph(g, vs)
             alone, alone_cert = sdp_cut(sub, eps, 32, seed)
             assert Cut(tuple(labels[a:z].tolist()), value) == alone
-            assert cert.per_edge_terms[ea:ez] == alone_cert.per_edge_terms
+            assert terms[ea:ez] == alone_cert.per_edge_terms
 
 
 def test_edgeless_sdp_cut_draws_one_row(monkeypatch):
