@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, islice, pairwise, tee
 from typing import Callable
 
@@ -444,8 +443,15 @@ def sampled_sdp_cut(
 
     best_side, best_value, best_cert = None, -1, -math.inf
     rounded = round_induced(g, samples(), eps, 32)
-    # consecutive samples share a union, whose terms are certified once
-    terms = lru_cache(1)(lambda emb: exact_expected_cut(emb).per_edge_terms)
+    # consecutive samples share a union, and every whole-graph sample is g
+    # itself at this call's eps, so each union graph is certified once
+    last = [None, None]  # the union graph last certified, and its terms
+
+    def terms(emb):
+        if last[0] is not emb.graph:
+            last[:] = emb.graph, exact_expected_cut(emb).per_edge_terms
+        return last[1]
+
     # a batch's cuts wait for their sweep as bytes, not as tuples of ints
     while batch := [(vs, Cut(labels, value), math.fsum(terms(emb)[at]) - (at.stop - at.start) / 2)
                     for vs, labels, value, emb, at in islice(rounded, EXTEND_BATCH)]:

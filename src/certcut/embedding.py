@@ -17,9 +17,9 @@ three integers per edge and depends on no set's iteration order; one pass
 over them gives the exact expectation and the plan bound, on the graph the
 embedding holds. Rounding takes the sign of w_i - eps_i * (sum of w over
 V_i), which is norm_i * <v_i, w>, for an (r, n) block of directions w at
-once. Repeat k of ``sdp_cut`` is row k of the draws from the streams
-(seed, k), and the winning row's sides become the cut as rounded, without a
-second draw.
+once. Repeat k of ``sdp_cut`` rounds the k-th run of n normals of the one
+rounding stream of its seed, and the winning row's sides become the cut as
+rounded, without a second draw.
 """
 
 from __future__ import annotations
@@ -283,8 +283,8 @@ def sdp_cut(
 
     Returns the best sampled cut together with the exact-expectation
     certificate, which always dominates the closed-form plan bound. ``eps``
-    defaults to :func:`default_eps`. Repeat k draws from the independent
-    sub-stream (seed, k). This is the one-block case of :func:`sdp_cuts`.
+    defaults to :func:`default_eps`. Repeat k rounds the k-th n normals of
+    the rounding stream of ``seed``. This is the one-block case of :func:`sdp_cuts`.
     """
     labels, (value,), emb = sdp_cuts(g, [g.n], eps, repeats, [seed])
     return Cut(tuple(labels.tolist()), value), exact_expected_cut(emb)
@@ -298,8 +298,8 @@ def sdp_cuts(g: Graph, ends: list[int], eps: float | None, repeats: int,
     and no edge joins two blocks. Its cut is the one ``sdp_cut`` returns on
     the subgraph the block induces, with seed ``seeds[b]``: the canonical
     peel restricted to a block is the block's own, so the block's plan
-    pairs, default eps (``eps`` None) and edge terms are its own, and repeat
-    k of block b rounds the stream (seeds[b], k) in segment b of row k.
+    pairs, default eps (``eps`` None) and edge terms are its own, and row k
+    holds in segment b the k-th run of normals of the stream of seeds[b].
     Returns the labels as one uint8 array, the blocks' cut values and the
     embedding rounded, uncertified: its :func:`exact_expected_cut` terms are
     in edge order, so each block's terms are one run of them.

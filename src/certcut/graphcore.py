@@ -275,7 +275,7 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
 # entries of scratch per array pass: the rows of a rounding or count block
 # times its longest per-row array, the vertices and edges of an
 # induced_unions run, the wedges of a triangle_list pass, the pair draws of
-# a random graph and four times the streams of a normal_blocks hash pass
+# a random graph, and 16 times the sets (live rounding generators) of a run
 ROUND_CHUNK = 1 << 14
 
 
@@ -496,11 +496,12 @@ def induced_unions(g: Graph, sets):
     read-only parent ids: the vertices of ``graph`` are the parts' ids in
     order, each set's relabeled in ascending id after the sets before it. No
     edge joins two sets, so each set's edges stay one sorted run. A run
-    grows while its vertices and its edges each stay within ``ROUND_CHUNK``,
-    and holds at least one set. A set covering every vertex forms a run
-    alone, which yields ``g`` itself, so the facts cached on it (its peel,
-    its triangles) carry over. ``sets`` is read lazily: a full run is
-    yielded at once, any other when the next set does not fit.
+    grows while its vertices and its edges each stay within ``ROUND_CHUNK``
+    and its sets within ``ROUND_CHUNK // 16``, and holds at least one set. A
+    set covering every vertex forms a run alone, which yields ``g`` itself,
+    so the facts cached on it (its peel, its triangles) carry over. ``sets``
+    is read lazily: a full run is yielded at once, any other when the next
+    set does not fit.
     """
     keep = np.zeros(g.n, dtype=bool)
     run, n, m = [], 0, 0
@@ -513,7 +514,7 @@ def induced_unions(g: Graph, sets):
             run, n, m = [], 0, 0
         run.append((ids, eu, ev))
         n, m = n + len(ids), m + len(eu)
-        if whole or max(n, m) >= ROUND_CHUNK:
+        if whole or max(n, m) >= ROUND_CHUNK or len(run) >= ROUND_CHUNK // 16:
             yield _side_by_side(g, run)
             run, n, m = [], 0, 0
     if run:

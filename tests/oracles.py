@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from certcut._rng import make_rng
+from certcut._rng import _ROUNDING_PATH, make_rng
 from certcut.chromatic import Coloring, TPartition, split_probability
 from certcut.decompose import SAMPLE_P, extend_cut
 from certcut.embedding import CutCertificate, EpsilonPlan, check_eps, default_eps, sdp_cut
@@ -398,11 +398,21 @@ def reference_hyperplane_round(emb, rng) -> tuple[tuple[int, ...], int]:
     return tuple(side), value
 
 
+def reference_rounding_rows(seeds, count: int, sizes) -> np.ndarray:
+    """Rows of rounding directions one row and one segment at a time: row k
+    holds, for each seed, the k-th run of its size of normals of the seed's
+    rounding stream."""
+    gens = [make_rng(seed, _ROUNDING_PATH) for seed in seeds]
+    return np.array([np.concatenate([gen.standard_normal(n) for gen, n in zip(gens, sizes)])
+                     for _ in range(count)]).reshape(count, sum(sizes))
+
+
 def reference_best_rounding(emb, repeats: int, seed: int) -> tuple[tuple[int, ...], int]:
-    """First strict maximum over repeats, repeat k rounding with stream (seed, k)."""
-    best = None
-    for k in range(max(1, repeats)):
-        side, value = reference_hyperplane_round(emb, make_rng(seed, k))
+    """First strict maximum over repeats, repeat k rounding with the k-th
+    direction drawn from the rounding stream of ``seed``."""
+    best, rng = None, make_rng(seed, _ROUNDING_PATH)
+    for _ in range(max(1, repeats)):
+        side, value = reference_hyperplane_round(emb, rng)
         if best is None or value > best[1]:
             best = (side, value)
     return best

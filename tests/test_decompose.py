@@ -482,7 +482,8 @@ CERTIFIED = {
     "sdp": lambda g: sdp_cut(g, None, 8, 1),
     "composite": lambda g: composite_cut(g, default_eps(g), repeats=8, seed=1),
     "kr4": lambda g: kr_cut(g, 4, repeats=8, seed=1),
-    # every sample is the whole graph, so each rounds alone
+    # every sample is the whole graph, so each rounds alone, and all three
+    # share the one certificate of g
     "sampled_whole": lambda g: sampled_sdp_cut(g, p=1.0, rng=make_rng(2), repeats=3),
     # 40 samples of a tenth, side by side in unions (of at most 40 vertices
     # and edges, below)
@@ -493,16 +494,20 @@ CERTIFIED = {
 @pytest.mark.parametrize("algo", list(CERTIFIED))
 def test_each_reported_certificate_is_computed_once(monkeypatch, algo):
     # composite and kr round their parts and remainder uncertified and
-    # certify the whole graph; sampled certifies each union it rounds once
+    # certify the whole graph; sampled certifies each union graph it rounds
+    # once, and at p = 1 every union is g
     g = golden_instance("turan-60-3")
     assert partition_triangle_sparse(g, 8 * default_eps(g)).parts
     certified, unions = _counted_rounding(monkeypatch)
     if algo == "sampled_batched":
         monkeypatch.setattr(graphcore, "ROUND_CHUNK", 40)
     CERTIFIED[algo](g)
-    if algo.startswith("sampled"):
+    if algo == "sampled_whole":
+        assert len(certified) == 1 and certified[0] is g
+        assert len(unions) == 3 and all(union is g for union in unions)
+    elif algo == "sampled_batched":
         assert list(map(id, certified)) == list(map(id, unions))
-        assert len(unions) == 3 if algo == "sampled_whole" else 3 < len(unions) < 40
+        assert 3 < len(unions) < 40
     else:
         assert len(certified) == 1 and certified[0] is g
         assert len(unions) == (0 if algo == "sdp" else 2)

@@ -562,13 +562,17 @@ class TestInducedUnions:
         assert runs[0][0].n == 3 and runs[0][0].m == 1
 
     def test_runs_stay_within_the_rounding_chunk(self, monkeypatch):
-        monkeypatch.setattr(graphcore, "ROUND_CHUNK", 12)
-        g = cycle(10)
-        sets = [range(6), range(5), [0], range(10), range(3), range(2)]
+        # runs of at most 64 vertices, 64 edges and 4 sets
+        monkeypatch.setattr(graphcore, "ROUND_CHUNK", 64)
+        # a 40-cycle and a K12 (66 edges) beside it
+        k12 = [(40 + u, 40 + v) for u, v in complete(12).edges]
+        g = Graph.from_edges(52, [*cycle(40).edges, *k12])
+        sets = [range(30), range(10, 40), range(5), range(40, 52), range(52), *([v] for v in range(6))]
         runs = [[len(ids) for ids in parts] for _, parts in induced_unions(g, sets)]
-        # 12 vertices and 9 edges fill the first run; the whole cycle (10
-        # vertices, 10 edges) takes a run alone
-        assert runs == [[6, 5, 1], [10], [3, 2]]
+        # 60 vertices and 58 edges, then 65 vertices would not fit; the K12's
+        # 66 edges neither fit beside the 4 edges of range(5) nor leave room
+        # after them; the whole graph takes a run alone; then 4 sets fill a run
+        assert runs == [[30, 30], [5], [12], [52], [1, 1, 1, 1], [1, 1]]
 
     def test_reads_sets_lazily(self):
         read = []

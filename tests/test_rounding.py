@@ -4,11 +4,12 @@
 sides, parts and values as the loops in ``oracles``, which follow the
 definitions one vertex and one edge at a time. ``max_t_cut`` matches bit for
 bit. ``sdp_cut`` rounds its repeats in blocks of rows drawn by
-``normal_blocks``, whose row k must be the stream ``make_rng(seed, k)``, and
-block rounding must match one row at a time. Rounding takes the sign of
-w_i - eps_i * (sum of w over V_i), which is norm_i * <v_i, w>, so its sides
-match the reference's term-by-term dot product except within rounding error
-of a zero dot product; no case here comes that close.
+``normal_blocks``, whose row k must be the k-th run of normals of the seed's
+one rounding stream, and block rounding must match one row at a time.
+Rounding takes the sign of w_i - eps_i * (sum of w over V_i), which is
+norm_i * <v_i, w>, so its sides match the reference's term-by-term dot
+product except within rounding error of a zero dot product; no case here
+comes that close.
 """
 
 import math
@@ -20,8 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certcut import embedding, graphcore
-from certcut._rng import make_rng, normal_blocks
+from certcut._rng import _ROUNDING_PATH, make_rng, normal_blocks
 from certcut.chromatic import max_t_cut
+from certcut.cli import main
+from certcut.decompose import round_induced
 from certcut.embedding import (
     EpsilonPlan,
     back_neighbor_plan,
@@ -48,6 +51,7 @@ from oracles import (
     reference_best_rounding,
     reference_hyperplane_round,
     reference_max_t_cut,
+    reference_rounding_rows,
     rows,
 )
 
@@ -292,62 +296,97 @@ def test_best_row_reads_no_block_after_reaching_top():
 
 
 SEEDS = st.one_of(st.integers(-2**63, 2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]))
-KS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**32]))
 
 
-@given(SEEDS, KS, st.integers(1, 9), st.integers(0, 12), st.integers(1, 4))
-@example(0, 0, 1, 0, 1)
-@example(2**64 - 1, 2**32 - 1, 3, 5, 2)
-@example(2**32, 2**32, 2, 3, 1)
-@example(2**32 - 1, 2**64 - 2, 4, 7, 3)
+@given(SEEDS, st.integers(1, 9), st.integers(0, 12), st.integers(1, 4))
+@example(0, 1, 0, 1)
+@example(2**64 - 1, 3, 5, 2)
+@example(2**32, 2, 3, 1)
+@example(2**32 - 1, 4, 7, 3)
 @settings(deadline=None, max_examples=200)
-def test_normal_blocks_rows_are_the_repeat_streams(seed, k0, count, n, rows):
-    blocks = list(normal_blocks([seed], count, [n], rows, k0))
+def test_normal_blocks_rows_are_the_repeat_streams(seed, count, n, rows):
+    blocks = list(normal_blocks([seed], count, [n], rows))
     assert all(1 <= len(b) <= rows and b.shape[1:] == (n,) for b in blocks)
     drawn = np.concatenate(blocks)
     assert len(drawn) == count
-    for j, row in enumerate(drawn):
-        assert np.array_equal(row, make_rng(seed, k0 + j).standard_normal(n))
+    assert np.array_equal(drawn, reference_rounding_rows([seed], count, [n]))
 
 
-@given(st.lists(st.tuples(SEEDS, st.integers(0, 6)), min_size=1, max_size=6), KS,
+@given(st.lists(st.tuples(SEEDS, st.integers(0, 6)), min_size=1, max_size=6),
        st.integers(1, 6), st.integers(1, 4))
-@example([(-1, 3), (2**32, 0), (2**64 - 1, 2), (5, 1)], 2**32 - 2, 4, 3)
-@example([(-(2**63), 0), (0, 0)], 0, 2, 1)
-@example([(2**32 - 1, 4), (-(2**32), 5)], 2**64 - 1, 3, 2)
+@example([(-1, 3), (2**32, 0), (2**64 - 1, 2), (5, 1)], 4, 3)
+@example([(-(2**63), 0), (0, 0)], 2, 1)
+@example([(2**32 - 1, 4), (-(2**32), 5)], 3, 2)
 @settings(deadline=None, max_examples=200)
-def test_normal_blocks_segments_are_the_seed_streams(segments, k0, count, rows):
+def test_normal_blocks_segments_are_the_seed_streams(segments, count, rows):
     seeds, sizes = [s for s, _ in segments], [n for _, n in segments]
-    blocks = list(normal_blocks(seeds, count, sizes, rows, k0))
+    blocks = list(normal_blocks(seeds, count, sizes, rows))
     assert all(1 <= len(b) <= rows and b.shape[1:] == (sum(sizes),) for b in blocks)
     drawn = np.concatenate(blocks)
     assert len(drawn) == count
-    for j, row in enumerate(drawn):
-        ends = np.cumsum(sizes)
-        for seed, n, end in zip(seeds, sizes, ends):
-            assert np.array_equal(row[end - n:end], make_rng(seed, k0 + j).standard_normal(n))
+    assert np.array_equal(drawn, reference_rounding_rows(seeds, count, sizes))
 
 
-def test_normal_blocks_segments_cross_state_blocks(monkeypatch):
-    # two drawn segments (the empty one derives no state) take 5 rows per
-    # 10-stream state pass, a quarter of ROUND_CHUNK
-    monkeypatch.setattr(graphcore, "ROUND_CHUNK", 40)
+@given(st.lists(st.tuples(SEEDS, st.integers(0, 6)), min_size=1, max_size=5),
+       st.integers(1, 12), st.lists(st.integers(1, 13), min_size=2, max_size=4))
+@settings(deadline=None, max_examples=100)
+def test_normal_blocks_do_not_depend_on_rows(segments, count, row_counts):
+    seeds, sizes = [s for s, _ in segments], [n for _, n in segments]
+    drawn = [np.concatenate(list(normal_blocks(seeds, count, sizes, rows))) for rows in row_counts]
+    assert all(np.array_equal(d, drawn[0]) for d in drawn)
+    for seed, n, end in zip(seeds, sizes, np.cumsum(sizes).tolist()):
+        whole = make_rng(seed, _ROUNDING_PATH).standard_normal((count, n))
+        assert np.array_equal(drawn[0][:, end - n:end], whole)
+
+
+def test_normal_blocks_segments_cross_state_blocks():
+    # two drawn segments (the empty one draws nothing) whose generators
+    # carry their state across four blocks
     seeds, sizes = [3, 2**40, -7], [4, 0, 2]
-    drawn = list(normal_blocks(seeds, 12, sizes, 3, 2**64 - 6))
-    assert [len(b) for b in drawn] == [3, 2, 3, 2, 2]
-    for j, row in enumerate(np.concatenate(drawn)):
-        k = 2**64 - 6 + j
-        assert np.array_equal(row[:4], make_rng(3, k).standard_normal(4))
-        assert np.array_equal(row[4:], make_rng(-7, k).standard_normal(2))
+    drawn = list(normal_blocks(seeds, 12, sizes, 3))
+    assert [len(b) for b in drawn] == [3, 3, 3, 3]
+    rows = np.concatenate(drawn)
+    assert np.array_equal(rows, reference_rounding_rows(seeds, 12, sizes))
+    assert np.array_equal(rows[:, :4], make_rng(3, _ROUNDING_PATH).standard_normal((12, 4)))
+    assert np.array_equal(rows[:, 4:], make_rng(-7, _ROUNDING_PATH).standard_normal((12, 2)))
 
 
-def test_normal_blocks_cross_state_blocks(monkeypatch):
-    # 4-stream state passes, a quarter of ROUND_CHUNK
-    monkeypatch.setattr(graphcore, "ROUND_CHUNK", 16)
-    drawn = list(normal_blocks([9], 11, [6], 3, 2**32 - 5))
-    assert [len(b) for b in drawn] == [3, 1, 3, 1, 3]
-    for j, row in enumerate(np.concatenate(drawn)):
-        assert np.array_equal(row, make_rng(9, 2**32 - 5 + j).standard_normal(6))
+def test_normal_blocks_cross_state_blocks():
+    drawn = list(normal_blocks([9], 11, [6], 3))
+    assert [len(b) for b in drawn] == [3, 3, 3, 2]
+    assert np.array_equal(np.concatenate(drawn), reference_rounding_rows([9], 11, [6]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**32, 2**64 - 1])
+def test_rounding_stream_is_not_the_instance_stream(seed):
+    # SeedSequence([s, 0]) equals SeedSequence([s]), so the rounding path
+    # must be nonzero for the stream to differ from make_rng(s)
+    assert _ROUNDING_PATH != 0
+    (row,) = normal_blocks([seed], 1, [5], 1)
+    assert not np.array_equal(row[0], make_rng(seed).standard_normal(5))
+    assert np.array_equal(make_rng(seed, 0).standard_normal(5), make_rng(seed).standard_normal(5))
+
+
+def test_bench_rows_round_apart_from_their_instance_stream(monkeypatch, capsys):
+    # bench passes one seed to the generator and to the cut; the directions
+    # its sdp_cut rounds must not be the normals of the generator's stream
+    drawn = []
+    draw = embedding.normal_blocks
+
+    def recording(seeds, *rest):
+        for block in draw(seeds, *rest):
+            drawn.append((list(seeds), block))
+            yield block
+
+    monkeypatch.setattr(embedding, "normal_blocks", recording)
+    code = main(["bench", "--family", "regular", "--nlist", "12", "--dlist", "3",
+                 "--algo", "sdp", "--repeats", "4"])
+    assert code == 0 and drawn and capsys.readouterr().out.count("\n") == 2
+    for seeds, block in drawn:
+        (seed,) = seeds
+        n = block.shape[1]
+        stream = make_rng(seed).standard_normal((len(block), n))
+        assert not (block[:, None, :] == stream[None, :, :]).all(axis=2).any()
 
 
 def block_cases():
@@ -373,11 +412,13 @@ def test_block_rounding_matches_one_row_at_a_time():
 
 
 def test_sdp_cut_memory_does_not_grow_with_repeats(monkeypatch):
-    # a hash pass derives ROUND_CHUNK // 4 streams, shrunk here so that 40
-    # repeats take ten passes of 4: 4,096 repeats of 200,000 normals each
-    # would take about 17 s. The triangle keeps every repeat's cut below m,
-    # so sdp_cut draws all of them.
+    # every block is one row of 200,000 normals, and 4 or 40 repeats read
+    # one generator. The triangle keeps every repeat's cut below m, so
+    # sdp_cut draws all of them.
     monkeypatch.setattr(graphcore, "ROUND_CHUNK", 16)
+    # the first sdp_cut in a process leaves a few bytes allocated (56 when
+    # this test runs alone), so an untraced call comes first
+    sdp_cut(Graph.from_edges(200_000, [(0, 1), (0, 2), (1, 2)]), None, 4, 3)
     peaks = []
     for repeats in (4, 40):
         g = Graph.from_edges(200_000, [(0, 1), (0, 2), (1, 2)])
@@ -391,9 +432,8 @@ def test_sdp_cut_memory_does_not_grow_with_repeats(monkeypatch):
 
 
 def test_sdp_cut_stream_memory_is_bounded_per_pass():
-    # a hash pass derives at most ROUND_CHUNK // 4 streams of about 440
-    # bytes each, so 16,384 repeats take four passes and peak about as one
-    # pass of 4,096 does (1.8 MB here; deriving 16,384 at once took 7.4 MB)
+    # the rows are drawn ROUND_CHUNK entries at a time from one generator,
+    # so 16,384 repeats peak about as 4,096 do
     peaks = []
     for repeats in (4096, 16384):
         g = petersen()
@@ -404,6 +444,25 @@ def test_sdp_cut_stream_memory_is_bounded_per_pass():
         finally:
             tracemalloc.stop()
     assert peaks[1] < min(1.25 * peaks[0], 3 * 2**20), peaks
+
+
+def test_round_induced_memory_on_many_small_blocks():
+    # 5,000 three-vertex paths, each a block with its own rounding
+    # generator: a run of induced_unions holds at most ROUND_CHUNK // 16
+    # sets, so at most that many generators are alive at once (a peak of
+    # about 3.8 MiB; runs bounded by vertices and edges alone hold 5,461
+    # sets of 3 vertices and peak near 11 MiB)
+    k = 5000
+    g = Graph.from_edges(3 * k, [(3 * i + a, 3 * i + a + 1) for i in range(k) for a in (0, 1)])
+    sets = [(np.arange(3 * i, 3 * i + 3), i) for i in range(k)]
+    tracemalloc.start()
+    try:
+        values = [value for _, _, value, _, _ in round_induced(g, iter(sets), None, 32)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == [2] * k
+    assert peak < 6 * 2**20, peak
 
 
 def test_zero_and_nan_directions_land_as_before():
