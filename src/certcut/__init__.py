@@ -68,7 +68,6 @@ from .graphcore import (
     edwards_bound,
     find_clique,
     induced_subgraph,
-    peel,
     triangle_list,
 )
 from .harness import RunReport, format_edge_list, parse_graph

@@ -39,7 +39,6 @@ from .graphcore import (
     find_clique,
     induced_subgraph,
     induced_unions,
-    peel,
 )
 
 KR_SURPLUS_CONSTANT = 1.0 / 388.0
@@ -79,8 +78,9 @@ def find_dense_subset(g: Graph, order: DegeneracyOrder, eps: float):
     """Back-neighbor set of the first vertex (in order) whose back-triangle
     count reaches back-degree/eps; that vertex is the common neighbor.
 
-    ``order`` may cover only some vertices (a :func:`peel` of a vertex
-    subset); the search then runs inside the graph those vertices induce.
+    ``order`` may cover only some vertices (the canonical order restricted
+    to a vertex subset); the search then runs inside the graph those
+    vertices induce.
     Returns (sorted read-only id array, witness). Requires a triangle-rich
     graph; raises NotEnoughTriangles when no vertex qualifies.
     """
@@ -106,11 +106,15 @@ def partition_triangle_sparse(g: Graph, eps: float) -> Decomposition:
 
     The residual is an ``alive`` mask over ``g``'s own vertices: its edge and
     triangle counts are masked counts over ``g.eu``/``g.ev`` and
-    ``g.triangle_list``, and its canonical order is :func:`peel` on the mask,
-    so no round builds a subgraph.
+    ``g.triangle_list``, and its order is ``g``'s canonical order restricted
+    to the mask, so no round builds a subgraph or peels again. Back-degrees
+    in that order are at most d, and it counts each residual triangle once,
+    at its last vertex, and each residual edge once, at its owner, so some
+    vertex qualifies whenever t * eps >= m.
     """
     _check_partition_eps(eps)
     ta, tb, tc = g.triangle_list.T
+    canon = g.degeneracy_order
     alive = np.ones(g.n, dtype=bool)
     parts: list[np.ndarray] = []
     witnesses: list[int] = []
@@ -119,7 +123,11 @@ def partition_triangle_sparse(g: Graph, eps: float) -> Decomposition:
         m = int(np.count_nonzero(alive[g.eu] & alive[g.ev]))
         if t == 0 or t * eps < m:
             break
-        order = peel(g, alive) if parts else g.degeneracy_order
+        order = canon
+        if parts:
+            live = canon.order[alive[canon.order]]
+            live.flags.writeable = False
+            order = DegeneracyOrder(g.n, live, canon.degeneracy)
         try:
             dense, w = find_dense_subset(g, order, eps)
         except NotEnoughTriangles:

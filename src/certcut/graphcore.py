@@ -167,9 +167,11 @@ class DegeneracyOrder:
     """A vertex order in which every vertex has few earlier neighbors.
 
     ``order``, a read-only intp array, lists some or all of the ``n``
-    vertices. The back-neighbors of a vertex are its neighbors earlier in
-    ``order`` (see :func:`back_pairs`); ``degeneracy`` is the maximum
-    back-degree, equal to the graph degeneracy for the canonical order.
+    vertices: the canonical order (:func:`degeneracy_order`) or that order
+    restricted to a vertex subset. The back-neighbors of a vertex are its
+    neighbors earlier in ``order`` (see :func:`back_pairs`); ``degeneracy``
+    bounds every back-degree, and equals the maximum back-degree, the graph
+    degeneracy, for the canonical order.
     """
 
     n: int
@@ -197,34 +199,26 @@ def back_pairs(g: Graph, order: DegeneracyOrder) -> tuple[np.ndarray, np.ndarray
     return np.where(later, g.eu, g.ev)[both], np.where(later, g.ev, g.eu)[both]
 
 
-def peel(g: Graph, alive=None) -> DegeneracyOrder:
-    """Canonical min-degree peel of the vertices marked in ``alive`` (every
-    vertex when None), in ``g``'s own ids.
+def degeneracy_order(g: Graph) -> DegeneracyOrder:
+    """Canonical degeneracy order: the min-degree peel of ``g``.
 
     Repeatedly removes a minimum-degree vertex of the residual graph (lowest
     id on ties) and lists the removal sequence reversed, so each vertex's
     back-neighbors are exactly its residual neighbors at removal time and the
-    maximum back-degree is the exact degeneracy of the graph induced by
-    ``alive``. Only the order and that degeneracy are kept; :func:`back_pairs`
-    reads the back-neighbors off the edges. Each degree keeps a min-heap of
-    ids, a vertex is pushed again whenever its degree drops, and the current
-    minimum degree drops by at most one per removal: O((n + m) log Delta) for
-    the lowest-id tie-break. Live vertices with no live neighbour are the
-    first removals, in increasing id, so they are taken in one array step
-    and the heaps hold only the rest. Vertices outside ``alive`` are not in
-    ``order`` and have no back-neighbors; since ``induced_subgraph``
-    relabels monotonically, this is the subgraph's own canonical order
-    mapped back to ``g``.
+    maximum back-degree is the exact degeneracy. Only the order and that
+    degeneracy are kept; :func:`back_pairs` reads the back-neighbors off the
+    edges. Each degree keeps a min-heap of ids, a vertex is pushed again
+    whenever its degree drops, and the current minimum degree drops by at
+    most one per removal: O((n + m) log Delta) for the lowest-id tie-break.
+    Isolated vertices are the first removals, in increasing id, so they are
+    taken in one array step and the heaps hold only the rest.
     """
     n = g.n
-    mask = np.ones(n, dtype=bool) if alive is None else np.asarray(alive, dtype=bool)
-    both = mask[g.eu] & mask[g.ev]
-    deg = np.bincount(g.eu[both], minlength=n) + np.bincount(g.ev[both], minlength=n)
-    # a live vertex of degree 0 is a minimum whose removal lowers no other
+    deg = np.diff(g.indptr)
+    # a vertex of degree 0 is a minimum whose removal lowers no other
     # degree, so all of them go first, before any heap pop
-    linked = mask & (deg > 0)
-    removal = np.flatnonzero(mask ^ linked).tolist()
-    rest = np.flatnonzero(linked).tolist()
+    removal = np.flatnonzero(deg == 0).tolist()
+    rest = np.flatnonzero(deg).tolist()
     flat, ptr = g.indices.tolist(), g.indptr.tolist()
     deg = deg.tolist()
     live = [False] * n
@@ -265,11 +259,6 @@ def peel(g: Graph, alive=None) -> DegeneracyOrder:
     # and built under their peak it would make the peak vary too
     del removal, rest, flat, ptr, deg, live, buckets
     return DegeneracyOrder(n, order, degeneracy)
-
-
-def degeneracy_order(g: Graph) -> DegeneracyOrder:
-    """Canonical degeneracy order of the whole graph (see :func:`peel`)."""
-    return peel(g)
 
 
 # entries of scratch per array pass: the rows of a rounding or count block
@@ -359,9 +348,10 @@ def count_back_triangles(g: Graph, order: DegeneracyOrder) -> tuple[int, ...]:
     """Per-vertex count of triangles closed inside the back-neighbor set.
 
     A triangle is closed inside exactly the back set of its last vertex in
-    ``order``; triangles with a vertex outside a partial order (one from
-    :func:`peel` on a vertex subset) are in no back set. Summing over all
-    vertices recovers the triangle count of the ordered vertices.
+    ``order``; triangles with a vertex outside a partial order (the
+    canonical order restricted to a vertex subset) are in no back set.
+    Summing over all vertices recovers the triangle count of the ordered
+    vertices.
     """
     pa, pb, pc = order.position[g.triangle_list.T]
     last = np.maximum(np.maximum(pa, pb), pc)[(pa >= 0) & (pb >= 0) & (pc >= 0)]

@@ -332,6 +332,13 @@ def back_sets(g: Graph, order: DegeneracyOrder) -> tuple[frozenset[int], ...]:
     return _sets(g.n, *back_pairs(g, order))
 
 
+def restricted_order(g: Graph, alive) -> DegeneracyOrder:
+    """``g``'s canonical order restricted to the vertices marked in the bool
+    mask ``alive``, as ``partition_triangle_sparse`` restricts it."""
+    canon = g.degeneracy_order
+    return DegeneracyOrder(g.n, canon.order[alive[canon.order]], canon.degeneracy)
+
+
 def edge_inner_bound(plan, u: int, v: int) -> float:
     """Upper bound on <v_u, v_v> for an edge: pairs each membership indicator
     with the set owner's eps (-eps_v/4 when u is in V_v, and symmetrically),
@@ -517,20 +524,23 @@ def reference_back_triangles(g: Graph, order) -> tuple[int, ...]:
 
 
 def reference_partition(g: Graph, eps: float):
-    """Triangle-sparse partition rebuilding the residual subgraph every round:
-    recount its triangles, re-peel it, recount the back triangles, strip the
-    back set of the first vertex closing back-degree/eps of them. Returns
-    (parts, witnesses, remainder) in ``g``'s ids."""
+    """Triangle-sparse partition rebuilding the residual subgraph every round
+    to recount its edges and triangles, and searching the whole graph's
+    reference peel, taken once, restricted to the residual: recount the back
+    sets and back triangles by set loops and strip the back set of the first
+    vertex closing back-degree/eps of them. Returns (parts, witnesses,
+    remainder) in ``g``'s ids."""
+    canon = reference_degeneracy_order(g)
     parts, witnesses = [], []
-    residual = list(range(g.n))
+    residual = set(range(g.n))
     while True:
-        sub, ids = induced_subgraph(g, residual)
-        up = ids.tolist()
+        sub, _ = induced_subgraph(g, sorted(residual))
         t = reference_count_triangles(sub)
         if t == 0 or t * eps < sub.m:
             break
-        order = reference_degeneracy_order(sub)
-        t_back = reference_back_triangles(sub, order)
+        live = tuple(v for v in canon.order if v in residual)
+        order = ReferenceOrder(live, reference_back_sets(g, live), canon.degeneracy)
+        t_back = reference_back_triangles(g, order)
         hit = None
         for v in order.order:
             dv = len(order.back_neighbors[v])
@@ -540,9 +550,9 @@ def reference_partition(g: Graph, eps: float):
         if hit is None:
             break
         dense, w = hit
-        parts.append(frozenset(up[v] for v in dense))
-        witnesses.append(up[w])
-        residual = [up[v] for v in range(sub.n) if v not in dense]
+        parts.append(dense)
+        witnesses.append(w)
+        residual -= dense
     return tuple(parts), tuple(witnesses), frozenset(residual)
 
 

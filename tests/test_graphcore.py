@@ -43,7 +43,6 @@ from certcut.graphcore import (
     find_clique,
     induced_subgraph,
     induced_unions,
-    peel,
 )
 from conftest import graphs
 from oracles import (
@@ -53,9 +52,11 @@ from oracles import (
     brute_degeneracy,
     brute_max_cut,
     brute_triangles,
+    reference_back_sets,
     reference_degeneracy_order,
     reference_find_clique,
     reference_from_edges,
+    restricted_order,
     rows,
 )
 
@@ -180,20 +181,15 @@ class TestDegeneracyOrder:
     @given(st.data())
     @settings(deadline=None, max_examples=60)
     def test_back_pairs_give_the_reference_back_sets(self, data):
-        # on every vertex and on a random vertex subset, mapped up from the
-        # reference peel of the induced subgraph
+        # on every vertex and on a random vertex subset: the reference peel's
+        # order restricted to the subset, with the set-loop back sets
         g = data.draw(graphs())
         some = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool)
+        canon = reference_degeneracy_order(g).order
         for alive in (np.ones(g.n, dtype=bool), some):
-            sub, ids = induced_subgraph(g, np.flatnonzero(alive).tolist())
-            want = reference_degeneracy_order(sub)
-            up = ids.tolist()
-            back = [frozenset()] * g.n
-            for i, b in enumerate(want.back_neighbors):
-                back[up[i]] = frozenset(up[w] for w in b)
-            got = peel(g, alive)
-            assert got.order.tolist() == [up[v] for v in want.order]
-            assert back_sets(g, got) == tuple(back)
+            got = restricted_order(g, alive)
+            assert got.order.tolist() == [v for v in canon if alive[v]]
+            assert back_sets(g, got) == reference_back_sets(g, got.order.tolist())
 
 
 class TestTriangles:
