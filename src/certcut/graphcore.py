@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, pairwise
 
 import numpy as np
@@ -263,7 +263,8 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
 
 # entries of scratch per array pass: the rows of a rounding or count block
 # times its longest per-row array, the vertices and edges of an
-# induced_unions run, the wedges of a triangle_list pass, the pair draws of
+# induced_unions run, the wedges of a triangle_list pass (before the rest of
+# its last tail), the triangle pairs of a 4-clique check, the pair draws of
 # a random graph, and 16 times the sets (live rounding generators) of a run
 ROUND_CHUNK = 1 << 14
 
@@ -297,22 +298,31 @@ def best_row(blocks, ends: list[int], tops: list[int] | None = None) -> tuple[np
 def triangle_list(g: Graph) -> np.ndarray:
     """Every 3-clique once, as rows ``(u, v, w)`` ascending in (degree, id),
     from :func:`_triangle_passes`."""
-    found = list(_triangle_passes(g))
+    return _stacked([rows for rows, _ in _triangle_passes(g)])
+
+
+def _stacked(found: list[np.ndarray]) -> np.ndarray:
+    """The pass rows of ``found`` as one (T, 3) array."""
     return np.concatenate(found) if found else np.empty((0, 3), dtype=np.intp)
 
 
 def _triangle_passes(g: Graph):
-    """The rows of :func:`triangle_list`, one array per pass that finds any.
+    """The rows of :func:`triangle_list`, one ``(rows, closes_k4)`` per pass
+    that finds any; ``closes_k4()`` tells whether the pass's triangles
+    close a 4-clique (see :func:`_closes_k4`).
 
     Each edge points from the endpoint lower in (degree, id) order to the
     higher one, so every triangle is exactly one wedge (u; v, w) of two
     out-neighbors of u whose closing edge v-w exists, and there are
-    O(m^1.5) wedges (Chiba & Nishizeki, SIAM J. Comput. 1985). Wedges are
-    generated ``ROUND_CHUNK`` at a time and looked up among the sorted edge
-    keys in rank space: both ends of a wedge come from one out-row, sorted
-    by head rank, so each edge's wedge keys form an ascending run.
+    O(m^1.5) wedges (Chiba & Nishizeki, SIAM J. Comput. 1985). A pass
+    covers whole tails: ``ROUND_CHUNK`` wedges, then the rest of the tail of
+    its last one, at most m more, so its scratch is O(m + ``ROUND_CHUNK``)
+    and its wedges are those of a run of out-edges, spelled out with
+    ``np.repeat``. Wedges are looked up among the sorted edge keys in rank
+    space: both ends of a wedge come from one out-row, sorted by head rank,
+    so each edge's wedge keys form an ascending run.
     """
-    n = g.n
+    n, m = g.n, g.m
     eu, ev = g.eu, g.ev
     rank = np.empty(n, dtype=np.intp)
     rank[np.argsort(np.diff(g.indptr), kind="stable")] = np.arange(n)
@@ -323,20 +333,61 @@ def _triangle_passes(g: Graph):
     tail, head = tail[by_row], head[by_row]
     head_rank = rank[head]
     keys = np.sort(rank[tail] * n + head_rank)
-    # out-edge p pairs with every later out-edge q of the same tail
-    fan = np.cumsum(np.bincount(tail, minlength=n))[tail] - np.arange(g.m) - 1
+    # out-edge p pairs with each of the fan[p] later out-edges of its tail,
+    # in the wedges before fan_end[p]
+    fan = np.cumsum(np.bincount(tail, minlength=n))[tail] - np.arange(m) - 1
     fan_end = np.cumsum(fan)
-    wedges = int(fan_end[-1]) if g.m else 0
-    for start in range(0, wedges, ROUND_CHUNK):
-        w = np.arange(start, min(start + ROUND_CHUNK, wedges))
-        p = np.searchsorted(fan_end, w, side="right")
-        q = p + fan[p] - (fan_end[p] - w) + 1
+    wedges = int(fan_end[-1]) if m else 0
+    start = first = 0
+    while start < wedges:
+        # wedges start to stop - 1, of out-edges first to last - 1
+        last, stop = m, wedges
+        if start + ROUND_CHUNK < wedges:
+            # run on to the tail's last out-edge, p + fan[p]
+            p = int(np.searchsorted(fan_end, start + ROUND_CHUNK - 1, side="right"))
+            last = p + int(fan[p]) + 1
+            stop = int(fan_end[last - 1])
+        fans = fan[first:last]
+        # pass wedge i of out-edge p pairs it with out-edge i + shift[p - first]
+        shift = np.arange(first + 1, last + 1) - fan_end[first:last] + fans + start
+        p = np.repeat(np.arange(first, last), fans)
+        q = np.arange(stop - start) + np.repeat(shift, fans)
         key = head_rank[p] * n + head_rank[q]
-        at = np.minimum(np.searchsorted(keys, key), g.m - 1)
+        at = np.minimum(np.searchsorted(keys, key), m - 1)
         hit = keys[at] == key
         if hit.any():
             p, q = p[hit], q[hit]
-            yield np.stack((tail[p], head[p], head[q]), axis=1)
+            yield (np.stack((tail[p], head[p], head[q]), axis=1),
+                   partial(_closes_k4, hit, p, q, shift[q - first]))
+        start, first = stop, last
+
+
+def _closes_k4(hit: np.ndarray, p: np.ndarray, q: np.ndarray, shift: np.ndarray) -> bool:
+    """Whether a pass's triangles, its ``hit`` wedges (p, q), close a
+    4-clique. In (degree, id) order a 4-clique u < v < w < x is two hits
+    (p, qi) and (p, qj), qi < qj, of one out-edge p = u->v, and a hit on
+    the wedge of the same tail that pairs qi with qj. That wedge is in the
+    same pass, as all of u's wedges are, at pass index ``qj - shift[i]``
+    for hit i = (p, qi). The hits of one out-edge are consecutive; their
+    pairs are checked ``ROUND_CHUNK`` at a time, against the pass's own
+    ``hit`` mask."""
+    # hit i pairs with the later[i] hits after it of its out-edge, pair
+    # numbers ends[i] - later[i] to ends[i] - 1, pair k with hit k - off[i]
+    nth = np.arange(1, len(p) + 1)
+    later = np.searchsorted(p, p, side="right") - nth
+    ends = np.cumsum(later)
+    off = ends - later - nth
+    pairs = int(ends[-1])
+    for a in range(0, pairs, ROUND_CHUNK):
+        b = min(a + ROUND_CHUNK, pairs)
+        i, j = np.searchsorted(ends, (a, b - 1), side="right").tolist()
+        counts = later[i:j + 1].copy()
+        counts[-1] -= ends[j] - b
+        counts[0] -= a - (ends[i] - later[i])
+        partner = np.arange(a, b) - np.repeat(off[i:j + 1], counts)
+        if hit[q[partner] - np.repeat(shift[i:j + 1], counts)].any():
+            return True
+    return False
 
 
 def count_triangles(g: Graph) -> int:
@@ -366,39 +417,34 @@ def _forward_sets(g: Graph) -> list[frozenset[int]]:
     return [frozenset(ev[a:b]) for a, b in pairwise(ends)]
 
 
-def _k4_free_within(fwd: list[frozenset[int]], budget: int) -> bool:
-    """Whether ``fwd`` holds no 4-clique u < v < w < x, an edge w-x inside
-    c = fwd[u] & fwd[v], and 2T = sum 2|c| over the edges fits ``budget``."""
-    steps = 0
-    for row in fwd:
-        for v in row:
-            common = row & fwd[v]
-            if common:
-                steps += 2 * len(common)
-                if steps > budget or any(not fwd[w].isdisjoint(common) for w in common):
-                    return False
-    return steps <= budget
-
-
 def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
     """First r-clique in lexicographic vertex order, or None; BudgetExceeded
     past ``budget`` steps, one per prefix plus one per candidate it extends
     with. A K_r-free graph, r = 3 or 4, whose n + 2m steps (+ 2T for r = 4,
-    T triangles) fit the budget is answered without the search, so every
-    witness and refusal is the search's; for r = 3 that answer also caches
-    the graph's (empty) ``triangle_list``."""
+    T triangles) fit the budget is answered by the passes of the triangle
+    listing without the search, so every witness and refusal is the
+    search's. The passes stop at a triangle (r = 3), a pass that closes a
+    4-clique, or once 2T is past the budget, and drop what they listed;
+    otherwise they were the whole listing, kept as ``g.triangle_list``.
+    Memory is O(n + m) plus, for r = 4, at most budget/2 listed rows."""
     if r < 1:
         raise ValueError("clique size r must be >= 1")
     if r == 1:
         return (0,) if g.n else None
     free_budget = budget - g.n - 2 * g.m
-    if r == 3 and free_budget >= 0 and next(_triangle_passes(g), None) is None:
-        # the passes saw every wedge: keep the empty listing for g.triangles
-        g.__dict__.setdefault("triangle_list", np.empty((0, 3), dtype=np.intp))
-        return None
+    if r in (3, 4) and free_budget >= 0:
+        found, triangles = [], 0
+        for rows, closes_k4 in _triangle_passes(g):
+            triangles += len(rows)
+            if r == 3 or 2 * triangles > free_budget or closes_k4():
+                break
+            found.append(rows)
+        else:
+            # the passes saw every wedge: keep the listing for g.triangles
+            g.__dict__.setdefault("triangle_list", _stacked(found))
+            return None
+        del found, rows, closes_k4
     fwd = _forward_sets(g)
-    if r == 4 and _k4_free_within(fwd, free_budget):
-        return None
     steps = [0]
     for v in range(g.n):
         hit = _extend_clique(fwd, r, (v,), fwd[v], steps, budget)

@@ -43,6 +43,7 @@ from certcut.graphcore import (
     find_clique,
     induced_subgraph,
     induced_unions,
+    triangle_list,
 )
 from conftest import graphs
 from oracles import (
@@ -56,6 +57,7 @@ from oracles import (
     reference_degeneracy_order,
     reference_find_clique,
     reference_from_edges,
+    reference_triangle_list,
     restricted_order,
     rows,
 )
@@ -344,10 +346,11 @@ class TestCliques:
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_clique_check_memory_is_linear_in_the_graph(self, regular_100k, r):
-        # about 130 bytes per vertex and edge here (the graph has one
-        # triangle), for the forward sets and the triangle pass; a bitset
-        # per vertex indexed by global id would hold about n/12 bytes per
-        # vertex here, 3,200 per vertex and edge
+        # about 130 bytes per vertex and edge at r = 3, where the graph's
+        # one triangle sends find_clique to the search and its forward
+        # sets, and 43 at r = 4, settled by the triangle passes alone; a
+        # bitset per vertex indexed by global id would hold about n/12
+        # bytes per vertex here, 3,200 per vertex and edge
         g = Graph(*(getattr(regular_100k, f) for f in ("n", "indptr", "indices", "eu", "ev")))
         _, peak = clique_peak(g, r, CLIQUE_STEP_BUDGET)
         assert peak < 256 * (g.n + g.m), peak
@@ -383,6 +386,95 @@ class TestCliques:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def pendant_k4(k: int) -> Graph:
+    """turan(k, 3) with a vertex k joined to 0, 1 and 2: one 4-clique, whose
+    lowest vertex in (degree, id) order is k, the last tail, so the triangle
+    passes close it only in their last pass."""
+    return Graph.from_edges(k + 1, [*turan(k, 3).edges, (0, k), (1, k), (2, k)])
+
+
+def book_k4(k: int, closed: bool) -> Graph:
+    """Edge 0-1 with pages 2..k+1, each joined to both ends and to k + 4
+    leaves of its own; with ``closed``, the edge k-(k+1) closes the one
+    4-clique (0, 1, k, k+1). The leaves put 0 and 1 below the pages in
+    (degree, id) order, so 0->1 is one out-edge with k triangles, and the
+    two pages of the 4-clique rank last among them: their pair is the last
+    of the k(k-1)/2 pairs of that out-edge."""
+    edges = [(0, 1)]
+    leaf = k + 2
+    for w in range(2, k + 2):
+        edges += [(0, w), (1, w)]
+        edges += [(w, leaf + i) for i in range(k + 4)]
+        leaf += k + 4
+    if closed:
+        edges.append((k, k + 1))
+    return Graph.from_edges(leaf, edges)
+
+
+class TestTrianglePasses:
+    # with a small ROUND_CHUNK every pass runs past its ROUND_CHUNK wedges
+    # to the end of a tail, and the pairs of one out-edge's triangles
+    # straddle the K4 check's slices
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    @given(case=clique_cases(), share=st.floats(0, 1))
+    @settings(deadline=None, max_examples=150)
+    def test_small_passes_match_the_references(self, chunk, case, share):
+        g, _ = case
+        steps = g.n + 2 * g.m + 2 * brute_cliques(g, 3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphcore, "ROUND_CHUNK", chunk)
+            assert triangle_list(g).tolist() == reference_triangle_list(g).tolist()
+            for budget in (steps, steps - 1, int(share * steps)):
+                g = Graph(*(getattr(g, f) for f in ("n", "indptr", "indices", "eu", "ev")))
+                got = clique_outcome(find_clique, g, 4, budget)
+                assert got == clique_outcome(reference_find_clique, g, 4, budget)
+                # the passes alone settle a K4-free graph within the budget,
+                # and then keep the listing they made
+                settled = budget >= steps and brute_cliques(g, 4) == 0
+                assert ("triangle_list" in g.__dict__) == settled
+                if settled:
+                    assert g.triangle_list.tolist() == reference_triangle_list(g).tolist()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, graphcore.ROUND_CHUNK])
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_k4_in_a_later_pair_slice(self, monkeypatch, chunk, closed):
+        # 6 pages: the 4-clique's pair is the 15th of its out-edge, after
+        # every slice of 1, 2 or 5 pairs before it
+        monkeypatch.setattr(graphcore, "ROUND_CHUNK", chunk)
+        g = book_k4(6, closed)
+        assert find_clique(g, 4) == ((0, 1, 6, 7) if closed else None)
+        assert ("triangle_list" in g.__dict__) is not closed
+        assert g.triangle_list.tolist() == reference_triangle_list(g).tolist()
+        assert g.triangles == 6 + 2 * closed
+
+    @pytest.mark.parametrize("chunk", [1, 5])
+    def test_k4_in_the_last_pass(self, monkeypatch, chunk):
+        monkeypatch.setattr(graphcore, "ROUND_CHUNK", chunk)
+        g = pendant_k4(12)
+        assert find_clique(g, 4) == (0, 1, 2, 12)
+        assert "triangle_list" not in g.__dict__
+
+    @pytest.mark.parametrize("free", ["all", "half", "few"])
+    def test_listed_rows_stay_within_the_budget(self, free):
+        # the passes hold the rows listed so far, 24 bytes each, until a
+        # pass closes the 4-clique (here the last of many) or 2T passes the
+        # budget, then drop them: O(n + m) plus 12 bytes per free step
+        g = pendant_k4(240)
+        triangles = 240**3 // 27 + 1
+        budget = g.n + 2 * g.m + {"all": 2 * triangles + 2, "half": triangles, "few": 20_000}[free]
+        tracemalloc.start()
+        try:
+            got = find_clique(g, 4, budget)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == (0, 1, 2, 240)
+        assert "triangle_list" not in g.__dict__
+        assert peak < 256 * (g.n + g.m) + 12 * (budget - g.n - 2 * g.m), peak
+        assert after < 1 << 16, after
 
 
 class TestCutValue:

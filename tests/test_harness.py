@@ -35,6 +35,7 @@ from certcut.generators import (
     make_cr_free,
     petersen,
     random_regular,
+    turan,
 )
 from certcut.harness import (
     CSV_HEADER,
@@ -839,3 +840,17 @@ class TestPerGraphFacts:
         g = make_cr_free(random_regular(2000, 3, 0), 3)
         report = make_report(g, "g", "kr", 0, epsilon="auto", repeats=4, r=3, t=3, p=None, max_vertices=None)
         assert report.triangles == 0 and calls == [g]
+
+    def test_kr4_report_lists_triangles_once(self, monkeypatch):
+        # on a K4-free graph with triangles, the passes that settle r = 4
+        # are the whole listing, which the partition and the report reuse;
+        # the search's forward sets are never built
+        calls = Counter()
+        for name in ("_triangle_passes", "_forward_sets"):
+            def counted(g, _fn=getattr(graphcore, name), _name=name):
+                calls[_name, g] += 1
+                return _fn(g)
+            monkeypatch.setattr(graphcore, name, counted)
+        g = turan(60, 3)
+        report = make_report(g, "g", "kr", 0, epsilon="auto", repeats=4, r=4, t=3, p=None, max_vertices=None)
+        assert report.triangles == 20**3 and calls == {("_triangle_passes", g): 1}
