@@ -68,6 +68,7 @@ from .graphcore import (
     edwards_bound,
     find_clique,
     induced_subgraph,
+    triangle_edges,
     triangle_list,
 )
 from .harness import RunReport, format_edge_list, parse_graph

@@ -31,10 +31,9 @@ from .graphcore import (
     Graph,
     _binary_labels,
     _id_array,
+    _last_positions,
     _vertex_ids,
-    back_pairs,
     block_rows,
-    count_back_triangles,
     cut_value,
     find_clique,
     induced_subgraph,
@@ -85,18 +84,32 @@ def find_dense_subset(g: Graph, order: DegeneracyOrder, eps: float):
     graph; raises NotEnoughTriangles when no vertex qualifies.
     """
     _check_partition_eps(eps)
-    owner, cols = back_pairs(g, order)
-    dv = np.bincount(owner, minlength=g.n)[order.order]
-    t_back = np.array(count_back_triangles(g, order), dtype=np.int64)[order.order]
+    own, last = _last_positions(g, order.position)
+    k = len(order.order)
+    dv, t_back = (np.bincount(x[x >= 0], minlength=k) for x in (own, last))
+    return _dense_subset(g, order.order, order.position, dv, t_back, eps)
+
+
+def _dense_subset(g: Graph, order: np.ndarray, position: np.ndarray, dv: np.ndarray,
+                  t_back: np.ndarray, eps: float) -> tuple[np.ndarray, int]:
+    """The rule of :func:`find_dense_subset` on counts per position of
+    ``order``: the first position j with ``dv[j] >= 1`` and ``t_back[j] *
+    eps >= dv[j]`` (int64 counts, compared as floats). Returns the back set
+    of v = ``order[j]``, its neighbors at positions 0 to j - 1 of
+    ``position`` (-1 outside the order), and v; NotEnoughTriangles when no
+    position qualifies."""
     hit = (dv >= 1) & (t_back * eps >= dv)
-    if hit.any():
-        v = int(order.order[hit.argmax()])
-        dense = cols[owner == v]  # ascending: back_pairs lists them so
-        dense.flags.writeable = False
-        return dense, v
-    raise NotEnoughTriangles(
-        f"no vertex closes back-degree/{eps} triangles inside its back-neighbor set"
-    )
+    if not hit.any():
+        raise NotEnoughTriangles(
+            f"no vertex closes back-degree/{eps} triangles inside its back-neighbor set"
+        )
+    j = int(hit.argmax())
+    v = int(order[j])
+    near = g.indices[g.indptr[v]:g.indptr[v + 1]]
+    at = position[near]
+    dense = near[(at >= 0) & (at < j)]  # ascending, as the CSR row is
+    dense.flags.writeable = False
+    return dense, v
 
 
 def partition_triangle_sparse(g: Graph, eps: float) -> Decomposition:
@@ -104,39 +117,49 @@ def partition_triangle_sparse(g: Graph, eps: float) -> Decomposition:
     induces at most m/eps triangles. Terminates because every extracted part
     is nonempty.
 
-    The residual is an ``alive`` mask over ``g``'s own vertices: its edge and
-    triangle counts are masked counts over ``g.eu``/``g.ev`` and
-    ``g.triangle_list``, and its order is ``g``'s canonical order restricted
-    to the mask, so no round builds a subgraph or peels again. Back-degrees
-    in that order are at most d, and it counts each residual triangle once,
-    at its last vertex, and each residual edge once, at its owner, so some
-    vertex qualifies whenever t * eps >= m.
+    The residual lives on ``g``'s own vertex ids, and its order is ``g``'s
+    canonical order restricted to it, so no round builds a subgraph or peels
+    again. Restriction changes no live vertex's back-edges or back-triangles
+    (those counted at it as the owner of an edge or the last vertex of a
+    triangle of ``g.triangle_edges``), so both counts, per canonical
+    position, are taken once and each round subtracts what its part kills:
+    an edge with an endpoint in the part, and a triangle whose edge uw or vw
+    died. Back-degrees in that order are at most d, and each live triangle
+    and edge is counted once, so some vertex qualifies whenever t * eps >=
+    m. The first check reads ``g.triangles`` and ``g.m``, so a graph that is
+    sparse already costs no counts.
     """
     _check_partition_eps(eps)
-    ta, tb, tc = g.triangle_list.T
-    canon = g.degeneracy_order
-    alive = np.ones(g.n, dtype=bool)
     parts: list[np.ndarray] = []
     witnesses: list[int] = []
-    while True:
-        t = int(np.count_nonzero(alive[ta] & alive[tb] & alive[tc]))
-        m = int(np.count_nonzero(alive[g.eu] & alive[g.ev]))
-        if t == 0 or t * eps < m:
-            break
-        order = canon
-        if parts:
-            live = canon.order[alive[canon.order]]
-            live.flags.writeable = False
-            order = DegeneracyOrder(g.n, live, canon.degeneracy)
-        try:
-            dense, w = find_dense_subset(g, order, eps)
-        except NotEnoughTriangles:
-            # float rounding at the eps boundary; residual counts as sparse
-            break
-        parts.append(dense)
-        witnesses.append(w)
-        alive[dense] = False
-    remainder = np.flatnonzero(alive)
+    t, m = g.triangles, g.m
+    remainder = np.arange(g.n)
+    if t and t * eps >= m:
+        canon = g.degeneracy_order
+        # position is -1 once a vertex is in a part, last once a triangle dies
+        position = canon.position.copy()
+        own, last = _last_positions(g, position)
+        dv, t_back = np.bincount(own, minlength=g.n), np.bincount(last, minlength=g.n)
+        dead = np.zeros(g.m, dtype=bool)
+        uw, vw = g.triangle_edges[:, 1], g.triangle_edges[:, 2]
+        while t and t * eps >= m:
+            try:
+                dense, w = _dense_subset(g, canon.order, position, dv, t_back, eps)
+            except NotEnoughTriangles:
+                # float rounding at the eps boundary; residual counts as sparse
+                break
+            parts.append(dense)
+            witnesses.append(w)
+            position[dense] = -1
+            gone = ~dead & ((position[g.eu] < 0) | (position[g.ev] < 0))
+            dead |= gone
+            died = (last >= 0) & (dead[uw] | dead[vw])
+            dv -= np.bincount(own[gone], minlength=g.n)
+            t_back -= np.bincount(last[died], minlength=g.n)
+            last[died] = -1
+            m -= int(np.count_nonzero(gone))
+            t -= int(np.count_nonzero(died))
+        remainder = np.flatnonzero(position >= 0)
     remainder.flags.writeable = False
     return Decomposition(tuple(parts), remainder, eps, tuple(witnesses))
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._rng import normal_blocks
 from .errors import EpsilonTooLarge, InvalidEpsilon
-from .graphcore import Cut, Graph, back_pairs, best_row, block_rows
+from .graphcore import Cut, Graph, _triangle_vertices, back_pairs, best_row, block_rows
 from .graphcore import cut_value  # noqa: F401  (kept importable from this module)
 
 _EPS_TOL = 1e-12
@@ -196,23 +196,26 @@ def build_vectors(g: Graph, plan: EpsilonPlan) -> Embedding:
 
 def edge_counts(emb: Embedding) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """[u in V_v], [v in V_u] (bool) and |V_u ^ V_v| (int) per edge of the
-    embedding's graph. Each plan pair (i, j) marks its edge, found once by
-    validation (``emb.pair_edge``). A common member k of V_u and V_v closes
-    the triangle (u, v, k), so each triangle of ``g.triangle_list`` is tested
-    once per edge, k its third vertex, found by its key among the sorted edge
-    keys u*n + v.
+    embedding's graph. Each plan pair (x, k) marks slot 2e + [x > k] of its
+    edge e, found once by validation (``emb.pair_edge``), so "k in V_x" for
+    the edge e = (x, k) is that slot of one bool array. A common member k
+    of V_u and V_v closes the triangle (u, v, k), so each triangle of
+    ``g.triangle_edges`` is tested once per edge, k its third vertex, by
+    the slots of its other two edges.
     """
-    g, plan, at = emb.graph, emb.plan, emb.pair_edge
-    n, m = g.n, g.m
-    keys = g.eu * n + g.ev
-    fwd = plan.owner < plan.cols  # the pair is (u, v), so v is in V_u
-    v_in_u = np.bincount(at[fwd], minlength=m) > 0
-    u_in_v = np.bincount(at[~fwd], minlength=m) > 0
-    a, b, c = np.sort(g.triangle_list, axis=1).T
-    ab, ac, bc = (np.searchsorted(keys, x * n + y) for x, y in ((a, b), (a, c), (b, c)))
-    # c is in V_a and V_b, b in V_a and V_c, a in V_b and V_c
-    shared = ab[v_in_u[ac] & v_in_u[bc]], ac[v_in_u[ab] & u_in_v[bc]], bc[u_in_v[ab] & u_in_v[ac]]
-    return u_in_v, v_in_u, np.bincount(np.concatenate(shared), minlength=m)
+    g, plan = emb.graph, emb.plan
+    member = np.zeros(2 * g.m, dtype=bool)
+    member[2 * emb.pair_edge + (plan.owner > plan.cols)] = True
+    uv, uw, vw = g.triangle_edges.T
+    u, v, w = _triangle_vertices(g, g.triangle_edges)
+
+    def holds(e, x, k):  # k in V_x, for the edge e = (x, k)
+        return member[2 * e + (x > k)]
+
+    # w is in V_u and V_v, v in V_u and V_w, u in V_v and V_w
+    shared = (uv[holds(uw, u, w) & holds(vw, v, w)], uw[holds(uv, u, v) & holds(vw, w, v)],
+              vw[holds(uv, v, u) & holds(uw, w, u)])
+    return member[1::2], member[::2], np.bincount(np.concatenate(shared), minlength=g.m)
 
 
 def edge_inner(g: Graph, plan: EpsilonPlan, counts: tuple[np.ndarray, ...]) -> np.ndarray:

@@ -90,9 +90,16 @@ class Graph:
         return degeneracy_order(self)
 
     @cached_property
+    def triangle_edges(self) -> np.ndarray:
+        """Every triangle once as its three edge ids, listed once per graph
+        (see :func:`triangle_edges`)."""
+        return triangle_edges(self)
+
+    @property
     def triangle_list(self) -> np.ndarray:
-        """Every triangle once, listed once per graph (see :func:`triangle_list`)."""
-        return triangle_list(self)
+        """Every triangle once as a vertex row, derived from the cached
+        ``triangle_edges`` per access (see :func:`triangle_list`)."""
+        return np.stack(_triangle_vertices(self, self.triangle_edges), axis=1)
 
     @cached_property
     def triangles(self) -> int:
@@ -263,7 +270,7 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
 
 # entries of scratch per array pass: the rows of a rounding or count block
 # times its longest per-row array, the vertices and edges of an
-# induced_unions run, the wedges of a triangle_list pass (before the rest of
+# induced_unions run, the wedges of a triangle listing pass (before the rest of
 # its last tail), the triangle pairs of a 4-clique check, the pair draws of
 # a random graph, and 16 times the sets (live rounding generators) of a run
 ROUND_CHUNK = 1 << 14
@@ -297,8 +304,23 @@ def best_row(blocks, ends: list[int], tops: list[int] | None = None) -> tuple[np
 
 def triangle_list(g: Graph) -> np.ndarray:
     """Every 3-clique once, as rows ``(u, v, w)`` ascending in (degree, id),
-    from :func:`_triangle_passes`."""
-    return _stacked([rows for rows, _ in _triangle_passes(g)])
+    in the order of :func:`triangle_edges`, whose edge ids they are read from."""
+    return np.stack(_triangle_vertices(g, triangle_edges(g)), axis=1)
+
+
+def triangle_edges(g: Graph) -> np.ndarray:
+    """Every 3-clique once, as rows ``(uv, uw, vw)`` of indices into
+    ``g.eu``/``g.ev``, from :func:`_triangle_passes`."""
+    return _stacked([edges for edges, _ in _triangle_passes(g)])
+
+
+def _triangle_vertices(g: Graph, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices ``(u, v, w)`` of listed triangles ``(uv, uw, vw)``: u is
+    the endpoint that the first two edges share."""
+    a, b = g.eu[edges[:, 0]], g.ev[edges[:, 0]]
+    c, d = g.eu[edges[:, 1]], g.ev[edges[:, 1]]
+    u = np.where((a == c) | (a == d), a, b)
+    return u, a + b - u, c + d - u
 
 
 def _stacked(found: list[np.ndarray]) -> np.ndarray:
@@ -307,32 +329,33 @@ def _stacked(found: list[np.ndarray]) -> np.ndarray:
 
 
 def _triangle_passes(g: Graph):
-    """The rows of :func:`triangle_list`, one ``(rows, closes_k4)`` per pass
-    that finds any; ``closes_k4()`` tells whether the pass's triangles
+    """The rows of :func:`triangle_edges`, one ``(edges, closes_k4)`` per
+    pass that finds any; ``closes_k4()`` tells whether the pass's triangles
     close a 4-clique (see :func:`_closes_k4`).
 
     Each edge points from the endpoint lower in (degree, id) order to the
     higher one, so every triangle is exactly one wedge (u; v, w) of two
-    out-neighbors of u whose closing edge v-w exists, and there are
-    O(m^1.5) wedges (Chiba & Nishizeki, SIAM J. Comput. 1985). A pass
-    covers whole tails: ``ROUND_CHUNK`` wedges, then the rest of the tail of
-    its last one, at most m more, so its scratch is O(m + ``ROUND_CHUNK``)
-    and its wedges are those of a run of out-edges, spelled out with
-    ``np.repeat``. Wedges are looked up among the sorted edge keys in rank
-    space: both ends of a wedge come from one out-row, sorted by head rank,
-    so each edge's wedge keys form an ascending run.
+    out-edges u->v and u->w whose closing edge v->w exists, and there are
+    O(m^1.5) wedges (Chiba & Nishizeki, SIAM J. Comput. 1985). The
+    out-edges are sorted once by their rank-space keys
+    ``rank[tail] * n + rank[head]``, so out-rows come in tail rank, each
+    sorted by head rank, and a wedge's key ``rank[v] * n + rank[w]`` is
+    found by ``searchsorted`` at the closing out-edge itself: a triangle's
+    row is the edge ids of its wedge's two out-edges and of that one. A
+    pass covers whole tails: ``ROUND_CHUNK`` wedges, then the rest of the
+    tail of its last one, at most m more, so its scratch is O(m +
+    ``ROUND_CHUNK``) and its wedges are those of a run of out-edges, spelled
+    out with ``np.repeat``.
     """
     n, m = g.n, g.m
-    eu, ev = g.eu, g.ev
     rank = np.empty(n, dtype=np.intp)
     rank[np.argsort(np.diff(g.indptr), kind="stable")] = np.arange(n)
-    up = rank[eu] < rank[ev]
-    tail = np.where(up, eu, ev)
-    head = np.where(up, ev, eu)
-    by_row = np.lexsort((rank[head], tail))
-    tail, head = tail[by_row], head[by_row]
-    head_rank = rank[head]
-    keys = np.sort(rank[tail] * n + head_rank)
+    ru, rv = rank[g.eu], rank[g.ev]
+    tail, head = np.minimum(ru, rv), np.maximum(ru, rv)
+    keys = tail * n + head
+    # the keys are distinct, so any sort gives the one order
+    by_row = np.argsort(keys)
+    keys, tail, head = keys[by_row], tail[by_row], head[by_row]
     # out-edge p pairs with each of the fan[p] later out-edges of its tail,
     # in the wedges before fan_end[p]
     fan = np.cumsum(np.bincount(tail, minlength=n))[tail] - np.arange(m) - 1
@@ -352,12 +375,13 @@ def _triangle_passes(g: Graph):
         shift = np.arange(first + 1, last + 1) - fan_end[first:last] + fans + start
         p = np.repeat(np.arange(first, last), fans)
         q = np.arange(stop - start) + np.repeat(shift, fans)
-        key = head_rank[p] * n + head_rank[q]
+        key = head[p] * n + head[q]
         at = np.minimum(np.searchsorted(keys, key), m - 1)
         hit = keys[at] == key
-        if hit.any():
-            p, q = p[hit], q[hit]
-            yield (np.stack((tail[p], head[p], head[q]), axis=1),
+        found = np.flatnonzero(hit)
+        if len(found):
+            p, q = p[found], q[found]
+            yield (by_row[np.stack((p, q, at[found]), axis=1)],
                    partial(_closes_k4, hit, p, q, shift[q - first]))
         start, first = stop, last
 
@@ -392,7 +416,7 @@ def _closes_k4(hit: np.ndarray, p: np.ndarray, q: np.ndarray, shift: np.ndarray)
 
 def count_triangles(g: Graph) -> int:
     """Exact number of 3-cliques."""
-    return len(g.triangle_list)
+    return len(g.triangle_edges)
 
 
 def count_back_triangles(g: Graph, order: DegeneracyOrder) -> tuple[int, ...]:
@@ -404,9 +428,21 @@ def count_back_triangles(g: Graph, order: DegeneracyOrder) -> tuple[int, ...]:
     Summing over all vertices recovers the triangle count of the ordered
     vertices.
     """
-    pa, pb, pc = order.position[g.triangle_list.T]
-    last = np.maximum(np.maximum(pa, pb), pc)[(pa >= 0) & (pb >= 0) & (pc >= 0)]
-    return tuple(np.bincount(order.order[last], minlength=g.n).tolist())
+    _, last = _last_positions(g, order.position)
+    return tuple(np.bincount(order.order[last[last >= 0]], minlength=g.n).tolist())
+
+
+def _last_positions(g: Graph, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per edge, then per triangle of ``g.triangle_edges``, the position of
+    its last vertex in the order whose ``position`` array is given (as
+    :attr:`DegeneracyOrder.position`), or -1 if a vertex is outside it. An
+    edge's last vertex is its owner in :func:`back_pairs`; a triangle's is
+    the later of the last vertices of its edges uw and vw, which between
+    them hold all three of its vertices. Both arrays are new."""
+    pu, pv = position[g.eu], position[g.ev]
+    edge = np.where(np.minimum(pu, pv) >= 0, np.maximum(pu, pv), -1)
+    uw, vw = edge[g.triangle_edges[:, 1]], edge[g.triangle_edges[:, 2]]
+    return edge, np.where(np.minimum(uw, vw) >= 0, np.maximum(uw, vw), -1)
 
 
 def _forward_sets(g: Graph) -> list[frozenset[int]]:
@@ -425,8 +461,9 @@ def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
     listing without the search, so every witness and refusal is the
     search's. The passes stop at a triangle (r = 3), a pass that closes a
     4-clique, or once 2T is past the budget, and drop what they listed;
-    otherwise they were the whole listing, kept as ``g.triangle_list``.
-    Memory is O(n + m) plus, for r = 4, at most budget/2 listed rows."""
+    otherwise they were the whole listing, kept as ``g.triangle_edges``.
+    Memory is O(n + m) plus, for r = 4, at most budget/2 listed rows of
+    three edge ids."""
     if r < 1:
         raise ValueError("clique size r must be >= 1")
     if r == 1:
@@ -434,16 +471,16 @@ def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
     free_budget = budget - g.n - 2 * g.m
     if r in (3, 4) and free_budget >= 0:
         found, triangles = [], 0
-        for rows, closes_k4 in _triangle_passes(g):
-            triangles += len(rows)
+        for edges, closes_k4 in _triangle_passes(g):
+            triangles += len(edges)
             if r == 3 or 2 * triangles > free_budget or closes_k4():
                 break
-            found.append(rows)
+            found.append(edges)
         else:
             # the passes saw every wedge: keep the listing for g.triangles
-            g.__dict__.setdefault("triangle_list", _stacked(found))
+            g.__dict__.setdefault("triangle_edges", _stacked(found))
             return None
-        del found, rows, closes_k4
+        del found, edges, closes_k4
     fwd = _forward_sets(g)
     steps = [0]
     for v in range(g.n):

@@ -179,8 +179,9 @@ def reference_find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
 
 
 def reference_triangle_list(g: Graph) -> np.ndarray:
-    """The rows of ``triangle_list`` in its order, every wedge in one pass
-    and looked up among the id-space edge keys ``eu * n + ev``."""
+    """The rows of ``triangle_list`` in its order (out-rows by tail rank,
+    each by head rank), every wedge in one pass and looked up among the
+    id-space edge keys ``eu * n + ev``."""
     n, m = g.n, g.m
     if m == 0:
         return np.empty((0, 3), dtype=np.intp)
@@ -189,9 +190,9 @@ def reference_triangle_list(g: Graph) -> np.ndarray:
     up = rank[g.eu] < rank[g.ev]
     tail = np.where(up, g.eu, g.ev)
     head = np.where(up, g.ev, g.eu)
-    by_row = np.lexsort((rank[head], tail))
+    by_row = np.lexsort((rank[head], rank[tail]))
     tail, head = tail[by_row], head[by_row]
-    fan = np.cumsum(np.bincount(tail, minlength=n))[tail] - np.arange(m) - 1
+    fan = np.cumsum(np.bincount(rank[tail], minlength=n))[rank[tail]] - np.arange(m) - 1
     fan_end = np.cumsum(fan)
     w = np.arange(fan_end[-1])
     p = np.searchsorted(fan_end, w, side="right")

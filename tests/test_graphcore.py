@@ -43,6 +43,7 @@ from certcut.graphcore import (
     find_clique,
     induced_subgraph,
     induced_unions,
+    triangle_edges,
     triangle_list,
 )
 from conftest import graphs
@@ -413,6 +414,26 @@ def book_k4(k: int, closed: bool) -> Graph:
     return Graph.from_edges(leaf, edges)
 
 
+def check_edge_listing(g: Graph):
+    """Each row of the edge listing is three distinct edge ids (uv, uw, vw)
+    of one triangle, in the order of the reference rows (u, v, w), and the
+    rows derived from it are those rows; on a K4-free graph, the listing
+    that find_clique(g, 4) keeps is a fresh listing of an equal graph."""
+    fields = [getattr(g, f) for f in ("n", "indptr", "indices", "eu", "ev")]
+    edges, want = triangle_edges(g), reference_triangle_list(g)
+    assert edges.dtype == np.intp and edges.shape == want.shape
+    assert ((0 <= edges) & (edges < g.m)).all()
+    ends = [sorted(pair) for pair in zip(g.eu.tolist(), g.ev.tolist())]
+    for (uv, uw, vw), (u, v, w) in zip(edges.tolist(), want.tolist()):
+        assert len({uv, uw, vw}) == 3
+        assert [ends[uv], ends[uw], ends[vw]] == [sorted(p) for p in ((u, v), (u, w), (v, w))]
+    assert triangle_list(g).tolist() == want.tolist()
+    assert Graph(*fields).triangle_list.tolist() == want.tolist()
+    kept = Graph(*fields)
+    if find_clique(kept, 4) is None:
+        assert kept.__dict__["triangle_edges"].tolist() == triangle_edges(Graph(*fields)).tolist()
+
+
 class TestTrianglePasses:
     # with a small ROUND_CHUNK every pass runs past its ROUND_CHUNK wedges
     # to the end of a tail, and the pairs of one out-edge's triangles
@@ -434,9 +455,24 @@ class TestTrianglePasses:
                 # the passes alone settle a K4-free graph within the budget,
                 # and then keep the listing they made
                 settled = budget >= steps and brute_cliques(g, 4) == 0
-                assert ("triangle_list" in g.__dict__) == settled
+                assert ("triangle_edges" in g.__dict__) == settled
                 if settled:
                     assert g.triangle_list.tolist() == reference_triangle_list(g).tolist()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, graphcore.ROUND_CHUNK])
+    @given(case=clique_cases())
+    @settings(deadline=None, max_examples=100)
+    def test_edge_listing_names_each_triangles_three_edges(self, chunk, case):
+        g, _ = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphcore, "ROUND_CHUNK", chunk)
+            check_edge_listing(g)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, graphcore.ROUND_CHUNK])
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_edge_listing_of_book_k4(self, monkeypatch, chunk, closed):
+        monkeypatch.setattr(graphcore, "ROUND_CHUNK", chunk)
+        check_edge_listing(book_k4(6, closed))
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, graphcore.ROUND_CHUNK])
     @pytest.mark.parametrize("closed", [True, False])
@@ -446,7 +482,7 @@ class TestTrianglePasses:
         monkeypatch.setattr(graphcore, "ROUND_CHUNK", chunk)
         g = book_k4(6, closed)
         assert find_clique(g, 4) == ((0, 1, 6, 7) if closed else None)
-        assert ("triangle_list" in g.__dict__) is not closed
+        assert ("triangle_edges" in g.__dict__) is not closed
         assert g.triangle_list.tolist() == reference_triangle_list(g).tolist()
         assert g.triangles == 6 + 2 * closed
 
@@ -455,7 +491,7 @@ class TestTrianglePasses:
         monkeypatch.setattr(graphcore, "ROUND_CHUNK", chunk)
         g = pendant_k4(12)
         assert find_clique(g, 4) == (0, 1, 2, 12)
-        assert "triangle_list" not in g.__dict__
+        assert "triangle_edges" not in g.__dict__
 
     @pytest.mark.parametrize("free", ["all", "half", "few"])
     def test_listed_rows_stay_within_the_budget(self, free):
@@ -472,7 +508,7 @@ class TestTrianglePasses:
         finally:
             tracemalloc.stop()
         assert got == (0, 1, 2, 240)
-        assert "triangle_list" not in g.__dict__
+        assert "triangle_edges" not in g.__dict__
         assert peak < 256 * (g.n + g.m) + 12 * (budget - g.n - 2 * g.m), peak
         assert after < 1 << 16, after
 

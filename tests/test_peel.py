@@ -7,11 +7,13 @@ parts, witnesses and remainder, on the canonical order and on that order
 restricted to a vertex subset.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from certcut import graphcore
+from certcut import decompose, graphcore
 from certcut._rng import make_rng
 from certcut.decompose import partition_triangle_sparse
 from certcut.generators import complete, cycle, gnp, petersen, random_regular, star, turan
@@ -182,7 +184,8 @@ class TestTriangleList:
     def test_count_matches_set_loop_and_cache(self, name):
         g = CORPUS[name]
         assert count_triangles(g) == reference_count_triangles(g) == g.triangles
-        assert g.triangle_list is g.triangle_list
+        assert g.triangle_edges is g.triangle_edges
+        assert g.triangle_list.tolist() == triangle_list(g).tolist()
 
 
 def partition_cases():
@@ -208,6 +211,26 @@ def test_partition_reference_cases_strip_many_parts():
                 for name in ("gnp120_3", "gnp200_4", "turan_40_3", "tripartite_90")}
     assert all(k >= 5 for k in stripped.values()), stripped
     assert max(stripped.values()) >= 20, stripped
+
+
+def test_partition_walks_no_whole_list_per_round(monkeypatch):
+    # the back-edge and back-triangle counts are taken once and each round
+    # subtracts what its part kills, so over 20 and more rounds no list
+    # of all edges or triangles is gathered again
+    calls = Counter()
+    for module in (graphcore, decompose):
+        for name in ("back_pairs", "count_back_triangles", "_last_positions", "_triangle_passes"):
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+    g = CORPUS["gnp200_4"]
+    g = Graph(g.n, g.indptr, g.indices, g.eu, g.ev)
+    got = partition_triangle_sparse(g, 16.0)
+    assert len(got.parts) >= 20
+    assert calls["_triangle_passes"] == calls["_last_positions"] == 1, calls
+    assert calls["back_pairs"] == calls["count_back_triangles"] == 0, calls
 
 
 @pytest.mark.parametrize("seed", range(12))
