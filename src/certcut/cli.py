@@ -20,10 +20,10 @@ import time
 from ._rng import derive_seed, make_rng
 from .chromatic import coloring_cut, coloring_pipeline_floor, kr_free_coloring, max_t_cut
 from .decompose import SAMPLE_P, composite_cut, kr_cut, sampled_sdp_cut
-from .embedding import default_eps, sdp_cut
+from .embedding import default_eps, sdp_cut, sdp_cuts
 from .errors import BudgetExceeded, CertcutError, InvalidEpsilon, ParseError, PreconditionError
 from .generators import MODELS, GenSpec, family, make_cr_free
-from .graphcore import Graph, edwards_bound
+from .graphcore import Cut, Graph, edwards_bound
 from .harness import CSV_HEADER, RunReport, format_edge_list, parse_graph
 from .oracle import OracleBudget, max_cut_exact
 from .verify import SUITES, run_suite
@@ -97,7 +97,9 @@ def run_cut_algorithm(g: Graph, algo: str, *, seed: int, epsilon: str, repeats: 
         cut, cert = kr_cut(g, r, repeats, seed)
         params = f"r={r};repeats={repeats}"
     elif algo == "tcut":
-        base, _ = sdp_cut(g, eps, repeats, seed)
+        # the base is rounded as sdp_cut rounds it, and left uncertified
+        labels, (value,), _ = sdp_cuts(g, [g.n], eps, repeats, [seed])
+        base = Cut(tuple(labels.tolist()), value)
         cut, cert = max_t_cut(g, base, t, make_rng(seed, 7), repeats)
         params = f"t={t};base={base.value};repeats={repeats}"
     elif algo == "sampled":

@@ -77,16 +77,12 @@ def find_dense_subset(g: Graph, order: DegeneracyOrder, eps: float):
     """Back-neighbor set of the first vertex (in order) whose back-triangle
     count reaches back-degree/eps; that vertex is the common neighbor.
 
-    ``order`` may cover only some vertices (the canonical order restricted
-    to a vertex subset); the search then runs inside the graph those
-    vertices induce.
     Returns (sorted read-only id array, witness). Requires a triangle-rich
     graph; raises NotEnoughTriangles when no vertex qualifies.
     """
     _check_partition_eps(eps)
     own, last = _last_positions(g, order.position)
-    k = len(order.order)
-    dv, t_back = (np.bincount(x[x >= 0], minlength=k) for x in (own, last))
+    dv, t_back = (np.bincount(x, minlength=g.n) for x in (own, last))
     return _dense_subset(g, order.order, order.position, dv, t_back, eps)
 
 

@@ -95,12 +95,6 @@ class Graph:
         (see :func:`triangle_edges`)."""
         return triangle_edges(self)
 
-    @property
-    def triangle_list(self) -> np.ndarray:
-        """Every triangle once as a vertex row, derived from the cached
-        ``triangle_edges`` per access (see :func:`triangle_list`)."""
-        return np.stack(_triangle_vertices(self, self.triangle_edges), axis=1)
-
     @cached_property
     def triangles(self) -> int:
         """Number of 3-cliques, counted once per graph."""
@@ -173,37 +167,32 @@ class Cut:
 class DegeneracyOrder:
     """A vertex order in which every vertex has few earlier neighbors.
 
-    ``order``, a read-only intp array, lists some or all of the ``n``
-    vertices: the canonical order (:func:`degeneracy_order`) or that order
-    restricted to a vertex subset. The back-neighbors of a vertex are its
-    neighbors earlier in ``order`` (see :func:`back_pairs`); ``degeneracy``
-    bounds every back-degree, and equals the maximum back-degree, the graph
-    degeneracy, for the canonical order.
+    ``order``, a read-only intp array, is a permutation of every vertex of
+    the graph. The back-neighbors of a vertex are its neighbors earlier in
+    ``order`` (see :func:`back_pairs`); ``degeneracy`` bounds every
+    back-degree, and equals the maximum back-degree, the graph degeneracy,
+    for the canonical order (:func:`degeneracy_order`).
     """
 
-    n: int
     order: np.ndarray
     degeneracy: int
 
     @cached_property
     def position(self) -> np.ndarray:
-        """Read-only index of every vertex in ``order``; -1 for vertices
-        outside it."""
-        pos = np.full(self.n, -1, dtype=np.intp)
+        """Read-only index of every vertex in ``order``."""
+        pos = np.empty(len(self.order), dtype=np.intp)
         pos[self.order] = np.arange(len(self.order))
         pos.flags.writeable = False
         return pos
 
 
 def back_pairs(g: Graph, order: DegeneracyOrder) -> tuple[np.ndarray, np.ndarray]:
-    """``(owner, cols)``, one pair per edge of ``g`` whose endpoints are both
-    in ``order``, in edge order: ``owner`` is the later endpoint and ``cols``
-    the earlier one, its back-neighbor. The pairs of one owner list its
-    back-neighbors in ascending id."""
-    pu, pv = order.position[g.eu], order.position[g.ev]
-    both = (pu >= 0) & (pv >= 0)
-    later = pu > pv
-    return np.where(later, g.eu, g.ev)[both], np.where(later, g.ev, g.eu)[both]
+    """``(owner, cols)``, one pair per edge of ``g``, in edge order:
+    ``owner`` is the later endpoint in ``order`` and ``cols`` the earlier
+    one, its back-neighbor. The pairs of one owner list its back-neighbors
+    in ascending id."""
+    later = order.position[g.eu] > order.position[g.ev]
+    return np.where(later, g.eu, g.ev), np.where(later, g.ev, g.eu)
 
 
 def degeneracy_order(g: Graph) -> DegeneracyOrder:
@@ -265,7 +254,7 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
     # drop the lists first: the result's size varies with interpreter state,
     # and built under their peak it would make the peak vary too
     del removal, rest, flat, ptr, deg, live, buckets
-    return DegeneracyOrder(n, order, degeneracy)
+    return DegeneracyOrder(order, degeneracy)
 
 
 # entries of scratch per array pass: the rows of a rounding or count block
@@ -304,8 +293,8 @@ def best_row(blocks, ends: list[int], tops: list[int] | None = None) -> tuple[np
 
 def triangle_list(g: Graph) -> np.ndarray:
     """Every 3-clique once, as rows ``(u, v, w)`` ascending in (degree, id),
-    in the order of :func:`triangle_edges`, whose edge ids they are read from."""
-    return np.stack(_triangle_vertices(g, triangle_edges(g)), axis=1)
+    read from the edge ids of the cached ``g.triangle_edges``, in its order."""
+    return np.stack(_triangle_vertices(g, g.triangle_edges), axis=1)
 
 
 def triangle_edges(g: Graph) -> np.ndarray:
@@ -423,26 +412,21 @@ def count_back_triangles(g: Graph, order: DegeneracyOrder) -> tuple[int, ...]:
     """Per-vertex count of triangles closed inside the back-neighbor set.
 
     A triangle is closed inside exactly the back set of its last vertex in
-    ``order``; triangles with a vertex outside a partial order (the
-    canonical order restricted to a vertex subset) are in no back set.
-    Summing over all vertices recovers the triangle count of the ordered
-    vertices.
+    ``order``, so summing over all vertices recovers the triangle count.
     """
     _, last = _last_positions(g, order.position)
-    return tuple(np.bincount(order.order[last[last >= 0]], minlength=g.n).tolist())
+    return tuple(np.bincount(order.order[last], minlength=g.n).tolist())
 
 
 def _last_positions(g: Graph, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per edge, then per triangle of ``g.triangle_edges``, the position of
     its last vertex in the order whose ``position`` array is given (as
-    :attr:`DegeneracyOrder.position`), or -1 if a vertex is outside it. An
-    edge's last vertex is its owner in :func:`back_pairs`; a triangle's is
-    the later of the last vertices of its edges uw and vw, which between
-    them hold all three of its vertices. Both arrays are new."""
-    pu, pv = position[g.eu], position[g.ev]
-    edge = np.where(np.minimum(pu, pv) >= 0, np.maximum(pu, pv), -1)
-    uw, vw = edge[g.triangle_edges[:, 1]], edge[g.triangle_edges[:, 2]]
-    return edge, np.where(np.minimum(uw, vw) >= 0, np.maximum(uw, vw), -1)
+    :attr:`DegeneracyOrder.position`). An edge's last vertex is its owner
+    in :func:`back_pairs`; a triangle's is the later of the last vertices
+    of its edges uw and vw, which between them hold all three of its
+    vertices. Both arrays are new."""
+    edge = np.maximum(position[g.eu], position[g.ev])
+    return edge, np.maximum(edge[g.triangle_edges[:, 1]], edge[g.triangle_edges[:, 2]])
 
 
 def _forward_sets(g: Graph) -> list[frozenset[int]]:

@@ -333,13 +333,6 @@ def back_sets(g: Graph, order: DegeneracyOrder) -> tuple[frozenset[int], ...]:
     return _sets(g.n, *back_pairs(g, order))
 
 
-def restricted_order(g: Graph, alive) -> DegeneracyOrder:
-    """``g``'s canonical order restricted to the vertices marked in the bool
-    mask ``alive``, as ``partition_triangle_sparse`` restricts it."""
-    canon = g.degeneracy_order
-    return DegeneracyOrder(g.n, canon.order[alive[canon.order]], canon.degeneracy)
-
-
 def edge_inner_bound(plan, u: int, v: int) -> float:
     """Upper bound on <v_u, v_v> for an edge: pairs each membership indicator
     with the set owner's eps (-eps_v/4 when u is in V_v, and symmetrically),

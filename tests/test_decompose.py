@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certcut import decompose, embedding, graphcore
+from certcut import cli, decompose, embedding, graphcore
 from certcut._rng import make_rng
 from certcut.chromatic import coloring_cut, kr_free_coloring
 from certcut.decompose import (
@@ -488,6 +488,9 @@ CERTIFIED = {
     # 40 samples of a tenth, side by side in unions (of at most 40 vertices
     # and edges, below)
     "sampled_batched": lambda g: sampled_sdp_cut(g, p=0.1, rng=make_rng(2), repeats=40),
+    # the t-cut's base is rounded on the whole graph and never certified
+    "tcut": lambda g: cli.run_cut_algorithm(g, "tcut", seed=1, epsilon="auto", repeats=8,
+                                            r=3, t=3, p=None, max_vertices=None),
 }
 
 
@@ -508,6 +511,8 @@ def test_each_reported_certificate_is_computed_once(monkeypatch, algo):
     elif algo == "sampled_batched":
         assert list(map(id, certified)) == list(map(id, unions))
         assert 3 < len(unions) < 40
+    elif algo == "tcut":
+        assert certified == [] and unions == []
     else:
         assert len(certified) == 1 and certified[0] is g
         assert len(unions) == (0 if algo == "sdp" else 2)
