@@ -253,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--dlist", required=True)
     bench.add_argument("--instances", type=int, default=1)
     bench.add_argument("--algo", default="sdp", choices=list(ALGOS))
-    bench.add_argument("--cr-free", type=int, default=0)
+    bench.add_argument("--cr-free", type=int, default=0,
+                       help="delete one edge per cycle of this exact length")
     bench.add_argument("--max-restarts", type=int, default=1000)
     bench.add_argument("--out", default="-")
     bench.set_defaults(func=_cmd_bench)

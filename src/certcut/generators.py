@@ -21,7 +21,7 @@ from .errors import (
     RetryLimitExceeded,
     SelfLoop,
 )
-from .graphcore import Graph, block_rows
+from .graphcore import Graph, _from_sorted_edges, block_rows
 from .harness import MAX_HEADER_VERTICES
 
 
@@ -82,55 +82,52 @@ def gnp(n: int, p: float, seed: int = 0) -> Graph:
     return Graph.from_edges(n, np.stack((u, v), axis=1))
 
 
-def _close_cycle(adj: dict, r: int, path: list, on_path: set, steps: list, budget: int) -> bool:
-    """Whether ``path`` extends to an r-cycle through vertices above its
-    start, the first in lexicographic path order: interior vertices are
-    explored in increasing id. ``path`` then holds the cycle, and
-    ``steps[0]`` counts the search's steps."""
-    steps[0] += 1
-    if steps[0] > budget:
-        raise BudgetExceeded(f"cycle search exceeded {budget} steps")
-    v = path[-1]
-    if len(path) == r:
-        return path[0] in adj[v]
-    for w in sorted(adj[v]):
-        if w > path[0] and w not in on_path:
-            path.append(w)
-            on_path.add(w)
-            if _close_cycle(adj, r, path, on_path, steps, budget):
-                return True
-            path.pop()
-            on_path.remove(w)
-    return False
-
-
 def make_cr_free(g: Graph, r: int, budget: int = 10**8) -> Graph:
-    """Delete one edge per detected r-cycle until none of length exactly r
-    remains. The deleted edge is the lexicographically smallest of the found
-    cycle, so the output is deterministic; the final search certifies it.
+    """``g`` without its r-cycles: edge (s, a), s < a, is deleted exactly
+    when ``g`` has an r-cycle whose least vertex is s and whose other
+    neighbour of s is some b > a. That is what deleting the smallest edge
+    of the first r-cycle in lexicographic path order leaves, repeated until
+    none remains: each deletion at s removes the edge from s to its smaller
+    cycle neighbour, which no cycle that is still to be found uses.
 
-    Each cycle is searched from its minimum vertex, the start. After a
-    deletion the search resumes at the start of the cycle just destroyed,
-    not at vertex 0. That finds the same cycle as a scan from 0: deleting
-    edges never creates a cycle, so a start vertex that closed no r-cycle
-    before a deletion closes none after it. ``budget`` caps the DFS steps
-    of these resumed searches, summed over all of them.
+    For each s and each neighbour a > s, ascending, one search over the
+    rows of ``g`` looks for a path a ... b of r - 2 edges through distinct
+    vertices above s. It runs on an explicit stack, so r has no depth
+    limit. ``budget`` caps the steps: one per search, one per vertex pushed.
     """
     if r < 3:
         raise InvalidParameter(f"cycle length r must be >= 3, got {r}")
     flat, ptr = g.indices.tolist(), g.indptr.tolist()
-    adj = {v: set(flat[ptr[v]:ptr[v + 1]]) for v in range(g.n)}
-    steps = [0]
-    for start in range(g.n):
-        while len(adj[start]) >= 2:
-            path = [start]
-            if not _close_cycle(adj, r, path, {start}, steps, budget):
-                break
-            u, v = min(tuple(sorted(e)) for e in zip(path, path[1:] + path[:1]))
-            adj[u].discard(v)
-            adj[v].discard(u)
-    edges = sorted((u, v) for u in adj for v in adj[u] if u < v)
-    return Graph.from_edges(g.n, edges)
+    steps, drop = 0, []
+    for s in range(g.n):
+        higher = [b for b in flat[ptr[s]:ptr[s + 1]] if b > s]
+        ends = set(higher)
+        for a in higher[:-1]:  # the largest has no b > a to close at
+            steps += 1
+            if steps > budget:
+                raise BudgetExceeded(f"cycle search exceeded {budget} steps")
+            path, on_path, todo = [a], {a}, [iter(flat[ptr[a]:ptr[a + 1]])]
+            while todo:
+                for w in todo[-1]:
+                    if w > s and w not in on_path:
+                        break
+                else:
+                    on_path.remove(path.pop())
+                    todo.pop()
+                    continue
+                steps += 1
+                if steps > budget:
+                    raise BudgetExceeded(f"cycle search exceeded {budget} steps")
+                if len(path) < r - 2:
+                    path.append(w)
+                    on_path.add(w)
+                    todo.append(iter(flat[ptr[w]:ptr[w + 1]]))
+                elif w > a and w in ends:
+                    drop.append(s * g.n + a)
+                    break
+    keep = np.ones(g.m, dtype=bool)
+    keep[np.searchsorted(g.eu * g.n + g.ev, drop)] = False
+    return _from_sorted_edges(g.n, g.eu[keep], g.ev[keep])
 
 
 def _check_sizes(what: str, **sizes: int) -> None:

@@ -214,26 +214,29 @@ def brute_independence_number(g: Graph) -> int:
     return best
 
 
-def count_r_cycles(g: Graph, r: int) -> int:
-    """Distinct cycles of length exactly r (as vertex sets with a cyclic
-    order), counted once each: minimal vertex first, second < last."""
+def r_cycles(g: Graph, r: int):
+    """Each cycle of length exactly r once, as its vertex list in cyclic
+    order: minimal vertex first, second < last."""
     adj = [frozenset(row) for row in rows(g)]
-    total = 0
 
     def walk(path):
-        nonlocal total
         v = path[-1]
         if len(path) == r:
             if path[0] in adj[v] and path[1] < path[-1]:
-                total += 1
+                yield path
             return
         for w in sorted(adj[v]):
             if w > path[0] and w not in path:
-                walk(path + [w])
+                yield from walk(path + [w])
 
     for start in range(g.n):
-        walk([start])
-    return total
+        yield from walk([start])
+
+
+def count_r_cycles(g: Graph, r: int) -> int:
+    """Distinct cycles of length exactly r (as vertex sets with a cyclic
+    order), counted once each: the cycles of :func:`r_cycles`."""
+    return sum(1 for _ in r_cycles(g, r))
 
 
 def reference_gnp(n: int, p: float, seed: int) -> Graph:

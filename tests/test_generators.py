@@ -4,6 +4,7 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
 from certcut import generators, graphcore
 from certcut.errors import (
@@ -32,8 +33,10 @@ from certcut.generators import (
 )
 from certcut.graphcore import count_triangles, find_clique
 from certcut.harness import MAX_HEADER_VERTICES as CAP
+from conftest import graphs
 from oracles import (
     count_r_cycles,
+    r_cycles,
     reference_gnp,
     reference_make_cr_free,
     reference_random_bipartite,
@@ -153,6 +156,14 @@ def _cr_free_within(g, r, budget):
     return True
 
 
+def check_closed_form(g0, r):
+    """``make_cr_free`` deletes exactly the edge from each r-cycle's least
+    vertex to the smaller of that vertex's two neighbours on the cycle."""
+    kept = set(make_cr_free(g0, r).edges)
+    assert kept <= set(g0.edges)
+    assert set(g0.edges) - kept == {(c[0], c[1]) for c in r_cycles(g0, r)}
+
+
 class TestMakeCrFree:
     def test_c5_becomes_a_path(self):
         g = make_cr_free(cycle(5), 5)
@@ -207,6 +218,28 @@ class TestMakeCrFree:
             g = make_cr_free(g0, r)
             assert g.edges == reference_make_cr_free(g0, r).edges
             assert count_r_cycles(g, r) == 0
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_closed_form_on_the_resumed_search_graphs(self, r, seed):
+        for g0 in (gnp(14 + 3 * seed, 0.3, seed), random_regular(18, 3, seed)):
+            check_closed_form(g0, r)
+
+    @pytest.mark.parametrize("r", range(3, 8))
+    @given(g0=graphs())
+    @settings(deadline=None, max_examples=60)
+    def test_closed_form_on_small_graphs(self, r, g0):
+        check_closed_form(g0, r)
+
+    def test_long_cycle_loses_only_its_first_edge(self):
+        # a search as deep as the cycle is long, past Python's recursion limit
+        g = make_cr_free(cycle(1500), 1500)
+        assert g.m == 1499
+        assert g.edges == tuple(e for e in cycle(1500).edges if e != (0, 1))
+
+    def test_deep_search_runs_out_of_budget(self):
+        with pytest.raises(BudgetExceeded):
+            make_cr_free(random_regular(3000, 3, 1), 2500, budget=10**5)
 
     def test_triangle_path_matches_on_a_larger_sparse_graph(self):
         g0 = gnp(400, 8 / 399, 1)
