@@ -16,6 +16,7 @@ from .errors import (
     ImproperColoring,
     InvalidParameter,
     LabelSizeMismatch,
+    NotACutOfInducedSubgraph,
     TooFewVertices,
 )
 from .embedding import CutCertificate
@@ -44,10 +45,10 @@ def _ramsey_bound(r: int, s: int) -> int:
 
 
 def _ramsey(g: Graph, mask: np.ndarray, r: int, s: int) -> set[int]:
-    # each pass either descends into the pivot's neighborhood with r - 1 (the
-    # only recursion, so nesting is at most r) or keeps the pivot and goes on
-    # in its non-neighborhood with s - 1
-    picked = set()
+    # each pass either descends into the pivot's neighborhood with r - 1 or
+    # keeps the pivot and goes on in its non-neighborhood with s - 1; an edge
+    # inside the mask at r = 2 is a clique with every pivot descended into
+    picked, pivots = set(), []
     eu, ev = g.eu, g.ev
     while s > 0:
         inside = mask[eu] & mask[ev]
@@ -60,7 +61,7 @@ def _ramsey(g: Graph, mask: np.ndarray, r: int, s: int) -> set[int]:
             )
         if r == 2:
             if len(eu):  # the first edge in (eu, ev) order
-                raise CliqueFound((int(eu[0]), int(ev[0])))
+                raise CliqueFound((int(eu[0]), int(ev[0]), *pivots))
             return picked | set(np.flatnonzero(mask)[:s].tolist())
         if s == 1:
             return picked | {int(mask.argmax())}
@@ -70,11 +71,9 @@ def _ramsey(g: Graph, mask: np.ndarray, r: int, s: int) -> set[int]:
         nbrs[g.indices[g.indptr[pivot]:g.indptr[pivot + 1]]] = True
         nbrs &= mask
         if deg[pivot] >= _ramsey_bound(r - 1, s):
-            try:
-                return picked | _ramsey(g, nbrs, r - 1, s)
-            except CliqueFound as found:
-                # a clique inside the pivot's neighborhood extends by the pivot
-                raise CliqueFound((*found.witness, pivot)) from None
+            mask, r = nbrs, r - 1
+            pivots.append(pivot)
+            continue
         mask = mask & ~nbrs
         mask[pivot] = False
         picked.add(pivot)
@@ -83,10 +82,10 @@ def _ramsey(g: Graph, mask: np.ndarray, r: int, s: int) -> set[int]:
 
 
 def ramsey_independent_set(g: Graph, r: int, s: int) -> frozenset[int]:
-    """Independent set of size >= s in a K_r-free graph by pivot recursion.
+    """Independent set of size >= s in a K_r-free graph by pivot descent.
 
     Picks a maximum-degree pivot; if its neighborhood is large enough the
-    recursion descends there with r-1, otherwise it finds s-1 vertices in the
+    search descends there with r-1, otherwise it finds s-1 vertices in the
     non-neighborhood and adds the pivot. Raises CliqueFound (with a verified
     witness) if an r-clique is discovered, or TooFewVertices when the vertex
     count is below the binomial Ramsey bound.
@@ -189,15 +188,13 @@ def coloring_cut(g: Graph, col: Coloring) -> tuple[Cut, CutCertificate]:
     if len(col.color) != g.n:
         raise ImproperColoring(f"coloring covers {len(col.color)} of {g.n} vertices")
     color = np.asarray(col.color, dtype=np.int64)
+    t = col.classes
+    if len(color) and not (0 <= color.min() and color.max() < t):
+        raise ImproperColoring(f"class ids outside [0, {t})")
     cu, cv = color[g.eu], color[g.ev]
     mono = np.flatnonzero(cu == cv)
     if len(mono):
         raise ImproperColoring(f"edge ({g.eu[mono[0]]}, {g.ev[mono[0]]}) is monochromatic")
-    t = col.classes
-    if t <= 1:
-        cut = cut_value(g, [0] * g.n)
-        return cut, CutCertificate(0.0, None, "coloring_bound", 0.0)
-
     weights = np.zeros((t, t), dtype=np.int64)
     np.add.at(weights, (cu, cv), 1)
     weights += weights.T
@@ -265,10 +262,14 @@ def max_t_cut(
         raise InvalidParameter(f"t must lie in [2, 2^63 - 1], got {t}")
     if len(base.side) != g.n:
         raise LabelSizeMismatch(f"base cut covers {len(base.side)} of {g.n} vertices")
+    side_b = np.asarray(base.side) != 0  # any nonzero side is side 1
+    value = g.crossing_count(side_b)
+    if value != base.value:
+        raise NotACutOfInducedSubgraph(f"cut claims value {base.value}, recount gives {value}")
     s, odd = divmod(t, 2)
-    cert = t_cut_expected_value(g.m, base.value, t)
-    # first part of each vertex's own block: 0 on side 0, s on any other side
-    offset = s * (np.asarray(base.side, dtype=np.int64) != 0)
+    cert = t_cut_expected_value(g.m, value, t)
+    # first part of each vertex's own block: 0 on side 0, s on side 1
+    offset = s * side_b
     repeats, rows = max(1, repeats), block_rows(g.n, g.m)
     draws = (rng.integers(0, t if odd else s, size=(min(rows, repeats - start), g.n))
              for start in range(0, repeats, rows))

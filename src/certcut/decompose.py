@@ -122,13 +122,13 @@ def partition_triangle_sparse(g: Graph, eps: float) -> Decomposition:
     an edge with an endpoint in the part, and a triangle whose edge uw or vw
     died. Back-degrees in that order are at most d, and each live triangle
     and edge is counted once, so some vertex qualifies whenever t * eps >=
-    m. The first check reads ``g.triangles`` and ``g.m``, so a graph that is
-    sparse already costs no counts.
+    m. The first check reads the listing's length and ``g.m``, so a graph
+    that is sparse already costs no counts.
     """
     _check_partition_eps(eps)
     parts: list[np.ndarray] = []
     witnesses: list[int] = []
-    t, m = g.triangles, g.m
+    t, m = len(g.triangle_edges), g.m
     remainder = np.arange(g.n)
     if t and t * eps >= m:
         canon = g.degeneracy_order

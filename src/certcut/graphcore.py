@@ -404,8 +404,11 @@ def _closes_k4(hit: np.ndarray, p: np.ndarray, q: np.ndarray, shift: np.ndarray)
 
 
 def count_triangles(g: Graph) -> int:
-    """Exact number of 3-cliques."""
-    return len(g.triangle_edges)
+    """Exact number of 3-cliques: the length of ``g.triangle_edges`` if it
+    is cached, else the passes' row counts, keeping no rows."""
+    if "triangle_edges" in g.__dict__:
+        return len(g.triangle_edges)
+    return sum(len(edges) for edges, _ in _triangle_passes(g))
 
 
 def count_back_triangles(g: Graph, order: DegeneracyOrder) -> tuple[int, ...]:
@@ -465,28 +468,24 @@ def find_clique(g: Graph, r: int, budget: int = CLIQUE_STEP_BUDGET):
             g.__dict__.setdefault("triangle_edges", _stacked(found))
             return None
         del found, edges, closes_k4
+    # a frame is a prefix's candidates (None: every vertex) and an ascending iterator
     fwd = _forward_sets(g)
-    steps = [0]
-    for v in range(g.n):
-        hit = _extend_clique(fwd, r, (v,), fwd[v], steps, budget)
-        if hit is not None:
-            return hit
-    return None
-
-
-def _extend_clique(fwd: list[frozenset[int]], r: int, prefix: tuple, cand: frozenset,
-                   steps: list[int], budget: int):
-    """The first r-clique that extends ``prefix`` by vertices of ``cand``,
-    taken in increasing id, or None; ``steps[0]`` counts the search's steps."""
-    steps[0] += len(cand) + 1
-    if steps[0] > budget:
-        raise BudgetExceeded(f"clique search exceeded {budget} steps")
-    if len(prefix) == r:
-        return prefix
-    for v in sorted(cand):
-        hit = _extend_clique(fwd, r, prefix + (v,), cand & fwd[v], steps, budget)
-        if hit is not None:
-            return hit
+    stack, prefix, steps = [(None, iter(range(g.n)))], [], 0
+    while stack:
+        cand, rest = stack[-1]
+        v = next(rest, None)
+        if v is None:
+            stack.pop()
+            del prefix[-1:]  # the vertex that opened the frame; none for the root
+            continue
+        ext = fwd[v] if cand is None else cand & fwd[v]
+        steps += len(ext) + 1
+        if steps > budget:
+            raise BudgetExceeded(f"clique search exceeded {budget} steps")
+        if len(prefix) + 1 == r:
+            return (*prefix, v)
+        prefix.append(v)
+        stack.append((ext, iter(sorted(ext))))
     return None
 
 

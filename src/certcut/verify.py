@@ -92,7 +92,7 @@ def check_triangle_sparse_constant(count=100, seed=0):
         if g.m == 0:
             continue
         eps = eps_cap(g)
-        if g.triangles * 8.0 * eps > g.m:
+        if len(g.triangle_edges) * 8.0 * eps > g.m:
             continue
         _, cert = sdp_cut(g, eps, repeats=1, seed=done)
         floor = (0.5 + eps / 60.0) * g.m

@@ -14,7 +14,7 @@ from certcut.chromatic import (
     ramsey_independent_set,
     t_cut_expected_value,
 )
-from certcut.errors import CliqueFound, ImproperColoring, TooFewVertices
+from certcut.errors import CliqueFound, ImproperColoring, NotACutOfInducedSubgraph, TooFewVertices
 from certcut.generators import (
     complete,
     complete_bipartite,
@@ -29,7 +29,7 @@ from certcut.generators import (
     star,
     turan,
 )
-from certcut.graphcore import Graph, cut_value, find_clique
+from certcut.graphcore import Cut, Graph, cut_value, find_clique
 from certcut.verify import tcut_expectation_oracle
 from oracles import brute_independence_number, reference_coloring_cut, reference_ramsey, rows
 
@@ -162,10 +162,12 @@ class TestRamseyLoop:
                 depth -= 1
 
         monkeypatch.setattr(chromatic, "_ramsey", counted)
+        # the descent into a pivot's neighbourhood is a step of the loop,
+        # so every search is one frame
         for g, r in ((Graph.from_edges(2500, []), 3), (random_regular(4000, 3, 1), 3), (turan(200, 3), 4)):
             deepest = 0
             kr_free_coloring(make_cr_free(g, 3) if r == 3 else g, r)
-            assert deepest <= r, (g.n, r, deepest)
+            assert deepest == 1, (g.n, r, deepest)
 
 
 class TestKrFreeColoring:
@@ -233,6 +235,12 @@ class TestColoringCut:
     def test_improper_coloring_rejected(self):
         with pytest.raises(ImproperColoring):
             coloring_cut(complete(3), Coloring((0, 0, 1), 2))
+
+    @pytest.mark.parametrize("color", [(0, 1, -1, 1), (0, 1, 2, 1)])
+    def test_class_ids_outside_the_range_rejected(self, color):
+        # -1 would put a vertex in no class and a cut below the certificate
+        with pytest.raises(ImproperColoring):
+            coloring_cut(cycle(4), Coloring(color, 2))
 
     def test_single_class_edgeless(self):
         cut, cert = coloring_cut(Graph.from_edges(4, []), Coloring((0, 0, 0, 0), 1))
@@ -378,6 +386,13 @@ class TestMaxTCut:
         for k in range(10):
             part, _ = max_t_cut(g, base, 4, make_rng(k), repeats=1)
             assert part.value == 4
+
+    def test_base_value_is_recounted(self):
+        # a base claiming 5 on a cut of value 0 would certify 40/9, not 20/9
+        with pytest.raises(NotACutOfInducedSubgraph, match="claims value 5, recount gives 0"):
+            max_t_cut(cycle(5), Cut((0,) * 5, 5), 3, make_rng(0))
+        _, cert = max_t_cut(cycle(5), Cut((0,) * 5, 0), 3, make_rng(0))
+        assert cert.expected_value == t_cut_expected_value(5, 0, 3)
 
     def test_k3_certificate(self):
         g = complete(3)

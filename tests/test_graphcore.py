@@ -209,6 +209,12 @@ class TestTriangles:
         g = gnp(11, 0.4, seed)
         assert count_triangles(g) == brute_triangles(g)
 
+    def test_count_keeps_no_listing(self):
+        # the count alone sums the passes' rows; a cached listing is read
+        g = turan(30, 3)
+        assert count_triangles(g) == 1000 and "triangle_edges" not in g.__dict__
+        assert len(g.triangle_edges) == 1000 and count_triangles(g) == 1000
+
     @pytest.mark.parametrize("seed", range(5))
     def test_back_triangles_sum_to_total(self, seed):
         g = gnp(12, 0.35, seed)
@@ -318,6 +324,13 @@ class TestCliques:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
             find_clique(complete(12), 6, budget=50)
+
+    def test_deep_search_is_not_limited_by_recursion(self):
+        # prefixes 1050 and 1100 vertices long, past the interpreter's
+        # default recursion limit of 1000 frames
+        assert find_clique(complete(1100), 1050) == tuple(range(1050))
+        with pytest.raises(BudgetExceeded):
+            find_clique(complete(1100), 1200, budget=10**6)
 
     @pytest.mark.parametrize("name, r", KR_FREE_CASES)
     def test_search_steps_on_kr_free_graphs(self, name, r):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -828,6 +829,24 @@ class TestPerGraphFacts:
         assert calls == {"degeneracy_order": 1, "count_triangles": 1}
         # triangle-poor, so composite's partition leaves the whole graph as remainder
         assert g.triangles * 8 < g.m
+
+    @pytest.mark.parametrize("make, algo, triangles", [
+        (lambda: complete(200), "chromatic", 1_313_400),
+        (lambda: turan(300, 3), "tcut", 1_000_000),
+    ], ids=["chromatic-k200", "tcut-turan300"])
+    def test_report_counts_triangles_without_a_listing(self, make, algo, triangles):
+        # neither algorithm reads the listing, so the report's count keeps
+        # no rows: a listing of 24 bytes per triangle peaked at 60 and 46 MiB
+        g = make()
+        tracemalloc.start()
+        try:
+            report = make_report(g, "g", algo, 0, epsilon="auto", repeats=4, r=500, t=3, p=None,
+                                 max_vertices=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.triangles == triangles
+        assert peak < 16 * 2**20, peak
 
     def test_kr_report_lists_triangles_once(self, monkeypatch):
         # on a triangle-free graph find_clique's wedge passes are the whole
